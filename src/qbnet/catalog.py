@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .classical import CBNet, chi_classical
-from .core import NodeBlock
-from .errors import InvalidParams, UnknownEntry
+from .core import NodeBlock, distribution, normalize, value_blocks, value_set
+from .errors import ContradictoryEvidence, InvalidParams, UnknownEntry
 from .quantum import QBNet, chi, parent_cb_net
 from .spin import (
     MAGNET_STATES,
@@ -587,10 +587,7 @@ class EvidenceCase:
     constraints: tuple = ()
 
     def as_sets(self) -> dict[str, frozenset]:
-        out = {}
-        for alpha, v in self.constraints:
-            out[alpha] = frozenset(v) if isinstance(v, frozenset) else frozenset([v])
-        return out
+        return {alpha: value_set(v) for alpha, v in self.constraints}
 
     def describe(self) -> str:
         if not self.constraints:
@@ -658,34 +655,6 @@ class CaseResult:
     errors: list = field(default_factory=list)
 
 
-def _merged_chi(chi_fn, net, assignment, evidence_sets):
-    sets = dict(evidence_sets)
-    for alpha, v in assignment.items():
-        if alpha in sets:
-            inter = sets[alpha] & {v}
-            if not inter:
-                return 0.0
-            sets[alpha] = inter
-        else:
-            sets[alpha] = frozenset([v])
-    return chi_fn(net, sets)
-
-
-def _distribution(chi_fn, net, comps, evidence_sets):
-    combos = list(
-        itertools.product(*[net.space.component_values(a) for a in comps])
-    )
-    weights = [
-        _merged_chi(chi_fn, net, dict(zip(comps, combo)), evidence_sets)
-        for combo in combos
-    ]
-    total = sum(weights)
-    base = chi_fn(net, evidence_sets)
-    if total == 0.0 or base == 0.0:
-        return combos, None, None
-    return combos, tuple(w / total for w in weights), total / base
-
-
 def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     """Evaluate evidence cases against single and pair hypotheses.
 
@@ -710,28 +679,35 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     results = []
     for case in cases:
         result = CaseResult(case)
+        results.append(result)
         evidence = case.as_sets()
         unknown = [a for a in evidence if not net.space.has_component(a)]
         if unknown:
             result.errors.append(f"unknown components {sorted(unknown)}")
-            results.append(result)
             continue
-        if chi(net, evidence) == 0.0 or chi_classical(parent, evidence) == 0.0:
+        qb_base = chi(net, evidence)
+        cb_base = chi_classical(parent, evidence) if qb_base else 0.0
+        if cb_base == 0.0:
             result.no_output = True
-            results.append(result)
             continue
         for hyp in sets:
             try:
-                combos, qb, qb_f = _distribution(chi, net, hyp, evidence)
-                _, cb, cb_f = _distribution(chi_classical, parent, hyp, evidence)
+                blocks = value_blocks(net, hyp)
+                qb, qb_total = distribution(chi, net, blocks, evidence)
+                cb, cb_total = distribution(chi_classical, parent, blocks, evidence)
+                row = HypothesisRow(
+                    hyp,
+                    tuple(tuple(b.values()) for b in blocks),
+                    tuple(normalize(cb, cb_total, evidence)),
+                    tuple(normalize(qb, qb_total, evidence)),
+                    cb_total / cb_base,
+                    qb_total / qb_base,
+                )
+            except ContradictoryEvidence:
+                result.errors.append(f"{hyp}: zero weight under this evidence")
+                continue
             except Exception as exc:  # record and keep going
                 result.errors.append(f"{hyp}: {exc}")
                 continue
-            if qb is None or cb is None:
-                result.errors.append(f"{hyp}: zero weight under this evidence")
-                continue
-            result.rows.append(
-                HypothesisRow(hyp, tuple(combos), cb, qb, cb_f, qb_f)
-            )
-        results.append(result)
+            result.rows.append(row)
     return results

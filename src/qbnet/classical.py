@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, StateSpace, filter_mask, max_states
-from .errors import ContradictoryEvidence, CyclicGraph, StateSpaceTooLarge
+from .core import BaseNet, NodeBlock, StateSpace, conditional, filter_mask, max_states
+from .errors import StateSpaceTooLarge
 from .graph import classify_nodes, is_acyclic
 
 EPS_NORM = 1e-9
@@ -95,16 +95,7 @@ def classical_conditional(
     net: CBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence) with both given as {component: value}."""
-    overlap = set(hypothesis) & set(evidence)
-    if overlap:
-        raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
-    if not hypothesis:
-        raise ValueError("empty hypothesis")
-    den = chi_classical(net, evidence)
-    if den == 0.0:
-        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero probability")
-    num = chi_classical(net, {**hypothesis, **evidence})
-    return num / den
+    return conditional(chi_classical, net, hypothesis, evidence)
 
 
 def validate(net: CBNet) -> ValidationReport:

@@ -13,25 +13,26 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import os
 import sys
 
 import numpy as np
 
 from . import catalog
-from .classical import CBNet, chi_classical, validate
+from .classical import chi_classical, validate
+from .core import base_weight, check_query, distribution, normalize, value_blocks
 from .errors import (
     ContradictoryEvidence,
     InvalidParams,
+    InvalidState,
     ParseError,
     QBNetError,
     UnknownEntry,
 )
 from .lattice import LatticeSpec, potential_preset, propagate
-from .netfile import emit_net, parse_number, read_cases, read_net
+from .netfile import emit_net, parse_number, parse_value_cell, read_cases, read_net
 from .pathsum import classify_paths, path_chi
-from .quantum import QBNet, parent_cb_net, validate_quantum
+from .quantum import QBNet, chi, parent_cb_net, validate_quantum
 
 CONTRADICTION_MARK = "** contradictory evidence: no output **"
 
@@ -87,103 +88,62 @@ def _parse_evidence(text: str) -> dict:
         if "=" not in part:
             raise ParseError(f"evidence term {part!r} needs comp=value")
         comp, value = part.split("=", 1)
-        comp, value = comp.strip(), value.strip()
+        comp = comp.strip()
         if comp in out:
             raise ParseError(f"component {comp!r} constrained twice")
-        if value.startswith("{"):
-            if not value.endswith("}"):
-                raise ParseError(f"unterminated value set in {part!r}")
-            try:
-                vals = frozenset(int(v) for v in value[1:-1].split(","))
-            except ValueError:
-                raise ParseError(f"bad value set in {part!r}")
-            if not vals:
-                raise ParseError(f"empty value set in {part!r}")
-            out[comp] = vals
-        else:
-            try:
-                out[comp] = int(value)
-            except ValueError:
-                raise ParseError(f"value in {part!r} must be an integer or {{set}}")
+        out[comp] = parse_value_cell(value)
+        if out[comp] is None:
+            raise ParseError(f"evidence term {part!r} needs a value")
     return out
 
 
-def _parse_hypothesis(text: str):
-    """Comma-separated components, each bare or pinned with =value."""
-    comps: list[str] = []
-    fixed: dict[str, int] = {}
+def _parse_hypothesis(text: str) -> dict:
+    """Comma-separated components, each bare or pinned with =value, as
+    {component: pinned value or None} in the order given."""
+    out: dict[str, int | None] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
+        comp, pinned = part, None
         if "=" in part:
             comp, value = part.split("=", 1)
             comp = comp.strip()
             try:
-                fixed[comp] = int(value.strip())
+                pinned = int(value.strip())
             except ValueError:
                 raise ParseError(f"hypothesis value in {part!r} must be an integer")
-        else:
-            comp = part
-        if comp in comps:
+        if comp in out:
             raise ParseError(f"hypothesis names {comp!r} twice")
-        comps.append(comp)
-    if not comps:
+        out[comp] = pinned
+    if not out:
         raise ParseError("empty hypothesis")
-    return tuple(comps), fixed
-
-
-def _merged(chi_fn, net, assignment, evidence):
-    merged = dict(evidence)
-    for alpha, v in assignment.items():
-        if alpha in merged:
-            allowed = merged[alpha] if isinstance(merged[alpha], frozenset) else {merged[alpha]}
-            if v not in allowed:
-                return 0.0
-        merged[alpha] = v
-    return chi_fn(net, merged)
-
-
-def _query_engine(net, mode):
-    """The chi function and the net it should run against."""
-    if mode == "classical":
-        return chi_classical, parent_cb_net(net) if isinstance(net, QBNet) else net
-    if mode == "quantum":
-        if not isinstance(net, QBNet):
-            raise InvalidParams("quantum mode needs a quantum net file")
-        from .quantum import chi
-
-        return chi, net
-    if mode == "pathsum":
-        return path_chi, net
-    raise InvalidParams(f"unknown mode {mode!r}")
+    return out
 
 
 def cmd_query(args) -> int:
     net = read_net(args.net)
-    comps, fixed = _parse_hypothesis(args.hypothesis)
+    hypothesis = _parse_hypothesis(args.hypothesis)
     evidence = _parse_evidence(args.evidence)
-    chi_fn, target = _query_engine(net, args.mode)
-    for alpha in itertools.chain(comps, evidence):
-        target.space.owner(alpha)
-    for alpha, v in fixed.items():
-        if v not in target.space.component_values(alpha):
-            raise ParseError(f"{alpha}={v} is outside the component's values")
-
-    combos = list(itertools.product(*[target.space.component_values(a) for a in comps]))
-    weights = [
-        _merged(chi_fn, target, dict(zip(comps, combo)), evidence) for combo in combos
-    ]
-    total = sum(weights)
-    base = chi_fn(target, evidence)
-    if total == 0.0 or base == 0.0:
-        print(CONTRADICTION_MARK)
-        return EXIT_CONTRADICTION
-    for combo, w in zip(combos, weights):
-        if any(fixed.get(a, v) != v for a, v in zip(comps, combo)):
-            continue
-        label = " ".join(f"{a}={v}" for a, v in zip(comps, combo))
-        print(f"{label}  {_num(w / total)}")
+    if args.mode == "quantum" and not isinstance(net, QBNet):
+        raise InvalidParams("quantum mode needs a quantum net file")
+    if args.mode == "classical" and isinstance(net, QBNet):
+        net = parent_cb_net(net)
+    chi_fn = {"quantum": chi, "classical": chi_classical, "pathsum": path_chi}[args.mode]
+    # unlike the library, the CLI lets evidence constrain hypothesis
+    # components too: combos outside the evidence just get zero weight
+    rest = {a: v for a, v in evidence.items() if a not in hypothesis}
+    try:
+        check_query(net, hypothesis, rest)
+    except InvalidState as err:
+        raise ParseError(str(err)) from None
+    base = base_weight(chi_fn, net, evidence)
+    blocks = value_blocks(net, hypothesis)
+    weights, total = distribution(chi_fn, net, blocks, evidence)
+    for block, p in zip(blocks, normalize(weights, total, evidence)):
+        if all(hypothesis[a] in (None, v) for a, v in block.items()):
+            label = " ".join(f"{a}={v}" for a, v in block.items())
+            print(f"{label}  {_num(p)}")
     if args.fqna:
         print(f"f_qna  {_num(total / base)}")
     return EXIT_OK

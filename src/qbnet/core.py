@@ -16,6 +16,10 @@ The enumeration engine at the bottom materializes the joint value vector
 which is what total mass, the chi functionals, and validation are computed
 from. The product size is capped (default 2**20 joint states, override with
 the QBNET_MAX_STATES environment variable).
+
+The query layer at the very bottom turns any chi function into conditionals
+and distributions; the classical, quantum, path-sum, fuzzy, catalog and CLI
+routes all answer their queries through it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CyclicGraph, InvalidState, StateSpaceTooLarge
+from .errors import ContradictoryEvidence, CyclicGraph, InvalidState, StateSpaceTooLarge
 from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling, is_acyclic
 
 DEFAULT_MAX_STATES = 2 ** 20
@@ -389,10 +393,6 @@ class BaseNet:
             self._enum_cache = _Enumeration(self, max_states())
         return self._enum_cache
 
-    def components_assignment_check(self, assignment: Mapping[str, int]) -> None:
-        for alpha in assignment:
-            self.space.owner(alpha)  # raises KeyError for unknown names
-
     def __repr__(self):
         return f"{type(self).__name__}(nodes={list(self.graph.nodes)})"
 
@@ -409,13 +409,115 @@ def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray |
     mask = None
     for alpha, allowed in sets.items():
         col = en.component_column(net, alpha)
-        if isinstance(allowed, (int, np.integer)):
-            m = col == int(allowed)
+        vals = value_set(allowed)
+        if len(vals) == 1:
+            m = col == next(iter(vals))
         else:
-            vals = sorted({int(v) for v in allowed})
-            if len(vals) == 1:
-                m = col == vals[0]
-            else:
-                m = np.isin(col, vals)
+            m = np.isin(col, sorted(vals))
         mask = m if mask is None else (mask & m)
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Query layer
+#
+# Every route answers a query the same way: filter the weight chi of each
+# hypothesis block, intersected with the evidence, then normalize. Only the
+# engine differs, a callable chi_fn(net, sets) -> float: quantum.chi,
+# classical.chi_classical or pathsum.path_chi.
+
+
+def value_set(v) -> frozenset[int]:
+    """One value or an iterable of values as a frozenset of ints."""
+    if hasattr(v, "__iter__"):
+        return frozenset(int(x) for x in v)
+    return frozenset((int(v),))
+
+
+def value_blocks(net: BaseNet, components: Iterable[str]) -> list[dict[str, int]]:
+    """One {component: value} block per value combo of the components, in
+    ``itertools.product`` order (the last component varies fastest)."""
+    comps = tuple(components)
+    values = [net.space.component_values(a) for a in comps]
+    return [dict(zip(comps, combo)) for combo in itertools.product(*values)]
+
+
+def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> None:
+    """Reject a malformed query before any weight is computed.
+
+    ``hypothesis`` maps components to pinned values; None leaves a component
+    unpinned. An empty hypothesis or one overlapping the evidence raises
+    ValueError, an unknown component KeyError, and a pinned value the
+    component never takes InvalidState.
+    """
+    if not hypothesis:
+        raise ValueError("empty hypothesis")
+    overlap = set(hypothesis) & set(evidence)
+    if overlap:
+        raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
+    for alpha in itertools.chain(hypothesis, evidence):
+        net.space.owner(alpha)
+    for alpha, v in hypothesis.items():
+        allowed = net.space.component_values(alpha)
+        if v is not None and v not in allowed:
+            raise InvalidState(
+                f"{alpha}={v} is outside the component's values {list(allowed)}"
+            )
+
+
+def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> tuple[list[float], float]:
+    """chi(B and E) for each block B, and their total.
+
+    Blocks and evidence map components to a value or a value set. A block
+    that contradicts the evidence gets 0.0 without a chi call.
+    """
+    given = {alpha: value_set(v) for alpha, v in evidence.items()}
+    weights = []
+    for block in blocks:
+        sets = dict(given)
+        for alpha, v in block.items():
+            vals = value_set(v)
+            sets[alpha] = sets[alpha] & vals if alpha in sets else vals
+        weights.append(chi_fn(net, sets) if all(sets.values()) else 0.0)
+    return weights, sum(weights)
+
+
+def _contradiction(evidence: Mapping) -> ContradictoryEvidence:
+    return ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
+
+
+def normalize(weights, total: float, evidence: Mapping) -> list[float]:
+    """Each weight over the total; ContradictoryEvidence if the total is zero."""
+    if total == 0.0:
+        raise _contradiction(evidence)
+    return [w / total for w in weights]
+
+
+def base_weight(chi_fn, net: BaseNet, evidence: Mapping) -> float:
+    """chi(E); ContradictoryEvidence if it is zero."""
+    base = chi_fn(net, evidence)
+    if base == 0.0:
+        raise _contradiction(evidence)
+    return base
+
+
+def ratio(chi_fn, net: BaseNet, hypothesis: Mapping, evidence: Mapping) -> float:
+    """chi(H and E) / chi(E), values or value sets on both sides, unchecked."""
+    base = base_weight(chi_fn, net, evidence)
+    (weight,), _ = distribution(chi_fn, net, [hypothesis], evidence)
+    return weight / base
+
+
+def conditional(chi_fn, net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
+    """P(hypothesis | evidence), the hypothesis given as {component: value}.
+
+    Classical nets divide chi(H and E) by chi(E). Quantum nets normalize over
+    every value combo of the hypothesis components instead, because there
+    those combos need not add up to chi(E) (see quantum.f_qna).
+    """
+    check_query(net, hypothesis, evidence)
+    if net.kind != "quantum":
+        return ratio(chi_fn, net, hypothesis, evidence)
+    blocks = value_blocks(net, hypothesis)
+    weights, total = distribution(chi_fn, net, blocks, evidence)
+    return normalize(weights, total, evidence)[blocks.index(dict(hypothesis))]

@@ -17,19 +17,13 @@ normalized across the partition's blocks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .classical import CBNet, chi_classical
-from .errors import ContradictoryEvidence, InvalidParams
+from .core import distribution, normalize, ratio, value_blocks, value_set
+from .errors import InvalidParams
 from .quantum import QBNet, chi
-
-
-def _as_value_set(vals) -> frozenset:
-    if isinstance(vals, int) or (hasattr(vals, "__int__") and not hasattr(vals, "__iter__")):
-        return frozenset([int(vals)])
-    return frozenset(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class DirectProductSet:
         items = []
         for alpha, vals in constraints.items():
             realizable = frozenset(net.space.component_values(alpha))
-            items.append((alpha, _as_value_set(vals) & realizable))
+            items.append((alpha, value_set(vals) & realizable))
         return cls(tuple(sorted(items)))
 
     @property
@@ -103,9 +97,7 @@ def validate_partition(net, partition: Partition) -> list[str]:
         for j in range(i + 1, len(partition.blocks)):
             if not a.disjoint_from(partition.blocks[j]):
                 problems.append(f"blocks {i} and {j} overlap")
-    values = [net.space.component_values(a) for a in partition.components]
-    for combo in itertools.product(*values):
-        assignment = dict(zip(partition.components, combo))
+    for assignment in value_blocks(net, partition.components):
         hits = sum(1 for b in partition.blocks if b.contains(assignment))
         if hits == 0:
             problems.append(f"combo {assignment} covered by no block")
@@ -115,11 +107,7 @@ def validate_partition(net, partition: Partition) -> list[str]:
 def singleton_partition(net, components: Iterable[str]) -> Partition:
     """One block per realizable value combo of the given components."""
     comps = tuple(components)
-    values = [net.space.component_values(a) for a in comps]
-    blocks = tuple(
-        DirectProductSet.over(net, dict(zip(comps, combo)))
-        for combo in itertools.product(*values)
-    )
+    blocks = tuple(DirectProductSet.over(net, b) for b in value_blocks(net, comps))
     return Partition(comps, blocks)
 
 
@@ -127,10 +115,7 @@ def classical_fuzzy_conditional(
     net: CBNet, hypothesis: DirectProductSet, evidence: DirectProductSet
 ) -> float:
     """Mass of hypothesis-and-evidence over mass of evidence."""
-    den = chi_classical(net, evidence.sets)
-    if den == 0.0:
-        raise ContradictoryEvidence("evidence set has zero mass")
-    return chi_classical(net, hypothesis.intersect(evidence).sets) / den
+    return ratio(chi_classical, net, hypothesis.sets, evidence.sets)
 
 
 def quantum_fuzzy_distribution(
@@ -141,11 +126,9 @@ def quantum_fuzzy_distribution(
     The partition is taken at face value here; run validate_partition first
     when it comes from outside.
     """
-    weights = [chi(net, b.intersect(evidence).sets) for b in partition.blocks]
-    total = sum(weights)
-    if total == 0.0:
-        raise ContradictoryEvidence("evidence set has zero weight across the partition")
-    return [w / total for w in weights]
+    blocks = [b.sets for b in partition.blocks]
+    weights, total = distribution(chi, net, blocks, evidence.sets)
+    return normalize(weights, total, evidence.sets)
 
 
 def quantum_fuzzy_conditional(

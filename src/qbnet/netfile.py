@@ -348,6 +348,24 @@ def write_cases(components, cases, path) -> None:
         fh.write(emit_cases(components, cases))
 
 
+def parse_value_cell(cell: str, line=None):
+    """One evidence value: None when blank, an int, or a {v,...} frozenset."""
+    cell = cell.strip()
+    if not cell:
+        return None
+    if cell.startswith("{"):
+        if not cell.endswith("}"):
+            raise ParseError(f"unterminated value set {cell!r}", line)
+        try:
+            return frozenset(int(x) for x in cell[1:-1].split(","))
+        except ValueError:
+            raise ParseError(f"bad value set {cell!r}", line) from None
+    try:
+        return int(cell)
+    except ValueError:
+        raise ParseError(f"value must be blank, int, or {{...}}: {cell!r}", line) from None
+
+
 def parse_cases(text: str) -> tuple[tuple[str, ...], list[EvidenceCase]]:
     """Header components and the parsed cases, in file order."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -370,24 +388,9 @@ def parse_cases(text: str) -> tuple[tuple[str, ...], list[EvidenceCase]]:
             raise ParseError(f"case number must be an integer, got {row[0]!r}", lineno)
         constraints = []
         for alpha, cell in zip(components, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            if cell.startswith("{"):
-                if not cell.endswith("}"):
-                    raise ParseError(f"unterminated value set {cell!r}", lineno)
-                try:
-                    values = frozenset(int(x) for x in cell[1:-1].split(","))
-                except ValueError:
-                    raise ParseError(f"bad value set {cell!r}", lineno)
-                if not values:
-                    raise ParseError("empty value set", lineno)
-                constraints.append((alpha, values))
-            else:
-                try:
-                    constraints.append((alpha, int(cell)))
-                except ValueError:
-                    raise ParseError(f"cell must be blank, int, or {{...}}: {cell!r}", lineno)
+            value = parse_value_cell(cell, lineno)
+            if value is not None:
+                constraints.append((alpha, value))
         cases.append(EvidenceCase(number, tuple(constraints)))
     return components, cases
 

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import BaseNet, max_states
-from .errors import ContradictoryEvidence, InvalidParams, StateSpaceTooLarge
+from .core import BaseNet, conditional, distribution, max_states, normalize, ratio, value_set
+from .errors import InvalidParams, StateSpaceTooLarge
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,12 @@ def feynman_integral(net: BaseNet):
 # explicit paths instead.
 
 
-def _value_set(allowed) -> set:
-    if isinstance(allowed, int) or (hasattr(allowed, "__int__") and not hasattr(allowed, "__iter__")):
-        return {int(allowed)}
-    return {int(v) for v in allowed}
-
-
 def _matchers(net: BaseNet, order, fixed):
     pos = {n: j for j, n in enumerate(order)}
     out = []
     for alpha, allowed in fixed.items():
         node, k = net.space.owner(alpha)
-        out.append((pos[node], k, _value_set(allowed)))
+        out.append((pos[node], k, value_set(allowed)))
     return out
 
 
@@ -167,36 +161,12 @@ def pathsum_conditional(
     net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence) summed from paths; mirrors the state route."""
-    overlap = set(hypothesis) & set(evidence)
-    if overlap:
-        raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
-    if not hypothesis:
-        raise ValueError("empty hypothesis")
-    for alpha in itertools.chain(hypothesis, evidence):
-        net.space.owner(alpha)
-    if net.kind == "quantum":
-        comps = list(hypothesis)
-        weights = {}
-        for combo in itertools.product(
-            *[net.space.component_values(a) for a in comps]
-        ):
-            weights[combo] = path_chi(net, {**dict(zip(comps, combo)), **evidence})
-        den = sum(weights.values())
-        if den == 0.0:
-            raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
-        return weights[tuple(hypothesis[a] for a in comps)] / den
-    den = path_chi(net, evidence)
-    if den == 0.0:
-        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero probability")
-    return path_chi(net, {**hypothesis, **evidence}) / den
+    return conditional(path_chi, net, hypothesis, evidence)
 
 
 def pathsum_fuzzy_classical(net: BaseNet, hypothesis, evidence) -> float:
     """Set-valued conditional from paths; arguments as in the fuzzy module."""
-    den = path_chi(net, evidence.sets)
-    if den == 0.0:
-        raise ContradictoryEvidence("evidence set has zero mass")
-    return path_chi(net, hypothesis.intersect(evidence).sets) / den
+    return ratio(path_chi, net, hypothesis.sets, evidence.sets)
 
 
 def pathsum_fuzzy_quantum(net: BaseNet, partition, index: int, evidence) -> float:
@@ -205,8 +175,6 @@ def pathsum_fuzzy_quantum(net: BaseNet, partition, index: int, evidence) -> floa
         raise InvalidParams(
             f"block index {index} out of range for {len(partition.blocks)} blocks"
         )
-    weights = [path_chi(net, b.intersect(evidence).sets) for b in partition.blocks]
-    total = sum(weights)
-    if total == 0.0:
-        raise ContradictoryEvidence("evidence set has zero weight across the partition")
-    return weights[index] / total
+    blocks = [b.sets for b in partition.blocks]
+    weights, total = distribution(path_chi, net, blocks, evidence.sets)
+    return normalize(weights, total, evidence.sets)[index]

@@ -15,9 +15,11 @@ conditional probability of a hypothesis H given evidence E is
     P(H | E) = chi[H and E] / (sum over all value combos m of H's
                components of chi[m and E])
 
-and the quantum-noise factor below measures how far that denominator sits
-from chi[E] itself; it equals one whenever the hypothesis components are all
-external, and drifts from one when conditioning cuts into coherent sums.
+which is the quantum branch of ``core.conditional``, the recipe every route
+shares. The quantum-noise factor below measures how far that denominator
+sits from chi[E] itself; it equals one whenever the hypothesis components
+are all external, and drifts from one when conditioning cuts into coherent
+sums.
 
 Every quantum net has a parent classical net with tables |A|^2. The two give
 the same answers exactly when each external configuration pins down the
@@ -27,15 +29,22 @@ genuinely differ, which is the point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .classical import CBNet, ValidationReport
-from .core import BaseNet, filter_mask
-from .errors import ContradictoryEvidence, StateSpaceTooLarge
+from .core import (
+    BaseNet,
+    base_weight,
+    check_query,
+    conditional,
+    distribution,
+    filter_mask,
+    value_blocks,
+)
+from .errors import StateSpaceTooLarge
 from .graph import classify_nodes
 
 EPS_NORM = 1e-9
@@ -99,38 +108,11 @@ def chi(net: QBNet, fixed: Mapping[str, object] | None = None) -> float:
     return float((re * re + im * im).sum())
 
 
-def _check_query(net, hypothesis, evidence):
-    overlap = set(hypothesis) & set(evidence)
-    if overlap:
-        raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
-    for alpha in itertools.chain(hypothesis, evidence):
-        net.space.owner(alpha)
-
-
-def hypothesis_weights(
-    net: QBNet, components: Iterable[str], evidence: Mapping[str, int]
-) -> dict[tuple[int, ...], float]:
-    """chi[m and E] for every value combo m of the given components."""
-    comps = list(components)
-    out = {}
-    for combo in itertools.product(*[net.space.component_values(a) for a in comps]):
-        out[combo] = chi(net, {**dict(zip(comps, combo)), **evidence})
-    return out
-
-
 def quantum_conditional(
     net: QBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence), both given as {component: value}."""
-    if not hypothesis:
-        raise ValueError("empty hypothesis")
-    _check_query(net, hypothesis, evidence)
-    comps = list(hypothesis)
-    weights = hypothesis_weights(net, comps, evidence)
-    den = sum(weights.values())
-    if den == 0.0:
-        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
-    return weights[tuple(hypothesis[a] for a in comps)] / den
+    return conditional(chi, net, hypothesis, evidence)
 
 
 def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) -> float:
@@ -138,12 +120,10 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
     components: the hypothesis-summed weight over the plain evidence weight.
     One exactly when the components are all external; otherwise a measure of
     how much coherence the conditioning destroys."""
-    comps = list(components)
-    _check_query(net, {a: 0 for a in comps}, evidence)
-    base = chi(net, evidence)
-    if base == 0.0:
-        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
-    total = sum(hypothesis_weights(net, comps, evidence).values())
+    comps = tuple(components)
+    check_query(net, dict.fromkeys(comps), evidence)
+    base = base_weight(chi, net, evidence)
+    _, total = distribution(chi, net, value_blocks(net, comps), evidence)
     return total / base
 
 

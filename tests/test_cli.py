@@ -63,13 +63,20 @@ def test_query_prints_twelve_digit_distribution(capsys, fig19_file):
     assert out == "u.plus=0  0.292186531111\nu.plus=1  0.707813468889\n"
 
 
-def test_query_pathsum_mode_matches_digit_for_digit(capsys, fig19_file):
-    _, reference, _ = run(capsys, "query", fig19_file, "--hypothesis", "u.plus")
-    code, out, _ = run(
-        capsys, "query", fig19_file, "--hypothesis", "u.plus", "--mode", "pathsum"
-    )
-    assert code == 0
-    assert out == reference
+QUANTUM_ENTRIES = [e.id for e in catalog.list_entries() if e.kind == "quantum"]
+
+
+@pytest.mark.parametrize("entry_id", QUANTUM_ENTRIES)
+def test_query_pathsum_mode_matches_digit_for_digit(capsys, tmp_path, entry_id):
+    net = catalog.build(entry_id)
+    path = tmp_path / f"{entry_id}.qbn"
+    path.write_text(emit_net(net))
+    for alpha in catalog.query_components(net):
+        query = ("query", str(path), "--hypothesis", alpha, "--fqna")
+        _, reference, _ = run(capsys, *query)
+        code, out, _ = run(capsys, *query, "--mode", "pathsum")
+        assert code == 0
+        assert out == reference
 
 
 def test_query_classical_mode_uses_the_parent_net(capsys, fig19_file):
@@ -133,10 +140,12 @@ def test_query_usage_errors_exit_2(capsys, fig19_file):
     code, _, err = run(capsys, "query", fig19_file, "--hypothesis", "u.plus=7")
     assert code == 2
     assert "outside" in err
-    code, _, err = run(
-        capsys, "query", fig19_file, "--hypothesis", "u.plus", "--evidence", "u.plus"
-    )
-    assert code == 2
+    for evidence in ("u.plus", "z.plus={}", "z.plus={1,}", "z.plus={0,1", "z.plus={x}"):
+        code, _, err = run(
+            capsys, "query", fig19_file, "--hypothesis", "u.plus", "--evidence", evidence
+        )
+        assert code == 2
+        assert err.startswith("parse error:")
 
 
 def test_cases_report_structure(capsys, fig19_file):

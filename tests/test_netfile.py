@@ -284,5 +284,7 @@ def test_cases_errors():
     assert err.value.line == 2
     with pytest.raises(ParseError, match="blank, int"):
         parse_cases("case,a\n1,maybe\n")
-    with pytest.raises(ParseError, match="value set"):
-        parse_cases('case,a\n1,"{x}"\n')
+    for cell in ("{}", "{1,}", "{0,1", "{x}"):
+        with pytest.raises(ParseError, match="value set") as err:
+            parse_cases(f'case,a\n1,"{cell}"\n')
+        assert err.value.line == 2

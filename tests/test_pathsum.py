@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from qbnet import catalog
 from qbnet.classical import chi_classical, classical_conditional, external_mass_map
 from qbnet.core import NodeBlock
-from qbnet.errors import ContradictoryEvidence, StateSpaceTooLarge
+from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
 from qbnet.pathsum import (
     FinalState,
     classify_paths,
@@ -16,7 +17,13 @@ from qbnet.pathsum import (
     pathsum_fuzzy_classical,
     pathsum_fuzzy_quantum,
 )
-from qbnet.quantum import QBNet, chi, external_amplitude_map, quantum_conditional
+from qbnet.quantum import (
+    QBNet,
+    chi,
+    external_amplitude_map,
+    parent_cb_net,
+    quantum_conditional,
+)
 
 from conftest import random_cbnet, random_qbnet
 
@@ -106,6 +113,20 @@ def test_conditionals_agree_including_contradictions():
                 agreements += 1
                 assert got == pytest.approx(want, abs=1e-12)
     assert agreements > 0 and contradictions > 0
+
+
+@pytest.mark.parametrize("route", ["classical", "quantum", "pathsum-quantum", "pathsum-parent"])
+def test_every_route_rejects_an_unrealizable_hypothesis_value(route):
+    net = catalog.build("fig19-loop")
+    parent = parent_cb_net(net)
+    conditional, target = {
+        "classical": (classical_conditional, parent),
+        "quantum": (quantum_conditional, net),
+        "pathsum-quantum": (pathsum_conditional, net),
+        "pathsum-parent": (pathsum_conditional, parent),
+    }[route]
+    with pytest.raises(InvalidState, match=r"u\.plus=7 .*\[0, 1\]"):
+        conditional(target, {"u.plus": 7}, {})
 
 
 def test_pre_net_paths():
