@@ -15,12 +15,11 @@ individual components (occupation numbers), not whole nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, StateSpace, conditional, filter_mask, max_states
-from .errors import StateSpaceTooLarge
+from .core import BaseNet, NodeBlock, StateSpace, conditional, contract, external_map
 from .graph import classify_nodes, is_acyclic
 
 EPS_NORM = 1e-9
@@ -52,6 +51,14 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
+    def flag_entries(self, node: str, bad: np.ndarray, what: str) -> None:
+        """Report the first entry of a node's table that ``bad`` marks."""
+        if bad.any():
+            rows, cols = np.nonzero(bad)
+            self.problems.append(
+                f"node {node!r}: {what} entry at state {rows[0]}, column {cols[0]}"
+            )
+
     def __str__(self):
         lines = [("ok" if self.ok else "INVALID")]
         lines += [f"problem: {p}" for p in self.problems]
@@ -70,25 +77,19 @@ def total_mass(net: CBNet) -> float:
     Equals 1 (up to float noise) for any valid acyclic net; cyclic pre-nets
     may give other values, which is exactly what this diagnostic is for.
     """
-    return float(net.enumeration().values.sum())
+    return float(contract(net))
 
 
 def external_mass_map(net: CBNet) -> dict[tuple[int, ...], float]:
     """Probability of each external configuration, keyed by the component
     values in canonical external order. Zero-mass configurations included."""
-    en = net.enumeration()
-    mass = np.bincount(en.ext_group, weights=en.values, minlength=en.n_ext)
-    return dict(zip(en.group_values(net), mass.tolist()))
+    return external_map(net)
 
 
 def chi_classical(net: CBNet, fixed: Mapping[str, object] | None = None) -> float:
     """Filtered mass: sum of joint probabilities over assignments matching
     ``fixed``, which maps component names to a value or a set of values."""
-    en = net.enumeration()
-    mask = filter_mask(net, fixed or {})
-    if mask is None:
-        return float(en.values.sum())
-    return float(en.values[mask].sum())
+    return float(contract(net, (), fixed))
 
 
 def classical_conditional(
@@ -108,13 +109,10 @@ def validate(net: CBNet) -> ValidationReport:
         report.problems.append("graph has a directed cycle")
     for node in net.graph.nodes:
         table = net.table(node)
-        if (table < 0).any():
-            rows, cols = np.nonzero(table < 0)
-            report.problems.append(
-                f"node {node!r}: negative entry at state {rows[0]}, column {cols[0]}"
-            )
+        report.flag_entries(node, ~np.isfinite(table), "non-finite")
+        report.flag_entries(node, table < 0, "negative")
         sums = table.sum(axis=0)
-        bad = np.nonzero(np.abs(sums - 1.0) > EPS_NORM)[0]
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= EPS_NORM))[0]
         for c in bad[:4]:
             report.problems.append(
                 f"node {node!r}: column {int(c)} sums to {sums[c]:.12g}, expected 1"
@@ -126,65 +124,6 @@ def validate(net: CBNet) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # Coarsening
-
-
-def _node_factor(net: CBNet, node: str):
-    """The node table as an array with one axis per parent, then the node.
-
-    Table columns run over parent state combos in C-order with the last
-    parent fastest, so the transposed table reshapes straight onto axes in
-    declared parent order.
-    """
-    parents = net.parents(node)
-    table = net.table(node)
-    parent_sizes = [len(net.space.states(p)) for p in parents]
-    arr = np.ascontiguousarray(table.T, dtype=np.float64)
-    return tuple(parents) + (node,), arr.reshape(*parent_sizes, table.shape[0])
-
-
-def _kept_marginal(net: CBNet, kept: Sequence[str]) -> np.ndarray:
-    """Sum the joint over all nodes outside ``kept``.
-
-    Dropped nodes are eliminated one at a time in reverse chronological
-    order, multiplying only the factors that mention the node, so long
-    chains never require materializing the full joint. The answer is a
-    marginal and thus independent of the order; only the intermediate
-    factor sizes vary.
-    """
-    order_pos = {n: i for i, n in enumerate(net.chronological)}
-    sizes = {n: len(net.space.states(n)) for n in net.graph.nodes}
-    cap = max_states()
-
-    def combine(factors, drop=None):
-        union = sorted({v for vars_, _ in factors for v in vars_}, key=order_pos.get)
-        if int(np.prod([sizes[v] for v in union], dtype=np.int64)) > cap:
-            raise StateSpaceTooLarge(
-                f"intermediate factor over {len(union)} nodes exceeds the state cap"
-            )
-        out = np.ones([sizes[v] for v in union])
-        for vars_, arr in factors:
-            perm = sorted(range(len(vars_)), key=lambda i: order_pos[vars_[i]])
-            have = set(vars_)
-            shaped = np.transpose(arr, perm).reshape(
-                [sizes[v] if v in have else 1 for v in union]
-            )
-            out = out * shaped
-        if drop is not None:
-            out = out.sum(axis=union.index(drop))
-            union = [v for v in union if v != drop]
-        return tuple(union), out
-
-    keep_set = set(kept)
-    factors = [_node_factor(net, n) for n in net.chronological]
-    for y in reversed(net.chronological):
-        if y in keep_set:
-            continue
-        touching = [f for f in factors if y in f[0]]
-        factors = [f for f in factors if y not in f[0]]
-        factors.append(combine(touching, drop=y))
-    vars_, marginal = combine(factors)
-    assert vars_ == tuple(kept)
-    return marginal
 
 
 def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
@@ -206,7 +145,7 @@ def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
 
     kept = [n for n in net.chronological if n in keep_set]
     sizes = [len(net.space.states(n)) for n in kept]
-    m_table = _kept_marginal(net, kept)
+    m_table = contract(net, tuple(kept))
 
     blocks = []
     m = len(kept)

@@ -11,11 +11,21 @@ configurations are flattened into columns in ``itertools.product`` order over
 the parent state lists, parents taken in declared order (the last parent
 varies fastest). Root nodes have a single column.
 
-The enumeration engine at the bottom materializes the joint value vector
-(product of table entries) over the full cartesian product of node states,
-which is what total mass, the chi functionals, and validation are computed
-from. The product size is capped (default 2**20 joint states, override with
-the QBNET_MAX_STATES environment variable).
+Total mass, the chi functionals, the external maps and coarsening are all
+sums over the joint, and the contraction engine computes every one of them
+without materializing it. Each node table becomes a factor with axes
+(parents..., node); a greedy planner sums the nodes that are not kept open
+out one at a time, multiplying only the factors that mention the node
+(variable elimination), and compiles the eliminations into einsum steps once
+per net. A filter multiplies a node's factor by a 0/1 indicator of its
+allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
+environment variable) bounds each step's full index space: the product of
+the state counts of every node the step touches.
+
+The dense enumeration (``BaseNet.enumeration`` and ``filter_mask``)
+materializes the joint value vector over the full cartesian product of node
+states. No route computes with it; it stays as the plain reference that the
+engine is tested against, and it refuses joints past the same cap.
 
 The query layer at the very bottom turns any chi function into conditionals
 and distributions; the classical, quantum, path-sum, fuzzy, catalog and CLI
@@ -24,7 +34,9 @@ routes all answer their queries through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +50,7 @@ DEFAULT_MAX_STATES = 2 ** 20
 
 
 def max_states() -> int:
-    """Joint-state cap for enumeration, from QBNET_MAX_STATES or the default."""
+    """The state cap, from QBNET_MAX_STATES or the default."""
     raw = os.environ.get("QBNET_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
@@ -257,6 +269,9 @@ class BaseNet:
         if not self.pre_net and not is_acyclic(graph):
             raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
         self._enum_cache: _Enumeration | None = None
+        self._plans: dict[tuple[str, ...], _Plan] = {}
+        self._factors: list[np.ndarray] | None = None
+        self._columns: dict[str, tuple[int, np.ndarray]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -317,6 +332,13 @@ class BaseNet:
         if not hasattr(self, "_ext"):
             self._ext = frozenset(classify_nodes(self.graph).external)
         return self._ext
+
+    @property
+    def external_order(self) -> tuple[str, ...]:
+        """The external nodes in node order."""
+        if not hasattr(self, "_ext_order"):
+            self._ext_order = tuple(n for n in self.node_order() if n in self.external_nodes)
+        return self._ext_order
 
     @property
     def external_components(self) -> tuple[str, ...]:
@@ -408,14 +430,180 @@ def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray |
     en = net.enumeration()
     mask = None
     for alpha, allowed in sets.items():
-        col = en.component_column(net, alpha)
-        vals = value_set(allowed)
-        if len(vals) == 1:
-            m = col == next(iter(vals))
-        else:
-            m = np.isin(col, sorted(vals))
+        m = _allowed(en.component_column(net, alpha), allowed)
         mask = m if mask is None else (mask & m)
     return mask
+
+
+def _allowed(values: np.ndarray, allowed) -> np.ndarray:
+    """Where ``values`` lies in ``allowed`` (a value or a value set)."""
+    vals = value_set(allowed)
+    if len(vals) == 1:
+        return values == next(iter(vals))
+    return np.isin(values, sorted(vals))
+
+
+# ---------------------------------------------------------------------------
+# Contraction engine
+#
+# A plan depends on the graph and the state counts alone, never on the table
+# values, so nets with the same structure (a quantum net and its parent
+# classical net, or two lattice chains of one shape) share it.
+
+_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """einsum steps over the node factors, in node order.
+
+    Each step reads the operands in its slots and appends its result as a
+    new slot; the last result has one axis per open node, in the order they
+    were asked for. ``peak`` is the largest full index space of any step and
+    ``peak_nodes`` the nodes that step touches.
+    """
+
+    steps: tuple[tuple[tuple[int, ...], str], ...]
+    peak: int
+    peak_nodes: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
+    """Greedy elimination plan for ``structure`` = (order, parents, sizes).
+
+    Each round sums out the pending node whose step spans the fewest index
+    states (then the one leaving the smallest result, then the earliest), so
+    the greedy choice keeps the cap-relevant peak low. Summing a node out of
+    a lone intermediate result is folded into the step that made it.
+    """
+    order, parents, sizes = structure
+    size = dict(zip(order, sizes))
+    n = len(order)
+    axes = [ps + (node,) for node, ps in zip(order, parents)]
+    live = set(range(n))
+    steps = []  # [operand slots, output axes]; step k writes slot n + k
+
+    def span(slots):
+        return tuple(dict.fromkeys(v for i in slots for v in axes[i]))
+
+    def full(union):
+        return math.prod(size[v] for v in union)
+
+    def eliminate(slots, out):
+        if len(slots) == 1 and slots[0] >= n:
+            steps[slots[0] - n][1] = axes[slots[0]] = out
+            return
+        steps.append([slots, out])
+        live.difference_update(slots)
+        live.add(len(axes))
+        axes.append(out)
+
+    def touching(node):
+        return tuple(sorted(i for i in live if node in axes[i]))
+
+    def cost(node):
+        total = full(span(touching(node)))
+        return total, total // size[node]
+
+    pending = [v for v in order if v not in open_nodes]
+    while pending:
+        node = min(pending, key=cost)
+        pending.remove(node)
+        slots = touching(node)
+        eliminate(slots, tuple(v for v in span(slots) if v != node))
+    if live:
+        eliminate(tuple(sorted(live)), open_nodes)
+
+    compiled, peak, peak_nodes = [], 0, ()
+    for slots, out in steps:
+        union = span(slots)
+        if full(union) > peak:
+            peak, peak_nodes = full(union), union
+        if len(union) > len(_LABELS):
+            raise StateSpaceTooLarge(
+                f"contraction step over {len(union)} nodes exceeds einsum's "
+                f"{len(_LABELS)} axis labels"
+            )
+        label = dict(zip(union, _LABELS))
+        ins = ",".join("".join(label[v] for v in axes[i]) for i in slots)
+        compiled.append((slots, f"{ins}->{''.join(label[v] for v in out)}"))
+    return _Plan(tuple(compiled), peak, peak_nodes)
+
+
+def _factors(net: BaseNet) -> list[np.ndarray]:
+    """Each node table as an array with one axis per parent, then the node.
+
+    Table columns run over parent state combos in C-order with the last
+    parent fastest, so the transposed table reshapes straight onto axes in
+    declared parent order.
+    """
+    if net._factors is None:
+        out = []
+        for node in net.node_order():
+            table = net.table(node)
+            shape = [len(net.space.states(p)) for p in net.parents(node)]
+            out.append(np.ascontiguousarray(table.T).reshape(*shape, table.shape[0]))
+        net._factors = out
+    return net._factors
+
+
+def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
+    plan = net._plans.get(open_nodes)
+    if plan is None:
+        order = net.node_order()
+        structure = (
+            order,
+            tuple(net.parents(n) for n in order),
+            tuple(len(net.space.states(n)) for n in order),
+        )
+        plan = net._plans[open_nodes] = _compile(structure, open_nodes)
+    return plan
+
+
+def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray]:
+    """Operand slot of alpha's node, and alpha's value in each of its states."""
+    col = net._columns.get(alpha)
+    if col is None:
+        node, k = net.space.owner(alpha)
+        values = np.array([s[k] for s in net.space.states(node)], dtype=np.int64)
+        col = net._columns[alpha] = (net.node_order().index(node), values)
+    return col
+
+
+def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None):
+    """Sum the joint over every node outside ``open_nodes``.
+
+    Only assignments matching ``fixed`` (component -> value or value set)
+    count. The result has one axis per open node in the given order; with no
+    open nodes it is a scalar. Raises StateSpaceTooLarge when a step of the
+    plan spans more index states than ``max_states()``.
+    """
+    plan = _plan(net, tuple(open_nodes))
+    cap = max_states()
+    if plan.peak > cap:
+        raise StateSpaceTooLarge(
+            f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
+            f"{plan.peak} index states, over the cap of {cap}"
+        )
+    ops = list(_factors(net))
+    for alpha, allowed in (fixed or {}).items():
+        slot, values = _column(net, alpha)
+        ops[slot] = ops[slot] * _allowed(values, allowed)
+    if not plan.steps:  # a net without nodes: the empty product
+        return np.ones((), dtype=net.dtype)
+    for slots, subscripts in plan.steps:
+        ops.append(np.einsum(subscripts, *[ops[i] for i in slots]))
+    return ops[-1]
+
+
+def external_map(net: BaseNet) -> dict[tuple[int, ...], object]:
+    """The joint summed onto each external configuration, keyed by the
+    component values in canonical external order. Zero entries included."""
+    ext = net.external_order
+    keys = itertools.product(*[net.space.states(n) for n in ext])
+    sums = contract(net, ext).reshape(-1).tolist()
+    return {sum(key, ()): v for key, v in zip(keys, sums)}
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +699,12 @@ def ratio(chi_fn, net: BaseNet, hypothesis: Mapping, evidence: Mapping) -> float
 def conditional(chi_fn, net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
     """P(hypothesis | evidence), the hypothesis given as {component: value}.
 
-    Classical nets divide chi(H and E) by chi(E). Quantum nets normalize over
-    every value combo of the hypothesis components instead, because there
-    those combos need not add up to chi(E) (see quantum.f_qna).
+    The weight of the hypothesis combo over the total of every value combo
+    of the hypothesis components. On classical nets the combos partition the
+    evidence, so the total is chi(E); on quantum nets it need not be (see
+    quantum.f_qna).
     """
     check_query(net, hypothesis, evidence)
-    if net.kind != "quantum":
-        return ratio(chi_fn, net, hypothesis, evidence)
     blocks = value_blocks(net, hypothesis)
     weights, total = distribution(chi_fn, net, blocks, evidence)
     return normalize(weights, total, evidence)[blocks.index(dict(hypothesis))]

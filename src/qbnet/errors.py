@@ -10,9 +10,12 @@ class CyclicGraph(QBNetError):
 
 
 class StateSpaceTooLarge(QBNetError):
-    """Joint state enumeration would exceed the configured cap.
+    """A computation would span more index states than the configured cap.
 
-    The cap defaults to 2**20 joint states and can be overridden with the
+    For the contraction engine the size is one elimination step's full
+    index space (the product of the state counts of every node it touches);
+    path enumeration and lattice building count the whole joint state
+    space. The cap defaults to 2**20 and can be overridden with the
     QBNET_MAX_STATES environment variable.
     """
 

@@ -68,20 +68,25 @@ def _fmt_state(state: Sequence[int]) -> str:
 
 
 def parse_number(token: str, line=None) -> float:
-    """A decimal number or a simple pi fraction such as -3*pi/4."""
+    """A finite decimal number or a simple pi fraction such as -3*pi/4."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        pass
-    m = _PI_RE.match(token)
-    if m:
+        m = _PI_RE.match(token)
+        if not m:
+            raise ParseError(f"not a number: {token!r}", line) from None
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = int(m.group(2)) if m.group(2) else 1
         den = int(m.group(3)) if m.group(3) else 1
         if den == 0:
             raise ParseError(f"zero denominator in {token!r}", line)
-        return sign * num * math.pi / den
-    raise ParseError(f"not a number: {token!r}", line)
+        try:
+            value = sign * num * math.pi / den
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {token!r}", line)
+    return value
 
 
 def _parse_value(token: str, quantum: bool, line):

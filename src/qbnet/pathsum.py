@@ -4,7 +4,7 @@ A path is one full joint assignment whose table factors are all nonzero. The
 paths ending in the same external configuration form a class, and summing
 the path products within a class gives that configuration's total amplitude
 (quantum) or probability (classical). Everything the net engine computes by
-vectorized enumeration can be recomputed here from explicit path lists with
+tensor contraction can be recomputed here from explicit path lists with
 plain Python arithmetic, which is exactly what makes this module useful as a
 cross-check: the two routes share the tables and nothing else.
 

@@ -15,11 +15,11 @@ conditional probability of a hypothesis H given evidence E is
     P(H | E) = chi[H and E] / (sum over all value combos m of H's
                components of chi[m and E])
 
-which is the quantum branch of ``core.conditional``, the recipe every route
-shares. The quantum-noise factor below measures how far that denominator
-sits from chi[E] itself; it equals one whenever the hypothesis components
-are all external, and drifts from one when conditioning cuts into coherent
-sums.
+which is ``core.conditional``, the recipe every route shares (on classical
+nets the denominator equals chi[E]). The quantum-noise factor below
+measures how far that denominator sits from chi[E] itself; it equals one
+whenever the hypothesis components are all external, and drifts from one
+when conditioning cuts into coherent sums.
 
 Every quantum net has a parent classical net with tables |A|^2. The two give
 the same answers exactly when each external configuration pins down the
@@ -34,14 +34,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .classical import CBNet, ValidationReport
+from .classical import CBNet, ValidationReport, total_mass
 from .core import (
     BaseNet,
     base_weight,
     check_query,
     conditional,
+    contract,
     distribution,
-    filter_mask,
+    external_map,
+    filter_mask,  # noqa: F401  (the dense reference, kept importable here)
     value_blocks,
 )
 from .errors import StateSpaceTooLarge
@@ -79,33 +81,22 @@ def joint_amplitude(net: QBNet, assignment: Mapping[str, object]) -> complex:
 
 
 def total_squared_amplitude(net: QBNet) -> float:
-    """Sum of |A|^2 over every joint state; one for any normalized net."""
-    values = net.enumeration().values
-    return float((values.real ** 2 + values.imag ** 2).sum())
+    """Sum of |A|^2 over every joint state, i.e. the parent net's mass; one
+    for any normalized net."""
+    return total_mass(parent_cb_net(net))
 
 
 def external_amplitude_map(net: QBNet) -> dict[tuple[int, ...], complex]:
     """Summed amplitude of each external configuration, keyed by component
     values in canonical external order. Zero entries included."""
-    en = net.enumeration()
-    re = np.bincount(en.ext_group, weights=en.values.real, minlength=en.n_ext)
-    im = np.bincount(en.ext_group, weights=en.values.imag, minlength=en.n_ext)
-    return {
-        key: complex(a, b) for key, a, b in zip(en.group_values(net), re, im)
-    }
+    return external_map(net)
 
 
 def chi(net: QBNet, fixed: Mapping[str, object] | None = None) -> float:
     """Filtered squared magnitude of internal sums, totalled over external
     configurations. ``fixed`` maps component names to a value or value set."""
-    en = net.enumeration()
-    mask = filter_mask(net, fixed or {})
-    values = en.values
-    if mask is not None:
-        values = np.where(mask, values, 0)
-    re = np.bincount(en.ext_group, weights=values.real, minlength=en.n_ext)
-    im = np.bincount(en.ext_group, weights=values.imag, minlength=en.n_ext)
-    return float((re * re + im * im).sum())
+    amps = contract(net, net.external_order, fixed)
+    return float((amps.real * amps.real + amps.imag * amps.imag).sum())
 
 
 def quantum_conditional(
@@ -141,8 +132,9 @@ def validate_quantum(net: QBNet) -> ValidationReport:
         report.problems.append(f"node {n!r} is neither internal nor external")
     for node in net.graph.nodes:
         table = net.table(node)
+        report.flag_entries(node, ~np.isfinite(table), "non-finite")
         norms = (np.abs(table) ** 2).sum(axis=0)
-        bad = np.nonzero(np.abs(norms - 1.0) > EPS_NORM)[0]
+        bad = np.nonzero(~(np.abs(norms - 1.0) <= EPS_NORM))[0]
         for c in bad[:4]:
             report.problems.append(
                 f"node {node!r}: column {int(c)} squared norm {norms[c]:.12g}, expected 1"
@@ -151,12 +143,12 @@ def validate_quantum(net: QBNet) -> ValidationReport:
             report.problems.append(f"node {node!r}: {len(bad) - 4} more bad columns")
     try:
         total = total_squared_amplitude(net)
-        if abs(total - 1.0) > EPS_NET:
+        if not abs(total - 1.0) <= EPS_NET:
             report.problems.append(
                 f"total squared amplitude {total:.12g}, expected 1"
             )
         ext_total = chi(net)
-        if abs(ext_total - 1.0) > EPS_NET:
+        if not abs(ext_total - 1.0) <= EPS_NET:
             report.problems.append(
                 f"external weight (squared internal sums) {ext_total:.12g}, expected 1"
             )

@@ -140,6 +140,11 @@ def test_validate_good_and_bad():
     report = validate(CBNet.from_blocks([neg, ext]))
     assert any("negative" in p for p in report.problems)
 
+    for value in (np.nan, np.inf):
+        report = validate(CBNet.from_blocks([NodeBlock("x", [0, 1], [value, 0.5]), ext]))
+        assert "node 'x': non-finite entry at state 0, column 0" in report.problems
+        assert any("column 0 sums to" in p for p in report.problems)
+
     delta = np.eye(2)
     cyc = CBNet.from_blocks(
         [

@@ -39,6 +39,20 @@ def test_validate_reports_bad_column(capsys, tmp_path):
     assert "column 0 sums to 0.9" in out
 
 
+def test_validate_rejects_a_nan_entry(capsys, tmp_path):
+    text = emit_net(catalog.build("fig19-loop"))
+    lines = text.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("entry "))
+    head, _ = lines[n].rsplit(" ", 1)
+    lines[n] = f"{head} [nan,0.5]\n"
+    path = tmp_path / "nan.qbn"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line {n + 1}: not a finite number: 'nan'" in err
+
+
 def test_validate_cyclic_file(capsys, tmp_path):
     path = tmp_path / "cycle.qbn"
     path.write_text(emit_net(catalog.build("fig4-cycle")))

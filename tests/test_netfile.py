@@ -172,6 +172,20 @@ def test_pi_literals_in_entry_values():
         parse_number("pie")
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf", "inf", "1e400", "[nan,0.5]", "[0.5,1e400]"])
+def test_non_finite_entries_are_parse_errors(token):
+    kind = "quantum" if token.startswith("[") else "classical"
+    text = f"qbnet 1\nkind {kind}\nnode a\nstates (0)\nparents\nentry (0) {token}\n"
+    with pytest.raises(ParseError, match="not a finite number") as err:
+        parse_net(text)
+    assert err.value.line == 6
+
+
+def test_overflowing_pi_fraction_is_a_parse_error():
+    with pytest.raises(ParseError, match="not a finite number"):
+        parse_number("9" * 400 + "*pi")
+
+
 def quantum_lines(*extra):
     return "\n".join(
         [

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qbnet import catalog
 from qbnet.classical import classical_conditional, total_mass, validate
 from qbnet.core import NodeBlock
 from qbnet.errors import ContradictoryEvidence, CyclicGraph
@@ -173,3 +174,17 @@ def test_validate_quantum_cap_note(monkeypatch):
     report = validate_quantum(net)
     assert report.ok
     assert any("skipped" in n for n in report.notes)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.5), complex(math.inf, 0.0)])
+def test_validate_quantum_flags_non_finite_entries(bad):
+    net = catalog.build("fig19-loop")
+    tables = {n: net.table(n).copy() for n in net.graph.nodes}
+    node = net.graph.nodes[0]
+    tables[node][0, 0] = bad
+    broken = QBNet(net.graph, net.space, tables, meta=net.meta)
+    report = validate_quantum(broken)
+    assert not report.ok
+    assert f"node {node!r}: non-finite entry at state 0, column 0" in report.problems
+    assert any("squared norm" in p for p in report.problems)
+    assert any("total squared amplitude" in p for p in report.problems)
