@@ -7,15 +7,22 @@ three splitting magnets wired in different layouts: trees where each beam
 is seen at most once, loops where beams recombine, and recombining layouts
 that need an inline phase to stay normalized.
 
-Naming conventions for the beam nets:
+Every beam net is one row of ``BEAM_LAYOUTS``, built by ``build_beam_net``.
+A row lists the magnets in node order, each with the beams it is fed:
+"v.plus" is the plus beam out of magnet v, entering as spin-up along v,
+and a trailing "~" puts the inline phase on that beam. From the row the
+builder derives the whole net:
 
-* the source node is ``psi`` with state pair (n_minus, n_plus),
+* the source node ``psi`` with state pair (n_minus, n_plus); the source
+  acts as the implicit magnet ``z``,
+* each magnet (``u``, ``v``) is a node with internal components
+  ``u._minus`` / ``u._plus`` that queries normally never touch,
 * each beam is tapped by a projection node named ``<magnet>.<mode>``
   (``z.minus``, ``u.plus``, ...) whose single component carries the
-  occupation number people condition on,
-* magnet nodes are bare letters (``z`` is implicit in the source; ``u``
-  and ``v`` are real nodes) with internal component names ``u._minus`` /
-  ``u._plus`` that queries normally never touch.
+  occupation number people condition on; the query components are z's
+  taps, then each magnet's, plus before minus,
+* theta_v appears in the meta data only when the row has a v magnet, and
+  the ``xi`` parameter and the ``phase`` meta only when a beam carries "~".
 
 ``build`` constructs any entry by id, ``default_cases`` reproduces the
 standard evidence-case table for a net (no evidence, every single value,
@@ -26,11 +33,12 @@ classical net.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -71,13 +79,6 @@ def angle_string(x: float) -> str:
 def _complex_string(z: complex) -> str:
     z = complex(z)
     return f"{z.real!r}{z.imag:+}j" if z.imag else repr(z.real)
-
-
-DEFAULT_PSI01 = (1 + 1j) / 2
-DEFAULT_PSI10 = 2**-0.5
-DEFAULT_THETA_Z = 0.0
-DEFAULT_THETA_U = math.pi / 5
-DEFAULT_THETA_V = math.pi / 3
 
 
 # ---------------------------------------------------------------------------
@@ -248,232 +249,100 @@ def build_two_cycle() -> CBNet:
 # ---------------------------------------------------------------------------
 # Quantum beam entries
 
+# (magnet, fed beams) in node order. A beam "X.minus" / "X.plus" leaves magnet
+# X (the source is magnet z) and enters the fed magnet as spin -/+ along X;
+# each magnet is tapped by "<magnet>.minus" / "<magnet>.plus", and a trailing
+# "~" carries the inline phase on that beam.
+BEAM_LAYOUTS = {
+    "fig18": [("u", ("z.plus",))],
+    "fig19-loop": [("u", ("z.minus", "z.plus"))],
+    "fig23": [("v", ("z.plus",)), ("u", ("v.plus",))],
+    "fig24": [("v", ("z.minus", "z.plus")), ("u", ("v.plus",))],
+    "fig25": [("v", ("z.plus",)), ("u", ("v.minus", "v.plus"))],
+    "fig26": [("v", ("z.minus", "z.plus")), ("u", ("v.minus", "v.plus"))],
+    "fig27": [("v", ("z.minus",)), ("u", ("z.plus",))],
+    "fig28": [("v", ("z.minus",)), ("u", ("z.plus", "v.plus~"))],
+    "fig29": [("v", ("z.minus~",)), ("u", ("z.plus", "v.minus", "v.plus"))],
+}
 
-def _psi_block(psi: InitialWavefunction) -> NodeBlock:
-    return NodeBlock(
-        "psi",
-        [(0, 1), (1, 0)],
-        lambda state, parents: psi.amplitude(state),
-        components=("psi._minus", "psi._plus"),
-    )
-
-
-def _tap(name: str, parent: str, k: int) -> NodeBlock:
-    """Projection node copying the k-th (1-based) mode of a beam pair."""
-    return NodeBlock(name, [0, 1], marginalizer_table(k, 2), parents=(parent,))
-
-
-def _magnet(name, direction, parents, modes, phases=None) -> NodeBlock:
-    return NodeBlock(
-        name,
-        MAGNET_STATES,
-        stern_gerlach_table(direction, modes, phases=phases),
-        parents=tuple(parents),
-        components=(f"{name}._minus", f"{name}._plus"),
-    )
-
-
-def _spin_params(params: Mapping) -> dict:
-    """Pop the shared beam-net parameters, applying the standard defaults."""
-    out = {
-        "psi01": params.pop("psi01", DEFAULT_PSI01),
-        "psi10": params.pop("psi10", DEFAULT_PSI10),
-        "theta_z": params.pop("theta_z", DEFAULT_THETA_Z),
-        "theta_u": params.pop("theta_u", DEFAULT_THETA_U),
-        "theta_v": params.pop("theta_v", DEFAULT_THETA_V),
-    }
-    return out
+BEAM_DEFAULTS = {
+    "psi01": (1 + 1j) / 2,
+    "psi10": 2**-0.5,
+    "theta_z": 0.0,
+    "theta_u": math.pi / 5,
+    "theta_v": math.pi / 3,
+}
 
 
-def _spin_meta(entry_id: str, p: Mapping, query: Iterable[str], **extra) -> dict:
+def _taps(magnet: str, source: str) -> list[NodeBlock]:
+    """Projection nodes copying the minus and plus modes of ``source``."""
+    return [
+        NodeBlock(f"{magnet}.{mode}", [0, 1], marginalizer_table(k, 2), parents=(source,))
+        for k, mode in ((1, "minus"), (2, "plus"))
+    ]
+
+
+def build_beam_net(entry_id: str, **params) -> QBNet:
+    """The beam net of one ``BEAM_LAYOUTS`` entry.
+
+    Every beam net takes the ``BEAM_DEFAULTS`` parameters; theta_v goes
+    unused without a v magnet. A layout with a "~" beam also takes ``xi``,
+    the inline phase angle, which defaults to the consistency phase.
+    """
+    layout = BEAM_LAYOUTS[entry_id]
+    p = {k: params.pop(k, default) for k, default in BEAM_DEFAULTS.items()}
+    phased = any(beam.endswith("~") for _, fed in layout for beam in fed)
+    xi = params.pop("xi", None) if phased else None
+    if params:
+        raise InvalidParams(f"unknown parameters: {sorted(params)}")
+    psi = InitialWavefunction(p["psi01"], p["psi10"])
+    magnets = [m for m, _ in layout]
+    dirs = {m: SpinDirection(p[f"theta_{m}"], label=m) for m in ["z", *magnets]}
     meta = {
         "catalog": entry_id,
         "psi01": _complex_string(p["psi01"]),
         "psi10": _complex_string(p["psi10"]),
-        "theta_z": angle_string(p["theta_z"]),
-        "theta_u": angle_string(p["theta_u"]),
-        "query_components": ",".join(query),
+        **{f"theta_{m}": angle_string(p[f"theta_{m}"]) for m in dirs},
+        "query_components": ",".join(f"{m}.{mode}" for m in dirs for mode in ("plus", "minus")),
     }
-    if "theta_v" in extra:
-        meta["theta_v"] = angle_string(extra.pop("theta_v"))
-    meta.update({k: str(v) for k, v in extra.items()})
-    return meta
+    phase = 1.0
+    if phased:
+        if xi is None:
+            phase = consistency_phase(psi)
+        else:
+            xi = float(xi)
+            if not math.isfinite(xi):
+                raise InvalidParams(f"xi must be finite, got {xi!r}")
+            phase = np.exp(1j * xi)
+        meta["phase"] = _complex_string(phase)
 
-
-TWO_MAGNET_QUERY = ("z.plus", "z.minus", "u.plus", "u.minus")
-THREE_MAGNET_QUERY = ("z.plus", "z.minus", "v.plus", "v.minus", "u.plus", "u.minus")
-
-
-def _check_spin_kwargs(params: Mapping):
-    if params:
-        raise InvalidParams(f"unknown parameters: {sorted(params)}")
-
-
-def build_two_magnet_tree(**params) -> QBNet:
-    """Source, one tapped beam into a second magnet, every exit distinct."""
-    p = _spin_params(params)
-    _check_spin_kwargs(params)
-    psi = InitialWavefunction(p["psi01"], p["psi10"])
-    z = SpinDirection(p["theta_z"], label="z")
-    u = SpinDirection(p["theta_u"], label="u")
     blocks = [
-        _psi_block(psi),
-        _tap("z.minus", "psi", 1),
-        _tap("z.plus", "psi", 2),
-        _magnet("u", u, ["z.plus"], [(z, "+")]),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-    return QBNet.from_blocks(
-        blocks, meta=_spin_meta("fig18", p, TWO_MAGNET_QUERY)
-    )
-
-
-def build_two_magnet_loop(**params) -> QBNet:
-    """Both source beams recombine inside the second magnet."""
-    p = _spin_params(params)
-    _check_spin_kwargs(params)
-    psi = InitialWavefunction(p["psi01"], p["psi10"])
-    z = SpinDirection(p["theta_z"], label="z")
-    u = SpinDirection(p["theta_u"], label="u")
-    blocks = [
-        _psi_block(psi),
-        _tap("z.minus", "psi", 1),
-        _tap("z.plus", "psi", 2),
-        _magnet("u", u, ["z.minus", "z.plus"], [(z, "-"), (z, "+")]),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-    return QBNet.from_blocks(
-        blocks, meta=_spin_meta("fig19-loop", p, TWO_MAGNET_QUERY)
-    )
-
-
-def _three_magnet(entry_id: str, wiring: Callable, **params) -> QBNet:
-    p = _spin_params(params)
-    xi = params.pop("xi", None) if entry_id in ("fig28", "fig29") else None
-    _check_spin_kwargs(params)
-    psi = InitialWavefunction(p["psi01"], p["psi10"])
-    dirs = {
-        "z": SpinDirection(p["theta_z"], label="z"),
-        "u": SpinDirection(p["theta_u"], label="u"),
-        "v": SpinDirection(p["theta_v"], label="v"),
-    }
-    extra = {"theta_v": p["theta_v"]}
-    if entry_id in ("fig28", "fig29"):
-        phase = consistency_phase(psi) if xi is None else np.exp(1j * float(xi))
-        extra["phase"] = _complex_string(phase)
-        blocks = wiring(psi, dirs, phase)
-    else:
-        blocks = wiring(psi, dirs)
-    return QBNet.from_blocks(
-        blocks, meta=_spin_meta(entry_id, p, THREE_MAGNET_QUERY, **extra)
-    )
-
-
-def _source_taps(psi):
-    return [_psi_block(psi), _tap("z.minus", "psi", 1), _tap("z.plus", "psi", 2)]
-
-
-def _wiring_chain(psi, d):
-    # z.minus exits; z.plus -> v; v.plus -> u
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.plus"], [(d["z"], "+")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet("u", d["u"], ["v.plus"], [(d["v"], "+")]),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-
-
-def _wiring_merge_then_chain(psi, d):
-    # both z beams -> v; v.minus exits; v.plus -> u
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.minus", "z.plus"], [(d["z"], "-"), (d["z"], "+")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet("u", d["u"], ["v.plus"], [(d["v"], "+")]),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-
-
-def _wiring_split_then_merge(psi, d):
-    # z.minus exits; z.plus -> v; both v beams -> u
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.plus"], [(d["z"], "+")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet(
-            "u", d["u"], ["v.minus", "v.plus"], [(d["v"], "-"), (d["v"], "+")]
+        NodeBlock(
+            "psi",
+            [(0, 1), (1, 0)],
+            lambda state, parents: psi.amplitude(state),
+            components=("psi._minus", "psi._plus"),
         ),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
+        *_taps("z", "psi"),
     ]
-
-
-def _wiring_double_merge(psi, d):
-    # both z beams -> v; both v beams -> u; only u exits
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.minus", "z.plus"], [(d["z"], "-"), (d["z"], "+")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet(
-            "u", d["u"], ["v.minus", "v.plus"], [(d["v"], "-"), (d["v"], "+")]
-        ),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-
-
-def _wiring_two_branches(psi, d):
-    # z.minus -> v and z.plus -> u in parallel; all four exits distinct
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.minus"], [(d["z"], "-")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet("u", d["u"], ["z.plus"], [(d["z"], "+")]),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-
-
-def _wiring_recombine_one(psi, d, phase):
-    # z.minus -> v; v.minus exits; v.plus rejoins z.plus inside u, with the
-    # inline phase on the rejoining beam
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.minus"], [(d["z"], "-")]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet(
-            "u",
-            d["u"],
-            ["z.plus", "v.plus"],
-            [(d["z"], "+"), (d["v"], "+")],
-            phases=[1.0, phase],
-        ),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
-
-
-def _wiring_recombine_both(psi, d, phase):
-    # z.minus -> v with the inline phase on v's fed beam; both v beams and
-    # z.plus all rejoin inside u
-    return _source_taps(psi) + [
-        _magnet("v", d["v"], ["z.minus"], [(d["z"], "-")], phases=[phase]),
-        _tap("v.minus", "v", 1),
-        _tap("v.plus", "v", 2),
-        _magnet(
-            "u",
-            d["u"],
-            ["z.plus", "v.minus", "v.plus"],
-            [(d["z"], "+"), (d["v"], "-"), (d["v"], "+")],
-        ),
-        _tap("u.minus", "u", 1),
-        _tap("u.plus", "u", 2),
-    ]
+    for magnet, fed in layout:
+        beams = tuple(beam.rstrip("~") for beam in fed)
+        modes = []
+        for beam in beams:
+            source, mode = beam.split(".")
+            modes.append((dirs[source], "-" if mode == "minus" else "+"))
+        phases = [phase if beam.endswith("~") else 1.0 for beam in fed]
+        blocks.append(
+            NodeBlock(
+                magnet,
+                MAGNET_STATES,
+                stern_gerlach_table(dirs[magnet], modes, phases=phases),
+                parents=beams,
+                components=(f"{magnet}._minus", f"{magnet}._plus"),
+            )
+        )
+        blocks += _taps(magnet, magnet)
+    return QBNet.from_blocks(blocks, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +356,18 @@ class CatalogEntry:
     builder: Callable
     kind: str  # "classical" | "quantum"
 
+
+_BEAM_SUMMARIES = {
+    "fig18": "two magnets, tree layout",
+    "fig19-loop": "two magnets, recombining loop",
+    "fig23": "three magnets chained, all taps exit",
+    "fig24": "merge both source beams, then chain",
+    "fig25": "split at v, merge both v beams at u",
+    "fig26": "merge at v and again at u",
+    "fig27": "two parallel branches, four exits",
+    "fig28": "one beam rejoins at u; needs the inline phase",
+    "fig29": "both v beams rejoin at u; normalized for any phase",
+}
 
 _ENTRIES = [
     CatalogEntry("fig9-and", "AND gate over two random bits", build_and_gate, "classical"),
@@ -506,49 +387,9 @@ _ENTRIES = [
     ),
     CatalogEntry("fig14-walk", "unit-step random walk positions", build_random_walk, "classical"),
     CatalogEntry("fig4-cycle", "two-node delta cycle (pre-net, mass 2)", build_two_cycle, "classical"),
-    CatalogEntry("fig18", "two magnets, tree layout", build_two_magnet_tree, "quantum"),
-    CatalogEntry("fig19-loop", "two magnets, recombining loop", build_two_magnet_loop, "quantum"),
-    CatalogEntry(
-        "fig23",
-        "three magnets chained, all taps exit",
-        lambda **kw: _three_magnet("fig23", _wiring_chain, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig24",
-        "merge both source beams, then chain",
-        lambda **kw: _three_magnet("fig24", _wiring_merge_then_chain, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig25",
-        "split at v, merge both v beams at u",
-        lambda **kw: _three_magnet("fig25", _wiring_split_then_merge, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig26",
-        "merge at v and again at u",
-        lambda **kw: _three_magnet("fig26", _wiring_double_merge, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig27",
-        "two parallel branches, four exits",
-        lambda **kw: _three_magnet("fig27", _wiring_two_branches, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig28",
-        "one beam rejoins at u; needs the inline phase",
-        lambda **kw: _three_magnet("fig28", _wiring_recombine_one, **kw),
-        "quantum",
-    ),
-    CatalogEntry(
-        "fig29",
-        "both v beams rejoin at u; normalized for any phase",
-        lambda **kw: _three_magnet("fig29", _wiring_recombine_both, **kw),
-        "quantum",
+    *(
+        CatalogEntry(fid, summary, functools.partial(build_beam_net, fid), "quantum")
+        for fid, summary in _BEAM_SUMMARIES.items()
     ),
 ]
 
@@ -561,13 +402,20 @@ def list_entries() -> list[CatalogEntry]:
 
 
 def build(entry_id: str, **params):
-    """Construct a catalog net by id; bare figure names are accepted."""
+    """Construct a catalog net by id; bare figure names are accepted.
+
+    A parameter the entry does not take, or one of the wrong type, raises
+    InvalidParams.
+    """
     canonical = _ALIASES.get(entry_id, entry_id)
     entry = _BY_ID.get(canonical)
     if entry is None:
         known = ", ".join(sorted(_BY_ID))
         raise UnknownEntry(f"no catalog entry {entry_id!r}; known: {known}")
-    return entry.builder(**params)
+    try:
+        return entry.builder(**params)
+    except TypeError as exc:
+        raise InvalidParams(f"bad parameters for {canonical}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

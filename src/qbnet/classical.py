@@ -25,21 +25,9 @@ from .graph import classify_nodes, is_acyclic
 EPS_NORM = 1e-9
 
 
-@dataclass(frozen=True)
-class NodeTable:
-    """Read-only view of one node's probability table."""
-
-    node: str
-    parents: tuple[str, ...]
-    entries: np.ndarray
-
-
 class CBNet(BaseNet):
     dtype = np.float64
     kind = "classical"
-
-    def node_table(self, node: str) -> NodeTable:
-        return NodeTable(node, self.parents(node), self.table(node))
 
 
 @dataclass
@@ -51,6 +39,10 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
+    def flag_invalid_nodes(self, graph) -> None:
+        for n in classify_nodes(graph).invalid:
+            self.problems.append(f"node {n!r} is neither internal nor external")
+
     def flag_entries(self, node: str, bad: np.ndarray, what: str) -> None:
         """Report the first entry of a node's table that ``bad`` marks."""
         if bad.any():
@@ -58,6 +50,17 @@ class ValidationReport:
             self.problems.append(
                 f"node {node!r}: {what} entry at state {rows[0]}, column {cols[0]}"
             )
+
+    def flag_columns(self, node: str, totals: np.ndarray, what: str) -> None:
+        """Report the columns whose ``totals`` are not 1 within EPS_NORM:
+        the first four by value, then a count of the rest."""
+        bad = np.nonzero(~(np.abs(totals - 1.0) <= EPS_NORM))[0]
+        for c in bad[:4]:
+            self.problems.append(
+                f"node {node!r}: column {int(c)} {what} {totals[c]:.12g}, expected 1"
+            )
+        if len(bad) > 4:
+            self.problems.append(f"node {node!r}: {len(bad) - 4} more bad columns")
 
     def __str__(self):
         lines = [("ok" if self.ok else "INVALID")]
@@ -102,23 +105,14 @@ def classical_conditional(
 def validate(net: CBNet) -> ValidationReport:
     """Check table nonnegativity, column normalization, and graph sanity."""
     report = ValidationReport()
-    cls = classify_nodes(net.graph)
-    for n in cls.invalid:
-        report.problems.append(f"node {n!r} is neither internal nor external")
+    report.flag_invalid_nodes(net.graph)
     if not is_acyclic(net.graph):
         report.problems.append("graph has a directed cycle")
     for node in net.graph.nodes:
         table = net.table(node)
         report.flag_entries(node, ~np.isfinite(table), "non-finite")
         report.flag_entries(node, table < 0, "negative")
-        sums = table.sum(axis=0)
-        bad = np.nonzero(~(np.abs(sums - 1.0) <= EPS_NORM))[0]
-        for c in bad[:4]:
-            report.problems.append(
-                f"node {node!r}: column {int(c)} sums to {sums[c]:.12g}, expected 1"
-            )
-        if len(bad) > 4:
-            report.problems.append(f"node {node!r}: {len(bad) - 4} more bad columns")
+        report.flag_columns(node, table.sum(axis=0), "sums to")
     return report
 
 

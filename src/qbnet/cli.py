@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import os
@@ -280,9 +281,12 @@ def _coerce_param(token: str):
     except ParseError:
         pass
     try:
-        return complex(token)
+        value = complex(token)
     except ValueError:
-        raise ParseError(f"cannot read parameter value {token!r}")
+        raise ParseError(f"cannot read parameter value {token!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"not a finite number: {token!r}")
+    return value
 
 
 def cmd_catalog(args) -> int:

@@ -245,6 +245,7 @@ def parse_net(text: str):
     if not drafts:
         raise ParseError("no nodes declared", len(text.splitlines()) or 1)
 
+    seen_components: set[str] = set()
     for draft in drafts:
         if draft.states is None:
             raise ParseError(f"node {draft.name!r} has no states line", draft.line)
@@ -253,16 +254,37 @@ def parse_net(text: str):
         width = {len(s) for s in draft.states}
         if len(width) != 1:
             raise ParseError(f"node {draft.name!r} mixes state widths", draft.line)
-        if draft.components is not None and len(draft.components) != width.pop():
+        if len(set(draft.states)) != len(draft.states):
+            raise ParseError(f"node {draft.name!r} has duplicate states", draft.line)
+        width = width.pop()
+        if draft.components is None:
+            if width != 1:
+                raise ParseError(
+                    f"node {draft.name!r} has {width} components but no components line",
+                    draft.line,
+                )
+            draft.components = (draft.name,)
+        if len(draft.components) != width:
             raise ParseError(
                 f"node {draft.name!r}: component count does not match state width",
                 draft.line,
             )
+        for alpha in draft.components:
+            if alpha in seen_components:
+                raise ParseError(
+                    f"node {draft.name!r}: component name {alpha!r} is not globally unique",
+                    draft.line,
+                )
+            seen_components.add(alpha)
         for parent in draft.parents:
             if parent not in by_name:
                 raise ParseError(
                     f"node {draft.name!r} lists unknown parent {parent!r}", draft.line
                 )
+        if draft.name in draft.parents:
+            raise ParseError(f"node {draft.name!r} lists itself as a parent", draft.line)
+        if len(set(draft.parents)) != len(draft.parents):
+            raise ParseError(f"node {draft.name!r} lists a parent twice", draft.line)
 
     blocks = []
     for draft in drafts:
@@ -279,6 +301,8 @@ def parse_net(text: str):
             strides[i] = strides[i + 1] * len(parent_states[i + 1])
         filled = set()
         for state, combo, value, lineno in draft.entries:
+            if isinstance(value, complex) and kind != "quantum":
+                raise ParseError("a [re,im] value needs kind quantum", lineno)
             if state not in state_pos:
                 raise ParseError(
                     f"entry state {_fmt_state(state)} not in the states line", lineno

@@ -29,7 +29,6 @@ genuinely differ, which is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,19 +46,8 @@ from .core import (
     value_blocks,
 )
 from .errors import StateSpaceTooLarge
-from .graph import classify_nodes
 
-EPS_NORM = 1e-9
 EPS_NET = 1e-9
-
-
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """Read-only view of one node's amplitude table."""
-
-    node: str
-    parents: tuple[str, ...]
-    entries: np.ndarray
 
 
 class QBNet(BaseNet):
@@ -70,9 +58,6 @@ class QBNet(BaseNet):
         if pre_net:
             raise ValueError("quantum nets must be acyclic; pre-nets are classical-only")
         super().__init__(graph, space, tables, meta=meta)
-
-    def node_table(self, node: str) -> AmplitudeTable:
-        return AmplitudeTable(node, self.parents(node), self.table(node))
 
 
 def joint_amplitude(net: QBNet, assignment: Mapping[str, object]) -> complex:
@@ -127,20 +112,11 @@ def parent_cb_net(net: QBNet) -> CBNet:
 def validate_quantum(net: QBNet) -> ValidationReport:
     """Check column norms, node classification, and the whole-net sums."""
     report = ValidationReport()
-    cls = classify_nodes(net.graph)
-    for n in cls.invalid:
-        report.problems.append(f"node {n!r} is neither internal nor external")
+    report.flag_invalid_nodes(net.graph)
     for node in net.graph.nodes:
         table = net.table(node)
         report.flag_entries(node, ~np.isfinite(table), "non-finite")
-        norms = (np.abs(table) ** 2).sum(axis=0)
-        bad = np.nonzero(~(np.abs(norms - 1.0) <= EPS_NORM))[0]
-        for c in bad[:4]:
-            report.problems.append(
-                f"node {node!r}: column {int(c)} squared norm {norms[c]:.12g}, expected 1"
-            )
-        if len(bad) > 4:
-            report.problems.append(f"node {node!r}: {len(bad) - 4} more bad columns")
+        report.flag_columns(node, (np.abs(table) ** 2).sum(axis=0), "squared norm")
     try:
         total = total_squared_amplitude(net)
         if not abs(total - 1.0) <= EPS_NET:

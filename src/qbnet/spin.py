@@ -56,7 +56,7 @@ class SpinState:
 
     def __post_init__(self):
         norm = abs(self.up) ** 2 + abs(self.down) ** 2
-        if abs(norm - 1.0) > EPS_STATE:
+        if not abs(norm - 1.0) <= EPS_STATE:
             raise InvalidParams(f"spinor norm^2 is {norm!r}, not 1")
 
     def inner(self, other: "SpinState") -> complex:
@@ -103,7 +103,7 @@ class InitialWavefunction:
 
     def __post_init__(self):
         norm = abs(self.psi01) ** 2 + abs(self.psi10) ** 2
-        if abs(norm - 1.0) > EPS_STATE:
+        if not abs(norm - 1.0) <= EPS_STATE:
             raise InvalidParams(f"|psi01|^2+|psi10|^2 is {norm!r}, not 1")
 
     def amplitude(self, state) -> complex:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbnet.catalog import (
+    BEAM_LAYOUTS,
     EvidenceCase,
     angle_string,
     build,
@@ -386,6 +387,23 @@ def test_build_rejects_unknown_entries_and_parameters():
         build("fig18", bogus=1)
     with pytest.raises(InvalidParams):
         build("fig14-walk", n=0)
+    # unknown names and wrong types on the classical builders, and NaN or
+    # infinite beam parameters, are all InvalidParams
+    for entry_id, params in (
+        ("fig9-and", dict(bogus=1)),
+        ("fig9-and", dict(p_x=1 + 1j)),
+        ("fig4-cycle", dict(xi=0.5)),
+        ("fig14-walk", dict(n=2.5)),
+        ("fig19-loop", dict(theta_u=1 + 1j)),
+        ("fig19-loop", dict(psi01=math.nan)),
+        ("fig19-loop", dict(psi10=math.nan)),
+        ("fig28", dict(xi=math.nan)),
+        ("fig28", dict(xi=math.inf)),
+        ("fig29", dict(xi=math.nan)),
+        ("fig29", dict(xi=1 + 1j)),
+    ):
+        with pytest.raises(InvalidParams):
+            build(entry_id, **params)
     with pytest.raises(InvalidParams):
         run_evidence_cases(build("fig9-and"))
     with pytest.raises(InvalidParams):
@@ -403,3 +421,44 @@ def test_angle_strings():
     assert net.meta["theta_u"] == "pi/5"
     assert net.meta["theta_v"] == "pi/3"
     assert net.meta["query_components"].split(",")[0] == "z.plus"
+
+
+BEAM_QUERY = {
+    2: ("z.plus", "z.minus", "u.plus", "u.minus"),
+    3: ("z.plus", "z.minus", "v.plus", "v.minus", "u.plus", "u.minus"),
+}
+BEAM_MAGNETS = {
+    "fig18": 2,
+    "fig19-loop": 2,
+    "fig23": 3,
+    "fig24": 3,
+    "fig25": 3,
+    "fig26": 3,
+    "fig27": 3,
+    "fig28": 3,
+    "fig29": 3,
+}
+
+
+@pytest.mark.parametrize("fid", sorted(BEAM_MAGNETS))
+def test_beam_layout_rules(fid):
+    """What each beam net derives from its layout row."""
+    assert fid in BEAM_LAYOUTS
+    net = build(fid)
+    three = BEAM_MAGNETS[fid] == 3
+    assert query_components(net) == BEAM_QUERY[BEAM_MAGNETS[fid]]
+    assert net.meta["query_components"] == ",".join(BEAM_QUERY[BEAM_MAGNETS[fid]])
+    # theta_v is accepted everywhere, shown only where a v magnet exists
+    assert ("theta_v" in net.meta) == three
+    assert ("theta_v" in build(fid, theta_v=0.4).meta) == three
+    if not three:
+        build(fid, theta_v=math.nan)  # never read, so never checked
+    # only the layouts with a phased beam take xi and record the phase
+    phased = fid in ("fig28", "fig29")
+    assert ("phase" in net.meta) == phased
+    if phased:
+        assert build(fid, xi=0.5).meta["phase"] != net.meta["phase"]
+    else:
+        with pytest.raises(InvalidParams, match="unknown parameters: \\['xi'\\]"):
+            build(fid, xi=0.5)
+    assert {e.id for e in list_entries() if e.kind == "quantum"} == set(BEAM_LAYOUTS)

@@ -53,6 +53,20 @@ def test_validate_rejects_a_nan_entry(capsys, tmp_path):
     assert f"line {n + 1}: not a finite number: 'nan'" in err
 
 
+def test_validate_rejects_a_pair_value_in_a_classical_file(capsys, tmp_path):
+    text = emit_net(catalog.build("fig9-and"))
+    lines = text.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("entry "))
+    head, _ = lines[n].rsplit(" ", 1)
+    lines[n] = f"{head} [0.5,0]\n"
+    path = tmp_path / "pair.qbn"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line {n + 1}: a [re,im] value needs kind quantum" in err
+
+
 def test_validate_cyclic_file(capsys, tmp_path):
     path = tmp_path / "cycle.qbn"
     path.write_text(emit_net(catalog.build("fig4-cycle")))
@@ -290,6 +304,23 @@ def test_catalog_build_takes_typed_params(capsys):
         capsys, "catalog", "build", "fig19-loop", "--param", "theta_u=huh"
     )
     assert code == 2
+    # non-finite values, wrong types and unknown names: exit 2, no traceback
+    for entry_id, param in (
+        ("fig19-loop", "theta_u=nan"),
+        ("fig19-loop", "theta_u=inf"),
+        ("fig19-loop", "theta_u=1+1j"),
+        ("fig19-loop", "psi01=nan"),
+        ("fig28", "xi=nan"),
+        ("fig28", "xi=1+1j"),
+        ("fig9-and", "p_x=inf"),
+        ("fig9-and", "p_x=1+1j"),
+        ("fig14-walk", "n=2.5"),
+        ("fig9-and", "bogus=1"),
+    ):
+        code, out, err = run(capsys, "catalog", "build", entry_id, "--param", param)
+        assert code == 2, (entry_id, param)
+        assert out == ""
+        assert err.startswith(("parse error: ", "error: ")), err
 
 
 def test_lattice_probability_table(capsys):

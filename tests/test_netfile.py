@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbnet import catalog
 from qbnet.classical import total_mass, validate
-from qbnet.errors import ParseError
+from qbnet.errors import CyclicGraph, ParseError
 from qbnet.netfile import (
     emit_cases,
     emit_net,
@@ -244,6 +246,31 @@ BAD_INPUTS = [
     ("qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (0) huh\n", 6, "number"),
     ("qbnet 1\nkind classical\nwhatever now\n", 3, "unknown directive"),
     ("qbnet 1\nkind quantum\nnode a\nstates (0)\nparents\nentry (0) [1,2,3]\n", 6, "two"),
+    ("qbnet 1\nkind classical\nnode a\nstates (0) (1) (0)\nparents\n", 3, "duplicate states"),
+    (
+        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\n"
+        "node b\ncomponents a\nstates (0)\nparents\n",
+        6,
+        "globally unique",
+    ),
+    (
+        "qbnet 1\nkind classical\nnode a\ncomponents x x\nstates (0,0)\nparents\n",
+        3,
+        "globally unique",
+    ),
+    ("qbnet 1\nkind classical\nnode a\nstates (0,1)\nparents\n", 3, "no components line"),
+    ("qbnet 1\nkind classical\nnode a\nstates (0)\nparents a\n", 3, "itself"),
+    (
+        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\n"
+        "node b\nstates (0)\nparents a a\n",
+        6,
+        "parent twice",
+    ),
+    (
+        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (0) [1,0]\n",
+        6,
+        "kind quantum",
+    ),
 ]
 
 
@@ -262,6 +289,47 @@ def test_missing_sections_are_reported():
         parse_net("qbnet 1\nkind classical\nnode a\nstates (0)\n")
     with pytest.raises(ParseError, match="no nodes"):
         parse_net("qbnet 1\nkind classical\n")
+
+
+CATALOG_TEXTS = {e.id: emit_net(catalog.build(e.id)) for e in catalog.list_entries()}
+ODD_TOKENS = [
+    "nan", "inf", "pi/0", "()", "(0)", "(1)", "(0,1)", "(1,1)", "[1,0]", "[0.5]",
+    "[1,2,3]", "-1", "2", "true", "quantum", "classical", "psi", "z.plus", "u",
+]
+
+
+@st.composite
+def mutated_catalog_texts(draw):
+    """Emitted catalog text with up to four lines dropped, duplicated,
+    swapped, or with one token replaced by any token of the file or an odd one."""
+    lines = CATALOG_TEXTS[draw(st.sampled_from(sorted(CATALOG_TEXTS)))].splitlines()
+    pool = sorted({t for line in lines for t in line.split()}) + ODD_TOKENS
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(pool))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutated_catalog_texts())
+def test_mutated_catalog_text_parses_or_raises_a_parse_error(text):
+    try:
+        parse_net(text)
+    except ParseError:
+        pass
+    except CyclicGraph:
+        assert "kind quantum" in text  # a cyclic classical file parses as a pre-net
 
 
 def test_cases_round_trip():

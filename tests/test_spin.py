@@ -10,6 +10,7 @@ from qbnet.spin import (
     MAGNET_STATES,
     InitialWavefunction,
     SpinDirection,
+    SpinState,
     consistency_phase,
     marginalizer_table,
     overlap,
@@ -169,6 +170,18 @@ def test_wavefunction_validation_and_amplitudes():
     assert psi.amplitude((0, 0)) == 0.0
     with pytest.raises(InvalidParams):
         InitialWavefunction(1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), math.inf])
+def test_non_finite_amplitudes_fail_the_norm_checks(bad):
+    with pytest.raises(InvalidParams):
+        InitialWavefunction(bad, 2**-0.5)
+    with pytest.raises(InvalidParams):
+        InitialWavefunction(2**-0.5, bad)
+    with pytest.raises(InvalidParams):
+        SpinState(bad, 0.0)
+    with pytest.raises(InvalidParams):
+        SpinState(0.0, bad)
 
 
 def test_singlet_rotation_invariance():
