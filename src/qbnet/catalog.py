@@ -34,6 +34,7 @@ classical net.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -404,14 +405,21 @@ def list_entries() -> list[CatalogEntry]:
 def build(entry_id: str, **params):
     """Construct a catalog net by id; bare figure names are accepted.
 
-    A parameter the entry does not take, or one of the wrong type, raises
-    InvalidParams.
+    A parameter the entry does not take raises InvalidParams("unknown
+    parameters: [...]"), named from the builder's signature or, for a builder
+    taking ``**params``, by the builder itself. A value of the wrong type
+    raises InvalidParams("bad parameters for <id>: ...").
     """
     canonical = _ALIASES.get(entry_id, entry_id)
     entry = _BY_ID.get(canonical)
     if entry is None:
         known = ", ".join(sorted(_BY_ID))
         raise UnknownEntry(f"no catalog entry {entry_id!r}; known: {known}")
+    accepted = inspect.signature(entry.builder).parameters.values()
+    if all(p.kind is not p.VAR_KEYWORD for p in accepted):
+        unknown = sorted(set(params) - {p.name for p in accepted})
+        if unknown:
+            raise InvalidParams(f"unknown parameters: {unknown}")
     try:
         return entry.builder(**params)
     except TypeError as exc:

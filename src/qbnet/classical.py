@@ -138,28 +138,31 @@ def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
         raise ValueError("keep must name at least one node")
 
     kept = [n for n in net.chronological if n in keep_set]
-    sizes = [len(net.space.states(n)) for n in kept]
-    m_table = contract(net, tuple(kept))
-
+    marginal = contract(net, tuple(kept))
     blocks = []
-    m = len(kept)
     for i, n in enumerate(kept):
-        partial = m_table.sum(axis=tuple(range(i + 1, m))) if i + 1 < m else m_table
-        # axes are kept[0..i]; putting kept[i] first and flattening the rest
-        # C-order makes the last conditioning node vary fastest across columns
-        num = np.moveaxis(partial, -1, 0).reshape(sizes[i], -1)
-        den = num.sum(axis=0)
-        arr = np.empty_like(num)
-        zero = den == 0.0
-        arr[:, zero] = 1.0 / sizes[i]
-        arr[:, ~zero] = num[:, ~zero] / den[~zero]
+        # the marginal of kept[:i + 1]: a factor with axes (kept[:i]..., n)
+        joint = marginal.sum(axis=tuple(range(i + 1, len(kept))))
+        total = joint.sum(axis=-1, keepdims=True)
+        uniform = np.full_like(joint, 1.0 / joint.shape[-1])
+        cond = np.divide(joint, total, out=uniform, where=total != 0.0)
         blocks.append(
             NodeBlock(
                 name=n,
                 states=list(net.space.states(n)),
                 components=net.space.components(n),
                 parents=tuple(kept[:i]),
-                table=arr,
+                table=_reader(net.space, kept[: i + 1], cond),
             )
         )
     return CBNet.from_blocks(blocks, meta=dict(net.meta))
+
+
+def _reader(space: StateSpace, nodes, factor: np.ndarray):
+    """A NodeBlock table callable that reads ``factor``, whose axes are ``nodes``."""
+
+    def read(state, parent_states):
+        states = (*parent_states, state)
+        return factor[tuple(space.state_index(n, s) for n, s in zip(nodes, states))]
+
+    return read

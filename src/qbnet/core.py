@@ -6,16 +6,19 @@ together form the index set Gamma of the whole net, and conditioning always
 talks about components, never whole nodes, so the names must be globally
 unique.
 
-A node's table holds one value per (state, parent configuration) pair. Parent
-configurations are flattened into columns in ``itertools.product`` order over
-the parent state lists, parents taken in declared order (the last parent
-varies fastest). Root nodes have a single column.
+A node's table holds one value per (state, parent configuration) pair. It is
+stored once, as a read-only factor with one axis per parent (in declared
+order) and a last axis for the node: ``factor[i, j, k]`` is the value of the
+node's state k under parent states i and j. Every route indexes the factor
+directly. The 2-D form, which ``NodeBlock`` takes and ``BaseNet.table``
+shows, flattens the parent axes into columns in ``itertools.product`` order
+over the parent state lists (the last parent varies fastest); root nodes have
+a single column. That column order is defined in ``BaseNet`` alone.
 
 Total mass, the chi functionals, the external maps and coarsening are all
 sums over the joint, and the contraction engine computes every one of them
-without materializing it. Each node table becomes a factor with axes
-(parents..., node); a greedy planner sums the nodes that are not kept open
-out one at a time, multiplying only the factors that mention the node
+without materializing it. A greedy planner sums the nodes that are not kept
+open out one at a time, multiplying only the factors that mention the node
 (variable elimination), and compiles the eliminations into einsum steps once
 per net. A filter multiplies a node's factor by a 0/1 indicator of its
 allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
@@ -44,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContradictoryEvidence, CyclicGraph, InvalidState, StateSpaceTooLarge
-from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling, is_acyclic
+from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
 
@@ -134,9 +137,10 @@ class StateSpace:
 class NodeBlock:
     """Everything the net builder needs to know about one node.
 
-    ``table`` may be an array-like of shape (n_states, n_columns) -- a flat
-    length-n_states sequence is accepted for root nodes -- or a callable
-    ``f(state, parent_states) -> value`` that is tabulated at build time.
+    ``table`` may be an array-like of shape (n_states, n_columns), in the
+    column order of the module docstring -- a flat length-n_states sequence
+    is accepted for root nodes -- or a callable ``f(state, parent_states) ->
+    value`` that is tabulated at build time.
     """
 
     name: str
@@ -184,18 +188,9 @@ class _Enumeration:
         self._flat = flat
 
         values = np.ones(njoint, dtype=net.dtype)
-        for j, node in enumerate(self.order):
-            idx = (flat // strides[j]) % sizes[j]
-            parents = net.parents(node)
-            if parents:
-                pstrides = net._parent_strides(node)
-                col = np.zeros(njoint, dtype=np.int64)
-                for p, pstride in zip(parents, pstrides):
-                    jp = self.pos[p]
-                    col += ((flat // strides[jp]) % sizes[jp]) * pstride
-            else:
-                col = 0
-            values = values * net.table(node)[idx, col]
+        for node in self.order:
+            index = tuple(self.node_state_indices(n) for n in (*net.parents(node), node))
+            values = values * net.factor(node)[index]
         self.values = values
 
         ext = [n for n in self.order if n in net.external_nodes]
@@ -219,18 +214,8 @@ class _Enumeration:
 
     def group_values(self, net: "BaseNet") -> list[tuple[int, ...]]:
         """External component values for each group index, in group order."""
-        ext = self.external_order
-        sizes = [len(net.space.states(n)) for n in ext]
-        ext_strides = [1] * len(ext)
-        for j in range(len(ext) - 2, -1, -1):
-            ext_strides[j] = ext_strides[j + 1] * sizes[j + 1]
-        out = []
-        for g in range(self.n_ext):
-            vals: list[int] = []
-            for n, size, stride in zip(ext, sizes, ext_strides):
-                vals.extend(net.space.states(n)[(g // stride) % size])
-            out.append(tuple(vals))
-        return out
+        states = [net.space.states(n) for n in self.external_order]
+        return [sum(combo, ()) for combo in itertools.product(*states)]
 
     def component_column(self, net: "BaseNet", alpha: str) -> np.ndarray:
         node, k = net.space.owner(alpha)
@@ -239,7 +224,7 @@ class _Enumeration:
 
 
 class BaseNet:
-    """Graph + state space + one table per node. Treat as immutable."""
+    """Graph + state space + one factor per node. Treat as immutable."""
 
     dtype: type = np.float64
     kind = "classical"
@@ -250,27 +235,33 @@ class BaseNet:
         self.space = space
         self.pre_net = bool(pre_net)
         self.meta: dict[str, str] = dict(meta or {})
-        self._tables = {}
+        self._factors: dict[str, np.ndarray] = {}
         for node in graph.nodes:
             if node not in tables:
                 raise ValueError(f"missing table for node {node!r}")
             arr = np.asarray(tables[node], dtype=self.dtype)
-            n_states = len(space.states(node))
-            n_cols = self._n_columns(node)
+            shape = tuple(len(space.states(n)) for n in (*graph.parents(node), node))
+            n_cols = math.prod(shape[:-1])
             if arr.ndim == 1 and n_cols == 1:
-                arr = arr.reshape(n_states, 1)
-            if arr.shape != (n_states, n_cols):
+                arr = arr.reshape(shape[-1], 1)
+            if arr.shape != (shape[-1], n_cols):
                 raise ValueError(
-                    f"node {node!r}: table shape {arr.shape}, expected ({n_states}, {n_cols})"
+                    f"node {node!r}: table shape {arr.shape}, expected ({shape[-1]}, {n_cols})"
                 )
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._tables[node] = arr
-        if not self.pre_net and not is_acyclic(graph):
-            raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
+            # column c holds the parent states whose C-order flat index is c
+            factor = arr.T.reshape(shape).copy()
+            factor.flags.writeable = False
+            self._factors[node] = factor
+        try:
+            self._chron: tuple[str, ...] | None = chronological_labelling(graph)
+        except CyclicGraph:
+            if not self.pre_net:
+                raise CyclicGraph(
+                    "net graph has a directed cycle (use a pre-net for diagnostics)"
+                ) from None
+            self._chron = None
         self._enum_cache: _Enumeration | None = None
         self._plans: dict[tuple[str, ...], _Plan] = {}
-        self._factors: list[np.ndarray] | None = None
         self._columns: dict[str, tuple[int, np.ndarray]] = {}
 
     # -- construction -------------------------------------------------------
@@ -287,45 +278,28 @@ class BaseNet:
             {b.name: b.components for b in blocks},
             {b.name: b.states for b in blocks},
         )
-        tables = {}
-        for b in blocks:
-            if callable(b.table):
-                tables[b.name] = cls._tabulate(b, blocks, space)
-            else:
-                tables[b.name] = b.table
+        tables = {
+            b.name: cls._tabulate(b, space) if callable(b.table) else b.table for b in blocks
+        }
         return cls(graph, space, tables, meta=meta, pre_net=pre_net)
 
     @classmethod
-    def _tabulate(cls, block: NodeBlock, blocks: list[NodeBlock], space: StateSpace):
-        parent_states = [space.states(p) for p in block.parents]
-        n_cols = 1
-        for ps in parent_states:
-            n_cols *= len(ps)
-        arr = np.zeros((len(block.states), n_cols), dtype=cls.dtype)
-        for col, combo in enumerate(itertools.product(*parent_states)):
-            for row, state in enumerate(block.states):
-                arr[row, col] = block.table(state, combo)
-        return arr
-
-    def _n_columns(self, node: str) -> int:
-        n = 1
-        for p in self.graph.parents(node):
-            n *= len(self.space.states(p))
-        return n
+    def _tabulate(cls, block: NodeBlock, space: StateSpace) -> np.ndarray:
+        """The 2-D table of a callable block, one column per parent combo."""
+        combos = itertools.product(*[space.states(p) for p in block.parents])
+        rows = [[block.table(state, combo) for state in block.states] for combo in combos]
+        return np.array(rows, dtype=cls.dtype).T
 
     # -- structure ----------------------------------------------------------
 
     def node_order(self) -> tuple[str, ...]:
-        """Chronological order for acyclic nets, declared order for pre-nets."""
-        if self.pre_net and not is_acyclic(self.graph):
-            return self.graph.nodes
-        return self.chronological
+        """Chronological order for acyclic nets, declared order for cyclic pre-nets."""
+        return self.graph.nodes if self._chron is None else self._chron
 
     @property
     def chronological(self) -> tuple[str, ...]:
-        if not hasattr(self, "_chron"):
-            self._chron = chronological_labelling(self.graph)
-        return self._chron
+        """The chronological labelling; a cyclic pre-net raises CyclicGraph."""
+        return chronological_labelling(self.graph) if self._chron is None else self._chron
 
     @property
     def external_nodes(self) -> frozenset:
@@ -368,33 +342,27 @@ class BaseNet:
     def parents(self, node: str) -> tuple[str, ...]:
         return self.graph.parents(node)
 
+    def factor(self, node: str) -> np.ndarray:
+        """The node's stored table: a read-only array with one axis per
+        parent, in declared order, then one for the node's own states."""
+        return self._factors[node]
+
     def table(self, node: str) -> np.ndarray:
-        return self._tables[node]
+        """The node's table as (n_states, n_columns), one column per parent
+        state combo, the last parent fastest: a read-only view of the factor."""
+        factor = self._factors[node]
+        return factor.reshape(-1, factor.shape[-1]).T
 
-    def _parent_strides(self, node: str) -> list[int]:
-        parents = self.parents(node)
-        sizes = [len(self.space.states(p)) for p in parents]
-        strides = [1] * len(parents)
-        for k in range(len(parents) - 2, -1, -1):
-            strides[k] = strides[k + 1] * sizes[k + 1]
-        return strides
-
-    def column_index(self, node: str, parent_states: Sequence) -> int:
+    def entry(self, node: str, state, parent_states: Sequence = ()):
+        """One table value, addressed by state values (not indices)."""
+        row = self.space.state_index(node, state)
         parents = self.parents(node)
         if len(parent_states) != len(parents):
             raise ValueError(
                 f"node {node!r} has {len(parents)} parents, got {len(parent_states)} states"
             )
-        col = 0
-        for p, s, stride in zip(parents, parent_states, self._parent_strides(node)):
-            col += self.space.state_index(p, s) * stride
-        return col
-
-    def entry(self, node: str, state, parent_states: Sequence = ()):
-        """One table value, addressed by state values (not indices)."""
-        row = self.space.state_index(node, state)
-        col = self.column_index(node, parent_states)
-        return self._tables[node][row, col]
+        index = [self.space.state_index(p, s) for p, s in zip(parents, parent_states)]
+        return self._factors[node][(*index, row)]
 
     # -- joint values -------------------------------------------------------
 
@@ -531,23 +499,6 @@ def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
     return _Plan(tuple(compiled), peak, peak_nodes)
 
 
-def _factors(net: BaseNet) -> list[np.ndarray]:
-    """Each node table as an array with one axis per parent, then the node.
-
-    Table columns run over parent state combos in C-order with the last
-    parent fastest, so the transposed table reshapes straight onto axes in
-    declared parent order.
-    """
-    if net._factors is None:
-        out = []
-        for node in net.node_order():
-            table = net.table(node)
-            shape = [len(net.space.states(p)) for p in net.parents(node)]
-            out.append(np.ascontiguousarray(table.T).reshape(*shape, table.shape[0]))
-        net._factors = out
-    return net._factors
-
-
 def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
     plan = net._plans.get(open_nodes)
     if plan is None:
@@ -586,7 +537,7 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
             f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
             f"{plan.peak} index states, over the cap of {cap}"
         )
-    ops = list(_factors(net))
+    ops = [net.factor(n) for n in net.node_order()]
     for alpha, allowed in (fixed or {}).items():
         slot, values = _column(net, alpha)
         ops[slot] = ops[slot] * _allowed(values, allowed)

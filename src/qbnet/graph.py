@@ -107,31 +107,6 @@ def classify_nodes(graph: LabelledGraph) -> Classification:
     return Classification(tuple(internal), tuple(external), tuple(invalid))
 
 
-def is_acyclic(graph: LabelledGraph) -> bool:
-    """True when the internal arrows contain no directed cycle."""
-    color = {n: 0 for n in graph.nodes}  # 0 new, 1 on stack, 2 done
-    for start in graph.nodes:
-        if color[start]:
-            continue
-        stack = [(start, iter(graph.children(start)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == 1:
-                    return False
-                if color[child] == 0:
-                    color[child] = 1
-                    stack.append((child, iter(graph.children(child))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
 def chronological_labelling(graph: LabelledGraph) -> tuple[NodeId, ...]:
     """Order nodes so every internal arrow runs from earlier to later.
 
@@ -161,6 +136,15 @@ def chronological_labelling(graph: LabelledGraph) -> tuple[NodeId, ...]:
             candidates = sorted(set(candidates) | set(freed))
     order.reverse()
     return tuple(order)
+
+
+def is_acyclic(graph: LabelledGraph) -> bool:
+    """True when the internal arrows contain no directed cycle."""
+    try:
+        chronological_labelling(graph)
+    except CyclicGraph:
+        return False
+    return True
 
 
 def _reaches(graph: LabelledGraph, a: NodeId, b: NodeId) -> bool:

@@ -38,8 +38,9 @@ class LatticeSpec:
     """Box, grid, particle, and potential for a lattice run.
 
     length = n_x * dx and total_time = n_t * dt must hold; use ``make`` to
-    fill the products in automatically. The potential is a callable
-    V(x, t) evaluated at site positions x_s = s * dx.
+    fill the products in automatically. dx, dt, mass and hbar must be
+    positive and finite. The potential is a callable V(x, t) evaluated at
+    site positions x_s = s * dx.
     """
 
     length: float
@@ -58,6 +59,8 @@ class LatticeSpec:
         for name in ("dx", "dt", "mass", "hbar"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be positive")
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite")
         if abs(self.n_x * self.dx - self.length) > 1e-9 * max(1.0, abs(self.length)):
             raise InvalidParams("length must equal n_x * dx")
         if abs(self.n_t * self.dt - self.total_time) > 1e-9 * max(1.0, abs(self.total_time)):
@@ -91,6 +94,8 @@ class LatticeSpec:
 
 def potential_preset(name: str, length: float, strength: float = 1.0) -> Potential:
     """Standard potentials: free, harmonic (centered), square well walls."""
+    if not math.isfinite(strength):
+        raise InvalidParams(f"potential strength must be finite, got {strength!r}")
     if name == "free":
         return zero_potential
     if name == "harmonic":
@@ -113,13 +118,23 @@ class StepAmplitude:
         return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
 
 
+def _potential_values(spec: LatticeSpec, t: float) -> np.ndarray:
+    """V at every site at time t; InvalidParams if a value is not finite."""
+    x = spec.sites()
+    v = np.array([spec.potential(float(xs), t) for xs in x])
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise InvalidParams(f"potential is not finite at x={x[bad][0]:g}, t={t:g}")
+    return v
+
+
 def _hamiltonian(spec: LatticeSpec, t: float) -> np.ndarray:
     hop = spec.hbar**2 / (2.0 * spec.mass * spec.dx**2)
     n = spec.n_x
-    x = spec.sites()
+    v = _potential_values(spec, t)
     h = np.zeros((n, n))
     for s in range(n):
-        h[s, s] += 2.0 * hop + spec.potential(float(x[s]), t)
+        h[s, s] += 2.0 * hop + v[s]
         h[s, (s + 1) % n] -= hop
         h[s, (s - 1) % n] -= hop
     return h
@@ -143,7 +158,7 @@ def step_amplitudes_gaussian(spec: LatticeSpec, t: float = 0.0) -> StepAmplitude
     dtheta = spec.delta_theta()
     x = spec.sites()
     diff = x[:, None] - x[None, :]
-    v_row = np.array([spec.potential(float(xs), t) for xs in x])[:, None]
+    v_row = _potential_values(spec, t)[:, None]
     lagrangian = 0.5 * spec.mass * (diff / spec.dt) ** 2 - v_row
     amp = (
         math.sqrt(dtheta / math.pi)

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 import math
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .catalog import EvidenceCase
 from .classical import CBNet
@@ -134,20 +133,12 @@ def emit_net(net) -> str:
         lines.append("components " + " ".join(net.space.components(node)))
         lines.append("states " + " ".join(_fmt_state(s) for s in states))
         lines.append(("parents " + " ".join(parents)).rstrip())
-        table = net.table(node)
-        parent_states = [net.space.states(p) for p in parents]
-        columns = [()]
-        for ps in parent_states:
-            columns = [c + (s,) for c in columns for s in ps]
-        for col, combo in enumerate(columns):
-            for row, state in enumerate(states):
-                value = table[row, col]
-                if value == 0:
-                    continue
-                tokens = [_fmt_state(state)]
-                tokens += [_fmt_state(s) for s in combo]
-                tokens.append(_fmt_value(value, quantum))
-                lines.append("entry " + " ".join(tokens))
+        cells = itertools.product(*[net.space.states(p) for p in parents], states)
+        for (*combo, state), value in zip(cells, net.factor(node).flat):
+            if value == 0:
+                continue
+            tokens = [_fmt_state(s) for s in (state, *combo)]
+            lines.append("entry " + " ".join(tokens + [_fmt_value(value, quantum)]))
     return "\n".join(lines) + "\n"
 
 
@@ -289,21 +280,11 @@ def parse_net(text: str):
     blocks = []
     for draft in drafts:
         parent_states = [by_name[p].states for p in draft.parents]
-        n_cols = 1
-        for ps in parent_states:
-            n_cols *= len(ps)
-        dtype = complex if kind == "quantum" else float
-        table = np.zeros((len(draft.states), n_cols), dtype=dtype)
-        state_pos = {s: i for i, s in enumerate(draft.states)}
-        pos_maps = [{s: i for i, s in enumerate(ps)} for ps in parent_states]
-        strides = [1] * len(parent_states)
-        for i in range(len(parent_states) - 2, -1, -1):
-            strides[i] = strides[i + 1] * len(parent_states[i + 1])
-        filled = set()
+        values = {}  # (state, parent states) -> value
         for state, combo, value, lineno in draft.entries:
             if isinstance(value, complex) and kind != "quantum":
                 raise ParseError("a [re,im] value needs kind quantum", lineno)
-            if state not in state_pos:
+            if state not in draft.states:
                 raise ParseError(
                     f"entry state {_fmt_state(state)} not in the states line", lineno
                 )
@@ -312,25 +293,19 @@ def parse_net(text: str):
                     f"entry needs {len(parent_states)} parent states, got {len(combo)}",
                     lineno,
                 )
-            col = 0
-            for k, s in enumerate(combo):
-                if s not in pos_maps[k]:
+            for parent, states, s in zip(draft.parents, parent_states, combo):
+                if s not in states:
                     raise ParseError(
-                        f"parent state {_fmt_state(s)} not declared for "
-                        f"{draft.parents[k]!r}",
-                        lineno,
+                        f"parent state {_fmt_state(s)} not declared for {parent!r}", lineno
                     )
-                col += pos_maps[k][s] * strides[k]
-            key = (state_pos[state], col)
-            if key in filled:
+            if (state, combo) in values:
                 raise ParseError("duplicate entry", lineno)
-            filled.add(key)
-            table[key] = value
+            values[state, combo] = value
         blocks.append(
             NodeBlock(
                 draft.name,
                 list(draft.states),
-                table,
+                lambda state, combo, values=values: values.get((state, combo), 0),
                 parents=draft.parents,
                 components=draft.components,
             )

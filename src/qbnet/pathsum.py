@@ -16,6 +16,7 @@ is merely small.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -60,29 +61,23 @@ def enumerate_paths(net: BaseNet) -> list[Path]:
     state_lists = [net.space.states(n) for n in order]
     pos = {n: j for j, n in enumerate(order)}
     pure = complex if net.kind == "quantum" else float
-    node_info = []
-    for j, node in enumerate(order):
-        parent_pos = [pos[p] for p in net.parents(node)]
-        psizes = [len(state_lists[k]) for k in parent_pos]
-        strides = [1] * len(parent_pos)
-        for k in range(len(parent_pos) - 2, -1, -1):
-            strides[k] = strides[k + 1] * psizes[k + 1]
-        index = {s: i for i, s in enumerate(state_lists[j])}
-        node_info.append((net.table(node), index, parent_pos, strides))
+    # per node: a reader of its factor as a Python number, and the picker of
+    # its cell from a path's state-index tuple
+    reads = [
+        (net.factor(node).item, operator.itemgetter(*[pos[p] for p in net.parents(node)], j))
+        for j, node in enumerate(order)
+    ]
 
     paths = []
-    for combo in itertools.product(*state_lists):
+    for index in itertools.product(*[range(len(s)) for s in state_lists]):
         value = pure(1)
-        for j, (table, index, parent_pos, strides) in enumerate(node_info):
-            col = 0
-            for k, stride in zip(parent_pos, strides):
-                col += node_info[k][1][combo[k]] * stride
-            factor = pure(table[index[combo[j]], col])
-            if factor == 0:
+        for read, cell in reads:
+            entry = read(cell(index))
+            if entry == 0:
                 break
-            value *= factor
+            value *= entry
         else:
-            paths.append(Path(states=combo, value=value))
+            paths.append(Path(tuple(s[i] for s, i in zip(state_lists, index)), value))
     return paths
 
 

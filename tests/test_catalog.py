@@ -404,6 +404,18 @@ def test_build_rejects_unknown_entries_and_parameters():
     ):
         with pytest.raises(InvalidParams):
             build(entry_id, **params)
+    # every entry, classical or beam, names unknown parameters the same way
+    for entry in list_entries():
+        with pytest.raises(InvalidParams, match=r"^unknown parameters: \['bogus', 'zz'\]$"):
+            build(entry.id, zz=2, bogus=1)
+    # a wrongly typed value keeps the entry id in front of the builder's message
+    for entry_id, params in (
+        ("fig9-and", dict(p_x=1 + 1j)),
+        ("fig14-walk", dict(n=2.5)),
+        ("fig12-clauser-horne", dict(n_lambda="4")),
+    ):
+        with pytest.raises(InvalidParams, match=f"^bad parameters for {entry_id}: "):
+            build(entry_id, **params)
     with pytest.raises(InvalidParams):
         run_evidence_cases(build("fig9-and"))
     with pytest.raises(InvalidParams):

@@ -350,6 +350,28 @@ def test_lattice_gaussian_kernel_runs(capsys):
     assert "kernel gaussian" in out
 
 
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        ("--nx 3 --nt 1 --dx 1 --dt inf", "dt must be finite"),
+        ("--nx 3 --nt 1 --dx inf --dt 1", "dx must be finite"),
+        ("--nx 2 --nt 1 --dx 1 --dt 1 --hbar inf", "hbar must be finite"),
+        ("--nx 2 --nt 1 --dx 1 --dt 1 --mass inf", "mass must be finite"),
+        ("--nx 2 --nt 1 --dx 1 --dt 1 --potential well --strength inf", "strength must be finite"),
+        ("--nx 2 --nt 1 --dx 1 --dt 1 --potential harmonic --strength nan", "must be finite"),
+        (
+            "--nx 3 --nt 2 --dx 1 --dt 1 --kernel gaussian --potential well --strength=-inf",
+            "strength must be finite",
+        ),
+    ],
+)
+def test_lattice_rejects_non_finite_inputs(capsys, args, needle):
+    code, out, err = run(capsys, "lattice", *args.split())
+    assert code == 2
+    assert out == ""  # no nan or inf table
+    assert err.startswith("error: ") and needle in err
+
+
 def test_closed_pipe_exits_quietly(fig19_file):
     # piping into head must not leave a traceback behind
     script = f"{sys.executable} -m qbnet cases {fig19_file} --format csv | head -2"

@@ -182,3 +182,31 @@ def test_potential_presets():
     assert v(2.9, 0.0) == 9.0
     with pytest.raises(InvalidParams):
         potential_preset("cubic", length=1.0)
+
+
+@pytest.mark.parametrize("name", ["dx", "dt", "mass", "hbar"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_inputs(name, value):
+    args = dict(n_x=3, dx=1.0, n_t=1, dt=1.0, mass=1.0, hbar=1.0)
+    args[name] = value
+    with pytest.raises(InvalidParams, match=f"^{name} must be"):
+        LatticeSpec.make(**args)
+
+
+@pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
+@pytest.mark.parametrize("strength", [math.inf, -math.inf, math.nan])
+def test_potential_presets_reject_a_non_finite_strength(preset, strength):
+    with pytest.raises(InvalidParams, match="strength must be finite"):
+        potential_preset(preset, length=3.0, strength=strength)
+
+
+@pytest.mark.parametrize("kernel", [step_amplitudes_exact, step_amplitudes_gaussian])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_step_kernels_reject_a_non_finite_potential(kernel, bad):
+    spec = LatticeSpec.make(
+        n_x=3, dx=1.0, n_t=1, dt=0.5, potential=lambda x, t: bad if x > 1 else 0.0
+    )
+    with pytest.raises(InvalidParams, match="potential is not finite at x=2, t=0"):
+        kernel(spec)
+    with pytest.raises(InvalidParams, match="potential is not finite"):
+        propagate(spec, kernel=kernel)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbnet import catalog
-from qbnet.classical import total_mass, validate
+from qbnet.classical import CBNet, total_mass, validate
+from qbnet.core import NodeBlock
 from qbnet.errors import CyclicGraph, ParseError
 from qbnet.netfile import (
     emit_cases,
@@ -54,6 +55,48 @@ def test_random_nets_round_trip_exactly():
     for seed in range(30, 40):
         net = random_cbnet(seed, zero_frac=0.4)
         assert_same_net(net, parse_net(emit_net(net)))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_nets(draw):
+    """Classical or quantum nets of up to four nodes, each with one to three
+    components, its own state count and parents taken from earlier nodes in
+    any order; table entries are any finite number, or a structural zero."""
+    quantum = draw(st.booleans())
+    value = st.complex_numbers(allow_nan=False, allow_infinity=False) if quantum else FINITE
+    value = st.one_of(st.just(0), value)
+    blocks = []
+    for i in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 3))
+        state = st.tuples(*[st.integers(0, 3)] * width)
+        states = draw(st.lists(state, min_size=1, max_size=4, unique=True))
+        parents = draw(st.lists(st.sampled_from(blocks), unique_by=lambda b: b.name)) if i else []
+        n_cols = math.prod(len(p.states) for p in parents)
+        cells = draw(st.lists(value, min_size=len(states) * n_cols, max_size=len(states) * n_cols))
+        blocks.append(
+            NodeBlock(
+                f"n{i}",
+                states,
+                np.array(cells).reshape(len(states), n_cols),
+                parents=tuple(p.name for p in parents),
+                components=tuple(f"n{i}.c{k}" for k in range(width)),
+            )
+        )
+    return (QBNet if quantum else CBNet).from_blocks(blocks)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(random_nets())
+def test_emit_then_parse_reproduces_tables_bit_for_bit(net):
+    again = parse_net(emit_net(net))
+    assert_same_net(net, again)
+    for node in net.graph.nodes:
+        # a zero entry of either sign is left out of the file and reads back as +0
+        want = np.where(net.factor(node) == 0, 0, net.factor(node))
+        assert want.tobytes() == again.factor(node).tobytes()
 
 
 def test_emission_is_byte_stable():
@@ -159,6 +202,54 @@ def test_entry_column_order_tracks_parent_declaration():
     )
     net = parse_net(text)
     assert np.array_equal(net.table("c"), [[0.0, 0.0, 7.0, 0.0]])
+
+
+# c under parents a (2 states) and b (3 states): value of (c, a, b), listed
+# in no particular order
+TWO_PARENT_VALUES = {
+    (1, 1, 2): 12.0, (0, 0, 1): 1.0, (1, 0, 0): 6.0, (0, 1, 2): 5.0,
+    (0, 1, 0): 3.0, (1, 0, 2): 8.0, (0, 0, 0): 0.5, (1, 1, 1): 11.0,
+    (0, 0, 2): 2.0, (1, 1, 0): 9.0, (0, 1, 1): 4.0, (1, 0, 1): 7.0,
+}
+
+
+def two_parent_text(kind):
+    value = (lambda v: f"[{v},{-v}]") if kind == "quantum" else str
+    lines = ["qbnet 1", f"kind {kind}"]
+    for name, n in (("a", 2), ("b", 3)):
+        lines += [f"node {name}", "states " + " ".join(f"({i})" for i in range(n)), "parents"]
+        lines += [f"entry ({i}) {value(1.0)}" for i in range(n)]
+    lines += ["node c", "states (0) (1)", "parents a b"]
+    lines += [f"entry ({k}) ({i}) ({j}) {value(v)}" for (k, i, j), v in TWO_PARENT_VALUES.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_factor_axes_are_parents_then_node(kind):
+    want = {key: complex(v, -v) if kind == "quantum" else v for key, v in TWO_PARENT_VALUES.items()}
+    net = parse_net(two_parent_text(kind))
+    factor, table = net.factor("c"), net.table("c")
+    assert factor.shape == (2, 3, 2) and table.shape == (2, 6)
+    for (k, i, j), v in want.items():
+        assert factor[i, j, k] == table[k, 3 * i + j] == v
+        assert net.entry("c", (k,), [(i,), (j,)]) == v
+    for arr in (factor, table):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    # a 2-D table handed to NodeBlock lands on the same axes
+    cls = QBNet if kind == "quantum" else CBNet
+    grid = np.arange(12.0).reshape(2, 6)
+    built = cls.from_blocks(
+        [
+            NodeBlock("a", [0, 1], [1.0, 0.0]),
+            NodeBlock("b", [0, 1, 2], [1.0, 0.0, 0.0]),
+            NodeBlock("c", [0, 1], grid, parents=("a", "b")),
+        ]
+    )
+    for k, i, j in TWO_PARENT_VALUES:
+        assert built.factor("c")[i, j, k] == grid[k, 3 * i + j]
+    assert np.array_equal(built.table("c"), grid)
 
 
 def test_pi_literals_in_entry_values():
