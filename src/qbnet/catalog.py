@@ -2,7 +2,12 @@
 
 The classical entries are small teaching nets: logic gates, constraint
 nodes, a hidden-variable pair experiment, and a one-dimensional random
-walk. The quantum entries are single-particle beam experiments with two or
+walk. Apart from the two-node cycle, every non-root node is one of two
+kinds: a function node, whose state is a deterministic function of its
+parents' values, or a Bernoulli node, a noisy detector that reads 1 with
+a probability set by its parents' values.
+
+The quantum entries are single-particle beam experiments with two or
 three splitting magnets wired in different layouts: trees where each beam
 is seen at most once, loops where beams recombine, and recombining layouts
 that need an inline phase to stay normalized.
@@ -92,60 +97,59 @@ def _binary_root(name: str, p_one: float) -> NodeBlock:
     return NodeBlock(name, [0, 1], [1.0 - p_one, p_one])
 
 
-def build_and_gate(p_x=0.5, p_y=0.5) -> CBNet:
-    def gate(state, parents):
-        (x,), (y,) = parents
-        return 1.0 if state[0] == (x & y) else 0.0
+def _hidden_cause(n_lambda: int, settings=()) -> list[NodeBlock]:
+    """The roots of a hidden-cause pair: a binary root per (name, P(1))
+    setting, then ``lambda`` over 0..n-1 with P(k) proportional to k + 1."""
+    if n_lambda < 1:
+        raise InvalidParams("n_lambda must be >= 1")
+    total = n_lambda * (n_lambda + 1) // 2
+    return [
+        *(_binary_root(name, p_one) for name, p_one in settings),
+        NodeBlock("lambda", list(range(n_lambda)), [(k + 1) / total for k in range(n_lambda)]),
+    ]
 
-    return CBNet.from_blocks(
-        [
-            _binary_root("x", p_x),
-            _binary_root("y", p_y),
-            NodeBlock("z", [0, 1], gate, parents=("x", "y")),
-        ],
-        meta={"catalog": "fig9-and"},
-    )
+
+def _function_node(name: str, states, parents, f) -> NodeBlock:
+    """A deterministic node: its state is ``f(*parent values)``."""
+
+    def table(state, parent_states):
+        return 1.0 if state[0] == f(*(s[0] for s in parent_states)) else 0.0
+
+    return NodeBlock(name, states, table, parents=parents)
+
+
+def _bernoulli_node(name: str, parents, p) -> NodeBlock:
+    """A noisy detector: 1 with probability ``p(*parent values)``, else 0."""
+
+    def table(state, parent_states):
+        p_one = p(*(s[0] for s in parent_states))
+        return p_one if state[0] == 1 else 1.0 - p_one
+
+    return NodeBlock(name, [0, 1], table, parents=parents)
+
+
+def _two_bit_net(catalog_id: str, p_x, p_y, z: NodeBlock) -> CBNet:
+    """Random bits x and y feeding the node z."""
+    roots = [_binary_root("x", p_x), _binary_root("y", p_y)]
+    return CBNet.from_blocks([*roots, z], meta={"catalog": catalog_id})
+
+
+def build_and_gate(p_x=0.5, p_y=0.5) -> CBNet:
+    z = _function_node("z", [0, 1], ("x", "y"), lambda x, y: x & y)
+    return _two_bit_net("fig9-and", p_x, p_y, z)
 
 
 def build_sum_node(p_x=0.5, p_y=0.5) -> CBNet:
-    def total(state, parents):
-        (x,), (y,) = parents
-        return 1.0 if state[0] == x + y else 0.0
-
-    return CBNet.from_blocks(
-        [
-            _binary_root("x", p_x),
-            _binary_root("y", p_y),
-            NodeBlock("z", [0, 1, 2], total, parents=("x", "y")),
-        ],
-        meta={"catalog": "fig10-sum"},
-    )
+    z = _function_node("z", [0, 1, 2], ("x", "y"), lambda x, y: x + y)
+    return _two_bit_net("fig10-sum", p_x, p_y, z)
 
 
 def build_if_then(p_x=0.5, p_y=0.5, when_false=0.5) -> CBNet:
     """z = (if x then y); rows with x = 0 are left at an arbitrary split."""
     if not 0.0 <= when_false <= 1.0:
         raise InvalidParams("when_false must be in [0,1]")
-
-    def implies(state, parents):
-        (x,), (y,) = parents
-        if x:
-            return 1.0 if state[0] == y else 0.0
-        return when_false if state[0] == 1 else 1.0 - when_false
-
-    return CBNet.from_blocks(
-        [
-            _binary_root("x", p_x),
-            _binary_root("y", p_y),
-            NodeBlock("z", [0, 1], implies, parents=("x", "y")),
-        ],
-        meta={"catalog": "fig11-ifthen"},
-    )
-
-
-def _lambda_prior(n: int) -> list[float]:
-    total = n * (n + 1) // 2
-    return [(k + 1) / total for k in range(n)]
+    z = _bernoulli_node("z", ("x", "y"), lambda x, y: float(y) if x else when_false)
+    return _two_bit_net("fig11-ifthen", p_x, p_y, z)
 
 
 def build_hidden_pair(n_lambda=4) -> CBNet:
@@ -155,22 +159,11 @@ def build_hidden_pair(n_lambda=4) -> CBNet:
     P(x1, x2) = sum_l P(x1|l) P(x2|l) P(l) can be checked on concrete
     numbers; nothing depends on the specific values.
     """
-    if n_lambda < 1:
-        raise InvalidParams("n_lambda must be >= 1")
-
-    def det1(state, parents):
-        p = (parents[0][0] + 1) / (n_lambda + 1)
-        return p if state[0] == 1 else 1.0 - p
-
-    def det2(state, parents):
-        p = 1.0 / (parents[0][0] + 2)
-        return p if state[0] == 1 else 1.0 - p
-
     return CBNet.from_blocks(
         [
-            NodeBlock("lambda", list(range(n_lambda)), _lambda_prior(n_lambda)),
-            NodeBlock("x1", [0, 1], det1, parents=("lambda",)),
-            NodeBlock("x2", [0, 1], det2, parents=("lambda",)),
+            *_hidden_cause(n_lambda),
+            _bernoulli_node("x1", ("lambda",), lambda lam: (lam + 1) / (n_lambda + 1)),
+            _bernoulli_node("x2", ("lambda",), lambda lam: 1.0 / (lam + 2)),
         ],
         meta={"catalog": "fig12-clauser-horne", "n_lambda": str(n_lambda)},
     )
@@ -178,26 +171,13 @@ def build_hidden_pair(n_lambda=4) -> CBNet:
 
 def build_hidden_pair_with_settings(n_lambda=4, p_t1=0.5, p_t2=0.5) -> CBNet:
     """The hidden-cause pair with randomized detector settings."""
-    if n_lambda < 1:
-        raise InvalidParams("n_lambda must be >= 1")
-
-    def det1(state, parents):
-        (t,), (lam,) = parents
-        p = (lam + 1 + t) / (n_lambda + 2)
-        return p if state[0] == 1 else 1.0 - p
-
-    def det2(state, parents):
-        (t,), (lam,) = parents
-        p = (lam + 1 + 2 * t) / (n_lambda + 3)
-        return p if state[0] == 1 else 1.0 - p
-
     return CBNet.from_blocks(
         [
-            _binary_root("theta1", p_t1),
-            _binary_root("theta2", p_t2),
-            NodeBlock("lambda", list(range(n_lambda)), _lambda_prior(n_lambda)),
-            NodeBlock("x1", [0, 1], det1, parents=("theta1", "lambda")),
-            NodeBlock("x2", [0, 1], det2, parents=("theta2", "lambda")),
+            *_hidden_cause(n_lambda, [("theta1", p_t1), ("theta2", p_t2)]),
+            _bernoulli_node("x1", ("theta1", "lambda"), lambda t, k: (k + 1 + t) / (n_lambda + 2)),
+            _bernoulli_node(
+                "x2", ("theta2", "lambda"), lambda t, k: (k + 1 + 2 * t) / (n_lambda + 3)
+            ),
         ],
         meta={"catalog": "fig13-clauser-horne", "n_lambda": str(n_lambda)},
     )
@@ -213,25 +193,15 @@ def build_random_walk(n=4, p_plus=0.5) -> CBNet:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= p_plus <= 1.0:
         raise InvalidParams("p_plus must be in [0,1]")
-
-    def mover(state, parents):
-        (x,), (d,) = parents
-        return 1.0 if state[0] == x + d else 0.0
-
     blocks = [NodeBlock("x0", [0], [1.0])]
     for j in range(1, n + 1):
-        blocks.append(NodeBlock(f"dx{j}", [-1, 1], [1.0 - p_plus, p_plus]))
-        blocks.append(
-            NodeBlock(
-                f"x{j}",
-                list(range(-j, j + 1, 2)),
-                mover,
-                parents=(f"x{j-1}", f"dx{j}"),
-            )
-        )
-    return CBNet.from_blocks(
-        blocks, meta={"catalog": "fig14-walk", "n": str(n), "p_plus": repr(p_plus)}
-    )
+        positions = list(range(-j, j + 1, 2))
+        blocks += [
+            NodeBlock(f"dx{j}", [-1, 1], [1.0 - p_plus, p_plus]),
+            _function_node(f"x{j}", positions, (f"x{j-1}", f"dx{j}"), lambda x, d: x + d),
+        ]
+    meta = {"catalog": "fig14-walk", "n": str(n), "p_plus": repr(p_plus)}
+    return CBNet.from_blocks(blocks, meta=meta)
 
 
 def build_two_cycle() -> CBNet:

@@ -328,13 +328,16 @@ def cmd_lattice(args) -> int:
         hbar=args.hbar,
         potential=potential_preset(args.potential, length, args.strength),
     )
-    psi = propagate(spec, kernel=args.kernel)
-    probs = np.abs(psi) ** 2
+    with np.errstate(all="ignore"):  # an overflow fails the finite check below
+        probs = np.abs(propagate(spec, kernel=args.kernel)) ** 2
+        total = probs.sum()
+    if not np.isfinite(total):
+        raise InvalidParams(f"site probabilities must be finite, got total {float(total)!r}")
     print(
         f"lattice {args.nx} sites x {args.nt} steps, kernel {args.kernel}, "
         f"potential {args.potential}"
     )
-    print(f"total {_num(probs.sum())}")
+    print(f"total {_num(total)}")
     for s, x in enumerate(spec.sites()):
         print(f"site {s}  x {_num(x)}  p {_num(probs[s])}")
     return EXIT_OK

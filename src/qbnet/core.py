@@ -325,14 +325,6 @@ class BaseNet:
         return tuple(out)
 
     @property
-    def internal_components(self) -> tuple[str, ...]:
-        out = []
-        for n in self.node_order():
-            if n not in self.external_nodes:
-                out.extend(self.space.components(n))
-        return tuple(out)
-
-    @property
     def all_components(self) -> tuple[str, ...]:
         out = []
         for n in self.node_order():

@@ -39,8 +39,9 @@ class LatticeSpec:
 
     length = n_x * dx and total_time = n_t * dt must hold; use ``make`` to
     fill the products in automatically. dx, dt, mass and hbar must be
-    positive and finite. The potential is a callable V(x, t) evaluated at
-    site positions x_s = s * dx.
+    positive and finite; the kernels also need the hop term and dtheta
+    derived from them to be. The potential is a callable V(x, t)
+    evaluated at site positions x_s = s * dx.
     """
 
     length: float
@@ -88,8 +89,23 @@ class LatticeSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.n_t + 1) * self.dt
 
+    def hop(self) -> float:
+        """The hopping energy hbar^2 / (2 m dx^2) of the three-point Laplacian."""
+        with np.errstate(all="ignore"):
+            hop = np.float64(self.hbar) ** 2 / (2.0 * self.mass * np.float64(self.dx) ** 2)
+        return _finite_positive("hop term hbar^2/(2 m dx^2)", hop)
+
     def delta_theta(self) -> float:
-        return self.mass * self.dx**2 / (2.0 * self.hbar * self.dt)
+        with np.errstate(all="ignore"):
+            dtheta = self.mass * np.float64(self.dx) ** 2 / (2.0 * self.hbar * self.dt)
+        return _finite_positive("dtheta = m dx^2/(2 hbar dt)", dtheta)
+
+
+def _finite_positive(name: str, value) -> float:
+    """``value`` as a float; InvalidParams unless it is finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise InvalidParams(f"{name} must be finite and positive, got {float(value)!r}")
+    return float(value)
 
 
 def potential_preset(name: str, length: float, strength: float = 1.0) -> Potential:
@@ -113,6 +129,10 @@ class StepAmplitude:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        if not np.isfinite(self.matrix).all():
+            raise InvalidParams("step amplitudes must be finite")
+
     def unitarity_defect(self) -> float:
         a = self.matrix
         return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
@@ -129,7 +149,7 @@ def _potential_values(spec: LatticeSpec, t: float) -> np.ndarray:
 
 
 def _hamiltonian(spec: LatticeSpec, t: float) -> np.ndarray:
-    hop = spec.hbar**2 / (2.0 * spec.mass * spec.dx**2)
+    hop = spec.hop()
     n = spec.n_x
     v = _potential_values(spec, t)
     h = np.zeros((n, n))
@@ -137,6 +157,8 @@ def _hamiltonian(spec: LatticeSpec, t: float) -> np.ndarray:
         h[s, s] += 2.0 * hop + v[s]
         h[s, (s + 1) % n] -= hop
         h[s, (s - 1) % n] -= hop
+    if not np.isfinite(h).all():
+        raise InvalidParams("Hamiltonian entries must be finite")
     return h
 
 
@@ -144,7 +166,8 @@ def step_amplitudes_exact(spec: LatticeSpec, t: float = 0.0) -> StepAmplitude:
     """exp(-i dt H / hbar) for the discretized Hamiltonian at time t."""
     h = _hamiltonian(spec, t)
     evals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * spec.dt * evals / spec.hbar)
+    with np.errstate(all="ignore"):  # an overflow fails StepAmplitude's finite check
+        phases = np.exp(-1j * spec.dt * evals / spec.hbar)
     return StepAmplitude((vecs * phases) @ vecs.conj().T)
 
 
@@ -159,12 +182,13 @@ def step_amplitudes_gaussian(spec: LatticeSpec, t: float = 0.0) -> StepAmplitude
     x = spec.sites()
     diff = x[:, None] - x[None, :]
     v_row = _potential_values(spec, t)[:, None]
-    lagrangian = 0.5 * spec.mass * (diff / spec.dt) ** 2 - v_row
-    amp = (
-        math.sqrt(dtheta / math.pi)
-        * np.exp(-0.25j * math.pi)
-        * np.exp(1j * spec.dt * lagrangian / spec.hbar)
-    )
+    with np.errstate(all="ignore"):  # an overflow fails StepAmplitude's finite check
+        lagrangian = 0.5 * spec.mass * (diff / spec.dt) ** 2 - v_row
+        amp = (
+            math.sqrt(dtheta / math.pi)
+            * np.exp(-0.25j * math.pi)
+            * np.exp(1j * spec.dt * lagrangian / spec.hbar)
+        )
     return StepAmplitude(amp)
 
 

@@ -102,7 +102,8 @@ class InitialWavefunction:
     psi10: complex
 
     def __post_init__(self):
-        norm = abs(self.psi01) ** 2 + abs(self.psi10) ** 2
+        # a product, unlike ** 2, overflows a Python float to inf without raising
+        norm = abs(self.psi01) * abs(self.psi01) + abs(self.psi10) * abs(self.psi10)
         if not abs(norm - 1.0) <= EPS_STATE:
             raise InvalidParams(f"|psi01|^2+|psi10|^2 is {norm!r}, not 1")
 

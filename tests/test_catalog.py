@@ -66,6 +66,25 @@ def test_gate_nets_hand_probabilities():
     want = 0.5 * 0.25 + 0.5 * 0.5
     assert abs(chi_classical(net, {"z": 1}) - want) < 1e-12
 
+    # the tables themselves; columns are (x, y) = 00, 01, 10, 11, or the
+    # parent combos in declared order, last parent fastest
+    tables = {
+        ("fig9-and", "z", ()): [[1, 1, 1, 0], [0, 0, 0, 1]],
+        ("fig10-sum", "z", ()): [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+        # an asymmetric split for x = 0 tells the two Bernoulli rows apart
+        ("fig11-ifthen", "z", (("when_false", 0.2),)): [[0.8, 0.8, 1, 0], [0.2, 0.2, 0, 1]],
+        # P(x1=1 | lambda) = (lambda + 1) / 4
+        ("fig12-clauser-horne", "x1", (("n_lambda", 3),)): [[0.75, 0.5, 0.25], [0.25, 0.5, 0.75]],
+        # P(x1=1 | theta1, lambda) = (lambda + 1 + theta1) / 4
+        ("fig13-clauser-horne", "x1", (("n_lambda", 2),)): [
+            [0.75, 0.5, 0.5, 0.25],
+            [0.25, 0.5, 0.5, 0.75],
+        ],
+    }
+    for (entry_id, node, params), want in tables.items():
+        table = build(entry_id, **dict(params)).table(node)
+        assert table.tolist() == want, entry_id
+
 
 def test_hidden_pair_factorizations():
     """The two-detector nets factor through the hidden node, exactly."""

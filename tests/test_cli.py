@@ -1,12 +1,19 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbnet import catalog
 from qbnet.cli import main
 from qbnet.netfile import emit_cases, emit_net, read_net
+
+from test_netfile import CATALOG_TEXTS, mutated_catalog_texts
 
 
 @pytest.fixture()
@@ -316,6 +323,8 @@ def test_catalog_build_takes_typed_params(capsys):
         ("fig9-and", "p_x=1+1j"),
         ("fig14-walk", "n=2.5"),
         ("fig9-and", "bogus=1"),
+        ("fig27", "psi01=1e200"),
+        ("fig18", "psi10=1e155"),
     ):
         code, out, err = run(capsys, "catalog", "build", entry_id, "--param", param)
         assert code == 2, (entry_id, param)
@@ -372,6 +381,28 @@ def test_lattice_rejects_non_finite_inputs(capsys, args, needle):
     assert err.startswith("error: ") and needle in err
 
 
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        ("--nx 3 --nt 1 --dx 1e-200 --dt 1", "hop term"),
+        ("--nx 3 --nt 1 --dx 1e200 --dt 1 --kernel gaussian", "dtheta"),
+        ("--nx 3 --nt 1 --dx 1 --dt 1 --hbar 1e200", "hop term"),
+        ("--nx 3 --nt 1 --dx 1 --dt 1 --mass 1e-320", "hop term"),
+        ("--nx 3 --nt 1 --dx 1 --dt 1 --mass 5e-309", "Hamiltonian"),
+        ("--nx 6 --nt 2 --dx 1 --dt 1e308", "step amplitudes"),
+        ("--nx 1 --nt 1 --dx 1 --dt 1e-320 --kernel gaussian", "dtheta"),
+        ("--nx 8 --nt 2 --dx 1e100 --dt 1 --kernel gaussian", "site probabilities"),
+        ("--nx 8 --nt 3 --dx 1e150 --dt 1 --kernel gaussian", "site probabilities"),
+    ],
+)
+def test_lattice_rejects_extreme_derived_quantities(capsys, args, needle):
+    code, out, err = run(capsys, "lattice", *args.split())
+    assert code == 2
+    assert out == ""  # no nan or inf table
+    assert err.startswith("error: ") and needle in err
+    assert "must be finite" in err
+
+
 def test_closed_pipe_exits_quietly(fig19_file):
     # piping into head must not leave a traceback behind
     script = f"{sys.executable} -m qbnet cases {fig19_file} --format csv | head -2"
@@ -384,3 +415,105 @@ def test_closed_pipe_exits_quietly(fig19_file):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# Any argv: an exit code, never a traceback, never a non-finite number
+
+
+EXTREMES = ["5e-324", "1e-320", "1e-200", "1e-160", "1e-10", "0.5", "1", "3", "1e10", "1e100",
+            "1e150", "1e155", "1e200", "1e300", "1e308"]
+FLOATS = st.one_of(
+    st.sampled_from(EXTREMES),
+    st.floats(min_value=0.0, exclude_min=True).map(repr),
+    st.floats().map(repr),
+)
+NUMBERS = st.one_of(FLOATS, st.sampled_from(["0", "-1", "nan", "-inf", "1+1j", "pi/3", "x", ""]))
+PARAMS = st.sampled_from(
+    ["p_x", "p_y", "when_false", "n_lambda", "p_t1", "p_t2", "n", "p_plus", "psi01", "psi10",
+     "theta_z", "theta_u", "theta_v", "xi", "bogus"]
+)
+# small integers only: n and n_lambda size the tables they build
+PARAM_VALUES = st.one_of(NUMBERS, st.sampled_from(["0", "1", "2", "3"]))
+NET_TEXTS = st.one_of(st.sampled_from(sorted(CATALOG_TEXTS.values())), mutated_catalog_texts())
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, files): argv for one subcommand, naming files under "{dir}"."""
+    command = draw(st.sampled_from(["validate", "query", "cases", "paths", "catalog", "lattice"]))
+    if command == "cases":
+        text = draw(st.one_of(st.sampled_from(["fig18", "fig27"]).map(CATALOG_TEXTS.get), NET_TEXTS))
+    else:
+        text = draw(NET_TEXTS)
+    files = {"net.qbn": text}
+    net = "{dir}/net.qbn"
+    names = re.findall(r"^components (.*)$", text, re.MULTILINE)
+    comps = st.sampled_from(sorted({c for line in names for c in line.split()}) + ["nope"])
+    values = st.sampled_from(["0", "1", "0", "1", "2", "{0,1}", "{}", "x"])
+    if command in ("validate", "paths"):
+        return [command, net], files
+    if command == "query":
+        hyp = ",".join(
+            c + draw(st.sampled_from(["", "", "=0", "=1", "=7"]))
+            for c in draw(st.lists(comps, min_size=1, max_size=2))
+        )
+        evidence = ",".join(f"{c}={draw(values)}" for c in draw(st.lists(comps, max_size=2)))
+        mode = draw(st.sampled_from(["classical", "quantum", "pathsum"]))
+        argv = ["query", net, f"--hypothesis={hyp}", f"--evidence={evidence}", f"--mode={mode}"]
+        return argv + draw(st.sampled_from([[], ["--fqna"]])), files
+    if command == "cases":
+        header = draw(st.lists(comps, min_size=1, max_size=3))
+        rows = [
+            ",".join([draw(st.sampled_from(["1", "2", "x"]))]
+                     + [draw(st.sampled_from(["", "0", "1", '"{0,1}"', "2"])) for _ in header])
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        files["cases.csv"] = "\n".join([",".join(["case", *header]), *rows]) + "\n"
+        fmt = draw(st.sampled_from(["table", "csv"]))
+        return ["cases", net, "{dir}/cases.csv", "--hypotheses=singles", f"--format={fmt}"], files
+    if command == "catalog":
+        if draw(st.integers(0, 9)) == 0:
+            return ["catalog", "list"], files
+        entry = draw(st.sampled_from([e.id for e in catalog.list_entries()] + ["fig9", "nope"]))
+        params = draw(st.lists(st.tuples(PARAMS, PARAM_VALUES), max_size=3))
+        argv = ["catalog", "build", entry, *(f"--param={k}={v}" for k, v in params)]
+        return argv + draw(st.sampled_from([[], ["-o", "{dir}/out.qbn"]])), files
+    # the propagation is dense: n_x**2 floats per step, so keep the box small
+    argv = [
+        "lattice",
+        f"--nx={draw(st.integers(0, 8))}",
+        f"--nt={draw(st.integers(1, 3))}",
+        *(f"--{flag}={draw(FLOATS)}" for flag in ("dx", "dt")),
+        f"--kernel={draw(st.sampled_from(['exact', 'gaussian']))}",
+        f"--potential={draw(st.sampled_from(['free', 'harmonic', 'well']))}",
+    ]
+    for flag in ("mass", "hbar", "strength"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(FLOATS)}")
+    return argv, files
+
+
+NON_FINITE = re.compile(r"(?<![A-Za-z_])(nan|inf)(?:j\b|(?![A-Za-z_]))", re.IGNORECASE)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_calls())
+def test_cli_never_escapes_and_never_prints_a_non_finite_number(tmp_path_factory, call):
+    argv, files = call
+    work = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    work.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (work / name).write_text(text)
+    argv = [a.replace("{dir}", str(work)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    # a mutated net file may name a node "nan" or "inf"; only numbers count
+    names = {t for text in files.values() for t in re.split(r"[\s,=]+", text)}
+    bad = [m.group(0) for m in NON_FINITE.finditer(out.getvalue()) if m.group(1) not in names]
+    assert not bad, (argv, out.getvalue())

@@ -8,6 +8,7 @@ import pytest
 from qbnet.errors import InvalidParams, StateSpaceTooLarge
 from qbnet.lattice import (
     LatticeSpec,
+    StepAmplitude,
     build_lattice_net,
     potential_preset,
     propagate,
@@ -210,3 +211,32 @@ def test_step_kernels_reject_a_non_finite_potential(kernel, bad):
         kernel(spec)
     with pytest.raises(InvalidParams, match="potential is not finite"):
         propagate(spec, kernel=kernel)
+
+
+def test_derived_step_quantities_are_checked():
+    spec = LatticeSpec.make(n_x=3, dx=0.3, n_t=1, dt=0.7, mass=1.3, hbar=0.9)
+    assert spec.hop() == 0.9**2 / (2.0 * 1.3 * 0.3**2)
+    assert spec.delta_theta() == 1.3 * 0.3**2 / (2.0 * 0.9 * 0.7)
+    # squares that under- or overflow: the hop term or dtheta leaves (0, inf)
+    for args, method in (
+        (dict(dx=1e-200), "hop"),
+        (dict(hbar=1e200), "hop"),
+        (dict(mass=1e-320), "hop"),
+        (dict(dx=1e200), "delta_theta"),
+        (dict(dx=1e-200), "delta_theta"),
+        (dict(dt=1e-320), "delta_theta"),
+    ):
+        spec = LatticeSpec.make(**{**dict(n_x=3, dx=1.0, n_t=1, dt=1.0), **args})
+        with pytest.raises(InvalidParams, match="must be finite and positive"):
+            getattr(spec, method)()
+        kernel = step_amplitudes_exact if method == "hop" else step_amplitudes_gaussian
+        with pytest.raises(InvalidParams, match="must be finite and positive"):
+            build_lattice_net(spec, kernel=kernel)
+
+
+def test_step_amplitudes_must_be_finite():
+    with pytest.raises(InvalidParams, match="step amplitudes must be finite"):
+        StepAmplitude(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    spec = LatticeSpec.make(n_x=6, dx=1.0, n_t=2, dt=1e308)
+    with pytest.raises(InvalidParams, match="step amplitudes must be finite"):
+        propagate(spec)
