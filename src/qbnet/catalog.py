@@ -48,10 +48,10 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import CBNet, chi_classical
-from .core import NodeBlock, distribution, normalize, value_blocks, value_set
+from .classical import CBNet
+from .core import NodeBlock, Weights, normalize, value_set
 from .errors import ContradictoryEvidence, InvalidParams, UnknownEntry
-from .quantum import QBNet, chi, parent_cb_net
+from .quantum import QBNet, chi, parent_cb_net  # noqa: F401  (perfbench traces catalog.chi)
 from .spin import (
     MAGNET_STATES,
     InitialWavefunction,
@@ -486,7 +486,8 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
 
     Returns one CaseResult per case. A case whose evidence is impossible
     is marked no_output with no rows; errors inside individual rows are
-    recorded and the run continues.
+    recorded and the run continues. Each case reads every row off one
+    ``Weights`` on the quantum net and one on its parent.
     """
     if not isinstance(net, QBNet):
         raise InvalidParams("run_evidence_cases expects a quantum net")
@@ -511,19 +512,20 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
         if unknown:
             result.errors.append(f"unknown components {sorted(unknown)}")
             continue
-        qb_base = chi(net, evidence)
-        cb_base = chi_classical(parent, evidence) if qb_base else 0.0
+        qb_weights = Weights(net, comps, evidence)
+        qb_base = qb_weights.total()
+        cb_weights = Weights(parent, comps, evidence) if qb_base else None
+        cb_base = cb_weights.total() if qb_base else 0.0
         if cb_base == 0.0:
             result.no_output = True
             continue
         for hyp in sets:
             try:
-                blocks = value_blocks(net, hyp)
-                qb, qb_total = distribution(chi, net, blocks, evidence)
-                cb, cb_total = distribution(chi_classical, parent, blocks, evidence)
+                qb, cb = qb_weights.combos(hyp), cb_weights.combos(hyp)
+                qb_total, cb_total = sum(qb), sum(cb)
                 row = HypothesisRow(
                     hyp,
-                    tuple(tuple(b.values()) for b in blocks),
+                    tuple(itertools.product(*map(net.space.component_values, hyp))),
                     tuple(normalize(cb, cb_total, evidence)),
                     tuple(normalize(qb, qb_total, evidence)),
                     cb_total / cb_base,

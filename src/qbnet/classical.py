@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, StateSpace, conditional, contract, external_map
+from .core import BaseNet, NodeBlock, StateSpace, Weights, conditional, contract, external_map
 from .graph import classify_nodes, is_acyclic
 
 EPS_NORM = 1e-9
@@ -99,7 +99,7 @@ def classical_conditional(
     net: CBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence) with both given as {component: value}."""
-    return conditional(chi_classical, net, hypothesis, evidence)
+    return conditional(Weights, net, hypothesis, evidence)
 
 
 def validate(net: CBNet) -> ValidationReport:

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import catalog
-from .classical import chi_classical, validate
-from .core import base_weight, check_query, distribution, normalize, value_blocks
+from .classical import validate
+from .core import Weights, check_query, normalize, value_blocks
 from .errors import (
     ContradictoryEvidence,
     InvalidParams,
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .lattice import LatticeSpec, potential_preset, propagate
 from .netfile import emit_net, parse_number, parse_value_cell, read_cases, read_net
-from .pathsum import classify_paths, path_chi
-from .quantum import QBNet, chi, parent_cb_net, validate_quantum
+from .pathsum import PathWeights, classify_paths
+from .quantum import QBNet, parent_cb_net, validate_quantum
 
 CONTRADICTION_MARK = "** contradictory evidence: no output **"
 
@@ -130,7 +130,7 @@ def cmd_query(args) -> int:
         raise InvalidParams("quantum mode needs a quantum net file")
     if args.mode == "classical" and isinstance(net, QBNet):
         net = parent_cb_net(net)
-    chi_fn = {"quantum": chi, "classical": chi_classical, "pathsum": path_chi}[args.mode]
+    engine = PathWeights if args.mode == "pathsum" else Weights
     # unlike the library, the CLI lets evidence constrain hypothesis
     # components too: combos outside the evidence just get zero weight
     rest = {a: v for a, v in evidence.items() if a not in hypothesis}
@@ -138,15 +138,18 @@ def cmd_query(args) -> int:
         check_query(net, hypothesis, rest)
     except InvalidState as err:
         raise ParseError(str(err)) from None
-    base = base_weight(chi_fn, net, evidence)
-    blocks = value_blocks(net, hypothesis)
-    weights, total = distribution(chi_fn, net, blocks, evidence)
-    for block, p in zip(blocks, normalize(weights, total, evidence)):
+    comps = tuple(hypothesis)
+    weights = engine(net, comps, evidence)
+    combos = weights.combos(comps)
+    # zero-weight evidence raises here, before anything is printed
+    f_qna = normalize([sum(combos)], weights.total(), evidence)[0]
+    probs = normalize(combos, sum(combos), evidence)
+    for block, p in zip(value_blocks(net, comps), probs):
         if all(hypothesis[a] in (None, v) for a, v in block.items()):
             label = " ".join(f"{a}={v}" for a, v in block.items())
             print(f"{label}  {_num(p)}")
     if args.fqna:
-        print(f"f_qna  {_num(total / base)}")
+        print(f"f_qna  {_num(f_qna)}")
     return EXIT_OK
 
 
@@ -328,11 +331,8 @@ def cmd_lattice(args) -> int:
         hbar=args.hbar,
         potential=potential_preset(args.potential, length, args.strength),
     )
-    with np.errstate(all="ignore"):  # an overflow fails the finite check below
-        probs = np.abs(propagate(spec, kernel=args.kernel)) ** 2
-        total = probs.sum()
-    if not np.isfinite(total):
-        raise InvalidParams(f"site probabilities must be finite, got total {float(total)!r}")
+    probs = np.abs(propagate(spec, kernel=args.kernel)) ** 2  # finite: propagate checks
+    total = probs.sum()
     print(
         f"lattice {args.nx} sites x {args.nt} steps, kernel {args.kernel}, "
         f"potential {args.potential}"

@@ -30,9 +30,14 @@ materializes the joint value vector over the full cartesian product of node
 states. No route computes with it; it stays as the plain reference that the
 engine is tested against, and it refuses joints past the same cap.
 
-The query layer at the very bottom turns any chi function into conditionals
-and distributions; the classical, quantum, path-sum, fuzzy, catalog and CLI
-routes all answer their queries through it.
+The query layer at the very bottom answers every query from one opened
+tensor. Tucci's conditional divides a hypothesis combo's weight by the total
+over every value combo of the hypothesis components, so ``Weights`` keeps
+the nodes owning those components open (and, on quantum nets, the external
+nodes) in one contraction under the evidence filters, and reads chi(E) and
+every combo or value-set block off it with 0/1 indicator einsums. The
+classical, quantum, fuzzy, catalog and CLI routes all answer through it; the
+path-sum route keeps one chi call per block, as the independent check.
 """
 
 from __future__ import annotations
@@ -95,11 +100,13 @@ class StateSpace:
                 raise ValueError(f"node {node!r} has duplicate states")
             self._states[node] = fixed
         self._owner: dict[str, tuple[str, int]] = {}
+        self._values: dict[str, tuple[int, ...]] = {}
         for node, comps in self._components.items():
             for k, alpha in enumerate(comps):
                 if alpha in self._owner:
                     raise ValueError(f"component name {alpha!r} is not globally unique")
                 self._owner[alpha] = (node, k)
+                self._values[alpha] = tuple(sorted({s[k] for s in self._states[node]}))
         self._index = {
             node: {s: i for i, s in enumerate(slist)} for node, slist in self._states.items()
         }
@@ -122,8 +129,8 @@ class StateSpace:
 
     def component_values(self, alpha: str) -> tuple[int, ...]:
         """Sorted realizable values of one component."""
-        node, k = self.owner(alpha)
-        return tuple(sorted({s[k] for s in self._states[node]}))
+        self.owner(alpha)
+        return self._values[alpha]
 
     def state_index(self, node: str, state) -> int:
         s = _as_state(state)
@@ -262,7 +269,7 @@ class BaseNet:
             self._chron = None
         self._enum_cache: _Enumeration | None = None
         self._plans: dict[tuple[str, ...], _Plan] = {}
-        self._columns: dict[str, tuple[int, np.ndarray]] = {}
+        self._columns: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -504,26 +511,29 @@ def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
     return plan
 
 
-def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray]:
-    """Operand slot of alpha's node, and alpha's value in each of its states."""
+def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Operand slot of alpha's node, alpha's value in each of its states, and
+    the 0/1 indicator (alpha's sorted values x the node's states)."""
     col = net._columns.get(alpha)
     if col is None:
         node, k = net.space.owner(alpha)
         values = np.array([s[k] for s in net.space.states(node)], dtype=np.int64)
-        col = net._columns[alpha] = (net.node_order().index(node), values)
+        indicator = np.equal.outer(net.space.component_values(alpha), values).astype(float)
+        col = net._columns[alpha] = (net.node_order().index(node), values, indicator)
     return col
 
 
-def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None):
+def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None,
+             cap: int | None = None):
     """Sum the joint over every node outside ``open_nodes``.
 
     Only assignments matching ``fixed`` (component -> value or value set)
     count. The result has one axis per open node in the given order; with no
     open nodes it is a scalar. Raises StateSpaceTooLarge when a step of the
-    plan spans more index states than ``max_states()``.
+    plan spans more index states than ``cap`` (default ``max_states()``).
     """
     plan = _plan(net, tuple(open_nodes))
-    cap = max_states()
+    cap = max_states() if cap is None else cap
     if plan.peak > cap:
         raise StateSpaceTooLarge(
             f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
@@ -531,7 +541,7 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
         )
     ops = [net.factor(n) for n in net.node_order()]
     for alpha, allowed in (fixed or {}).items():
-        slot, values = _column(net, alpha)
+        slot, values, _ = _column(net, alpha)
         ops[slot] = ops[slot] * _allowed(values, allowed)
     if not plan.steps:  # a net without nodes: the empty product
         return np.ones((), dtype=net.dtype)
@@ -552,10 +562,9 @@ def external_map(net: BaseNet) -> dict[tuple[int, ...], object]:
 # ---------------------------------------------------------------------------
 # Query layer
 #
-# Every route answers a query the same way: filter the weight chi of each
-# hypothesis block, intersected with the evidence, then normalize. Only the
-# engine differs, a callable chi_fn(net, sets) -> float: quantum.chi,
-# classical.chi_classical or pathsum.path_chi.
+# An engine is a callable engine(net, components, evidence) whose result reads
+# chi(E), the weight of each value combo and the weight of each value-set
+# block: Weights, or the path-sum route's reader, one chi call per block.
 
 
 def value_set(v) -> frozenset[int]:
@@ -596,8 +605,8 @@ def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mappin
             )
 
 
-def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> tuple[list[float], float]:
-    """chi(B and E) for each block B, and their total.
+def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> list[float]:
+    """chi(B and E) for each block B, one ``chi_fn(net, sets)`` call each.
 
     Blocks and evidence map components to a value or a value set. A block
     that contradicts the evidence gets 0.0 without a chi call.
@@ -610,44 +619,108 @@ def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> tuple[list[
             vals = value_set(v)
             sets[alpha] = sets[alpha] & vals if alpha in sets else vals
         weights.append(chi_fn(net, sets) if all(sets.values()) else 0.0)
-    return weights, sum(weights)
+    return weights
 
 
-def _contradiction(evidence: Mapping) -> ContradictoryEvidence:
-    return ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
+class Weights:
+    """chi(B and E) for blocks B, read off one contraction under evidence E.
+
+    The contraction keeps open the nodes owning ``components``, plus the
+    external nodes on a quantum net. A read multiplies it by 0/1 indicators
+    of its blocks and sums the other open axes, coherently; on a quantum net
+    it then squares and sums the external axes. A read past the cap opens
+    the nodes of its own components alone; past the cap again, each block is
+    contracted on its own with only the external nodes open.
+    """
+
+    def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping):
+        self.net, self.square, self.cap = net, net.kind == "quantum", max_states()
+        self.evidence = {alpha: value_set(v) for alpha, v in evidence.items()}
+        self._ext = net.external_order if self.square else ()
+        self._wide = self._opened(components)
+
+    def _opened(self, comps):
+        """(open nodes, tensor) for the nodes of ``comps``; None past the cap."""
+        nodes = tuple(dict.fromkeys([*self._ext, *(self.net.space.owner(a)[0] for a in comps)]))
+        if _plan(self.net, nodes).peak <= self.cap:
+            return nodes, contract(self.net, nodes, self.evidence, self.cap)
+        return None
+
+    def total(self) -> float:
+        """chi(E)."""
+        return self.combos(())[0]
+
+    def combos(self, comps: Iterable[str]) -> list[float]:
+        """chi(m and E) for every value combo m of ``comps``, in ``value_blocks`` order."""
+        comps = tuple(comps)
+        owner = self.net.space.owner
+        reads = [(i, owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
+        return self._read(comps, reads, lambda: value_blocks(self.net, comps))
+
+    def blocks(self, blocks) -> list[float]:
+        """chi(B and E) for each block B, a {component: value or value set}."""
+        blocks = list(blocks)
+        comps = tuple(dict.fromkeys(alpha for b in blocks for alpha in b))
+        reads = [(0, None, np.ones(len(blocks)))]
+        for a in comps:
+            values = self.net.space.component_values(a)
+            picks = np.array([[a not in b or v in value_set(b[a]) for v in values] for b in blocks])
+            reads.append((0, self.net.space.owner(a)[0], picks @ _column(self.net, a)[2]))
+        return self._read(comps, reads, lambda: blocks)
+
+    def _read(self, comps, reads, blocks) -> list[float]:
+        """The weights of ``reads``, each (row axis, node, 0/1 rows x node
+        states); ``blocks()`` lists the same rows for the per-block route."""
+        nodes = {self.net.space.owner(a)[0] for a in comps}
+        rows = math.prod({i: m.shape[0] for i, _, m in reads}.values())
+        found = self._wide
+        if found is None or not nodes <= set(found[0]) or found[1].size * rows > self.cap:
+            found = self._opened(comps)
+        if found is None or found[1].size * rows > self.cap:
+            return distribution(self._chi, self.net, blocks(), self.evidence)
+        return self._reduce(*found, reads)
+
+    def _chi(self, net: BaseNet, sets: Mapping) -> float:
+        """One block's weight with only the external nodes open."""
+        return self._reduce(self._ext, contract(net, self._ext, sets, self.cap), [])[0]
+
+    def _reduce(self, nodes, tensor, reads) -> list[float]:
+        subscripts, n_rows = _read_subscripts(nodes, self._ext, tuple(r[:2] for r in reads))
+        amps = np.einsum(subscripts, tensor, *(m for _, _, m in reads))
+        flat = amps.reshape(math.prod(amps.shape[:n_rows]), -1)
+        if self.square:
+            flat = flat.real * flat.real + flat.imag * flat.imag
+        return flat.sum(axis=1).tolist()
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_subscripts(nodes, ext, reads) -> tuple[str, int]:
+    """einsum subscripts for a tensor over ``nodes`` times (row axis, node)
+    operands, onto the row axes then the ``ext`` axes; and the row count."""
+    label = dict(zip(nodes, _LABELS))
+    rows = "".join(dict.fromkeys(_LABELS[len(nodes) + i] for i, _ in reads))
+    ins = ["".join(label[n] for n in nodes)]
+    ins += [_LABELS[len(nodes) + i] + (label[n] if n else "") for i, n in reads]
+    return f"{','.join(ins)}->{rows}{''.join(label[n] for n in ext)}", len(rows)
 
 
 def normalize(weights, total: float, evidence: Mapping) -> list[float]:
     """Each weight over the total; ContradictoryEvidence if the total is zero."""
     if total == 0.0:
-        raise _contradiction(evidence)
+        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
     return [w / total for w in weights]
 
 
-def base_weight(chi_fn, net: BaseNet, evidence: Mapping) -> float:
-    """chi(E); ContradictoryEvidence if it is zero."""
-    base = chi_fn(net, evidence)
-    if base == 0.0:
-        raise _contradiction(evidence)
-    return base
-
-
-def ratio(chi_fn, net: BaseNet, hypothesis: Mapping, evidence: Mapping) -> float:
-    """chi(H and E) / chi(E), values or value sets on both sides, unchecked."""
-    base = base_weight(chi_fn, net, evidence)
-    (weight,), _ = distribution(chi_fn, net, [hypothesis], evidence)
-    return weight / base
-
-
-def conditional(chi_fn, net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
+def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
     """P(hypothesis | evidence), the hypothesis given as {component: value}.
 
     The weight of the hypothesis combo over the total of every value combo
-    of the hypothesis components. On classical nets the combos partition the
-    evidence, so the total is chi(E); on quantum nets it need not be (see
-    quantum.f_qna).
+    of the hypothesis components, both read from ``engine(net, components,
+    evidence)``. On classical nets the combos partition the evidence, so the
+    total is chi(E); on quantum nets it need not be (see quantum.f_qna).
     """
     check_query(net, hypothesis, evidence)
-    blocks = value_blocks(net, hypothesis)
-    weights, total = distribution(chi_fn, net, blocks, evidence)
-    return normalize(weights, total, evidence)[blocks.index(dict(hypothesis))]
+    comps = tuple(hypothesis)
+    weights = engine(net, comps, evidence).combos(comps)
+    index = value_blocks(net, comps).index(dict(hypothesis))
+    return normalize(weights, sum(weights), evidence)[index]

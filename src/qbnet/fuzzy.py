@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .classical import CBNet, chi_classical
-from .core import distribution, normalize, ratio, value_blocks, value_set
+from .classical import CBNet
+from .core import Weights, normalize, value_blocks, value_set
 from .errors import InvalidParams
-from .quantum import QBNet, chi
+from .quantum import QBNet, chi  # noqa: F401  (perfbench traces fuzzy.chi)
 
 
 @dataclass(frozen=True)
@@ -112,31 +112,34 @@ def singleton_partition(net, components: Iterable[str]) -> Partition:
 
 
 def classical_fuzzy_conditional(
-    net: CBNet, hypothesis: DirectProductSet, evidence: DirectProductSet
+    net: CBNet, hypothesis: DirectProductSet, evidence: DirectProductSet, engine=Weights
 ) -> float:
-    """Mass of hypothesis-and-evidence over mass of evidence."""
-    return ratio(chi_classical, net, hypothesis.sets, evidence.sets)
+    """Mass of hypothesis-and-evidence over mass of evidence; ``engine`` as
+    in ``core.conditional``."""
+    weights = engine(net, hypothesis.components, evidence.sets)
+    return normalize(weights.blocks([hypothesis.sets]), weights.total(), evidence.sets)[0]
 
 
 def quantum_fuzzy_distribution(
-    net: QBNet, partition: Partition, evidence: DirectProductSet
+    net: QBNet, partition: Partition, evidence: DirectProductSet, engine=Weights
 ) -> list[float]:
-    """Probability of each partition block given the evidence set.
+    """Probability of each partition block given the evidence set;
+    ``engine`` as in ``core.conditional``.
 
     The partition is taken at face value here; run validate_partition first
     when it comes from outside.
     """
     blocks = [b.sets for b in partition.blocks]
-    weights, total = distribution(chi, net, blocks, evidence.sets)
-    return normalize(weights, total, evidence.sets)
+    weights = engine(net, partition.components, evidence.sets).blocks(blocks)
+    return normalize(weights, sum(weights), evidence.sets)
 
 
 def quantum_fuzzy_conditional(
-    net: QBNet, partition: Partition, index: int, evidence: DirectProductSet
+    net: QBNet, partition: Partition, index: int, evidence: DirectProductSet, engine=Weights
 ) -> float:
     """Probability of partition block ``index`` given the evidence set."""
     if not 0 <= index < len(partition.blocks):
         raise InvalidParams(
             f"block index {index} out of range for {len(partition.blocks)} blocks"
         )
-    return quantum_fuzzy_distribution(net, partition, evidence)[index]
+    return quantum_fuzzy_distribution(net, partition, evidence, engine)[index]

@@ -62,9 +62,10 @@ class LatticeSpec:
                 raise InvalidParams(f"{name} must be positive")
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"{name} must be finite")
-        if abs(self.n_x * self.dx - self.length) > 1e-9 * max(1.0, abs(self.length)):
+        # isclose fails a NaN, and an infinity unless the product overflowed to it
+        if not math.isclose(self.length, self.n_x * self.dx, rel_tol=1e-9, abs_tol=1e-9):
             raise InvalidParams("length must equal n_x * dx")
-        if abs(self.n_t * self.dt - self.total_time) > 1e-9 * max(1.0, abs(self.total_time)):
+        if not math.isclose(self.total_time, self.n_t * self.dt, rel_tol=1e-9, abs_tol=1e-9):
             raise InvalidParams("total_time must equal n_t * dt")
         if not callable(self.potential):
             raise InvalidParams("potential must be callable as V(x, t)")
@@ -204,6 +205,21 @@ def _kernel_fn(kernel):
         raise InvalidParams(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
 
 
+def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndarray]:
+    """The n_t step matrices, and the final-slice amplitudes they carry site
+    0 to; InvalidParams when those give non-finite site probabilities."""
+    step = _kernel_fn(kernel)
+    matrices = [step(spec, i * spec.dt).matrix for i in range(spec.n_t)]
+    psi = np.eye(spec.n_x, dtype=complex)[0]
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        for alpha in matrices:
+            psi = alpha @ psi
+        total = (np.abs(psi) ** 2).sum()
+    if not np.isfinite(total):
+        raise InvalidParams("site probabilities must be finite; the step amplitudes overflow them")
+    return matrices, psi
+
+
 def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
     """Net with one node per time slice, rooted at site 0 with amplitude 1.
 
@@ -211,7 +227,7 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
     are restricted to the single-particle sector, so the joint state count
     is n_x ** n_t.
     """
-    step = _kernel_fn(kernel)
+    _kernel_fn(kernel)  # an unknown kernel is refused before the cap
     if spec.n_x**spec.n_t > max_states():
         raise StateSpaceTooLarge(
             f"{spec.n_x}**{spec.n_t} single-particle configurations exceed the cap"
@@ -221,8 +237,9 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
     ]
     comps = lambda i: tuple(f"t{i}.x{s}" for s in range(spec.n_x))
     blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=comps(0))]
+    matrices, _ = _step_matrices(spec, kernel)
     for i in range(1, spec.n_t + 1):
-        alpha = step(spec, (i - 1) * spec.dt).matrix.astype(complex)
+        alpha = matrices[i - 1].astype(complex)
         if i == 1:
             alpha = alpha[:, [0]]  # the root offers a single parent state
         blocks.append(
@@ -248,9 +265,4 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
 
 def propagate(spec: LatticeSpec, kernel="exact") -> np.ndarray:
     """Final-slice amplitudes by sequential matrix-vector products."""
-    step = _kernel_fn(kernel)
-    psi = np.zeros(spec.n_x, dtype=complex)
-    psi[0] = 1.0
-    for i in range(spec.n_t):
-        psi = step(spec, i * spec.dt).matrix @ psi
-    return psi
+    return _step_matrices(spec, kernel)[1]

@@ -20,8 +20,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import BaseNet, conditional, distribution, max_states, normalize, ratio, value_set
-from .errors import InvalidParams, StateSpaceTooLarge
+from .core import BaseNet, Weights, conditional, max_states, value_set
+from .errors import StateSpaceTooLarge
+from .fuzzy import classical_fuzzy_conditional, quantum_fuzzy_conditional
 
 
 @dataclass(frozen=True)
@@ -152,24 +153,29 @@ def path_chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
     return total
 
 
+class PathWeights(Weights):
+    """The reads of ``core.Weights`` with nothing contracted: each block is
+    one ``path_chi`` call, through ``core.distribution``."""
+
+    def _opened(self, comps):
+        return None
+
+    def _chi(self, net: BaseNet, sets: Mapping) -> float:
+        return path_chi(net, sets)
+
+
 def pathsum_conditional(
     net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence) summed from paths; mirrors the state route."""
-    return conditional(path_chi, net, hypothesis, evidence)
+    return conditional(PathWeights, net, hypothesis, evidence)
 
 
 def pathsum_fuzzy_classical(net: BaseNet, hypothesis, evidence) -> float:
     """Set-valued conditional from paths; arguments as in the fuzzy module."""
-    return ratio(path_chi, net, hypothesis.sets, evidence.sets)
+    return classical_fuzzy_conditional(net, hypothesis, evidence, engine=PathWeights)
 
 
 def pathsum_fuzzy_quantum(net: BaseNet, partition, index: int, evidence) -> float:
     """Probability of one partition block, summed from paths."""
-    if not 0 <= index < len(partition.blocks):
-        raise InvalidParams(
-            f"block index {index} out of range for {len(partition.blocks)} blocks"
-        )
-    blocks = [b.sets for b in partition.blocks]
-    weights, total = distribution(path_chi, net, blocks, evidence.sets)
-    return normalize(weights, total, evidence.sets)[index]
+    return quantum_fuzzy_conditional(net, partition, index, evidence, engine=PathWeights)

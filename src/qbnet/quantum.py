@@ -16,10 +16,11 @@ conditional probability of a hypothesis H given evidence E is
                components of chi[m and E])
 
 which is ``core.conditional``, the recipe every route shares (on classical
-nets the denominator equals chi[E]). The quantum-noise factor below
-measures how far that denominator sits from chi[E] itself; it equals one
-whenever the hypothesis components are all external, and drifts from one
-when conditioning cuts into coherent sums.
+nets the denominator equals chi[E]); ``core.Weights`` reads every chi in it
+off one contraction that keeps the hypothesis and external nodes open. The
+quantum-noise factor below measures how far that denominator sits from
+chi[E] itself; it equals one whenever the hypothesis components are all
+external, and drifts from one when conditioning cuts into coherent sums.
 
 Every quantum net has a parent classical net with tables |A|^2. The two give
 the same answers exactly when each external configuration pins down the
@@ -36,14 +37,13 @@ import numpy as np
 from .classical import CBNet, ValidationReport, total_mass
 from .core import (
     BaseNet,
-    base_weight,
+    Weights,
     check_query,
     conditional,
     contract,
-    distribution,
     external_map,
     filter_mask,  # noqa: F401  (the dense reference, kept importable here)
-    value_blocks,
+    normalize,
 )
 from .errors import StateSpaceTooLarge
 
@@ -88,7 +88,7 @@ def quantum_conditional(
     net: QBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence), both given as {component: value}."""
-    return conditional(chi, net, hypothesis, evidence)
+    return conditional(Weights, net, hypothesis, evidence)
 
 
 def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) -> float:
@@ -98,9 +98,8 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
     how much coherence the conditioning destroys."""
     comps = tuple(components)
     check_query(net, dict.fromkeys(comps), evidence)
-    base = base_weight(chi, net, evidence)
-    _, total = distribution(chi, net, value_blocks(net, comps), evidence)
-    return total / base
+    weights = Weights(net, comps, evidence)
+    return normalize([sum(weights.combos(comps))], weights.total(), evidence)[0]
 
 
 def parent_cb_net(net: QBNet) -> CBNet:

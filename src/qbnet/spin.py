@@ -34,6 +34,14 @@ EPS_STATE = 1e-12
 MAGNET_STATES = ((0, 0), (0, 1), (1, 0))
 
 
+def _norm2(*amplitudes) -> float:
+    """Sum of squared moduli from the parts: inf where abs(z) ** 2 would raise."""
+    try:
+        return sum(z.real * z.real + z.imag * z.imag for z in map(complex, amplitudes))
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SpinDirection:
     """A magnet's field direction: polar angle theta, azimuth phi, label."""
@@ -55,7 +63,7 @@ class SpinState:
     down: complex
 
     def __post_init__(self):
-        norm = abs(self.up) ** 2 + abs(self.down) ** 2
+        norm = _norm2(self.up, self.down)
         if not abs(norm - 1.0) <= EPS_STATE:
             raise InvalidParams(f"spinor norm^2 is {norm!r}, not 1")
 
@@ -102,8 +110,7 @@ class InitialWavefunction:
     psi10: complex
 
     def __post_init__(self):
-        # a product, unlike ** 2, overflows a Python float to inf without raising
-        norm = abs(self.psi01) * abs(self.psi01) + abs(self.psi10) * abs(self.psi10)
+        norm = _norm2(self.psi01, self.psi10)
         if not abs(norm - 1.0) <= EPS_STATE:
             raise InvalidParams(f"|psi01|^2+|psi10|^2 is {norm!r}, not 1")
 

@@ -325,6 +325,7 @@ def test_catalog_build_takes_typed_params(capsys):
         ("fig9-and", "bogus=1"),
         ("fig27", "psi01=1e200"),
         ("fig18", "psi10=1e155"),
+        ("fig18", f"psi01={10**400}"),
     ):
         code, out, err = run(capsys, "catalog", "build", entry_id, "--param", param)
         assert code == 2, (entry_id, param)

@@ -1,16 +1,18 @@
 """The contraction engine against the dense reference and the path sums."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbnet import catalog
+from qbnet import catalog, core
 from qbnet.classical import CBNet, chi_classical, external_mass_map, total_mass
-from qbnet.core import NodeBlock, contract, filter_mask
+from qbnet.core import NodeBlock, Weights, contract, distribution, filter_mask, value_blocks
 from qbnet.errors import StateSpaceTooLarge
+from qbnet.fuzzy import DirectProductSet, quantum_fuzzy_distribution, singleton_partition
 from qbnet.lattice import LatticeSpec, build_lattice_net, potential_preset, propagate
 from qbnet.pathsum import path_chi
 from qbnet.quantum import (
@@ -18,6 +20,7 @@ from qbnet.quantum import (
     chi,
     external_amplitude_map,
     parent_cb_net,
+    quantum_conditional,
     total_squared_amplitude,
 )
 
@@ -152,3 +155,131 @@ def test_open_nodes_come_back_in_the_asked_order():
     joint = contract(net, nodes)
     np.testing.assert_allclose(joint.reshape(-1), net.enumeration().values, atol=1e-15)
     np.testing.assert_allclose(contract(net, nodes[::-1]), joint.T)
+
+
+# ---------------------------------------------------------------------------
+# Weights: every read off one open contraction
+
+
+# nets whose nodes carry two components each (the magnets and the source)
+BEAM_NETS = [catalog.build(fid) for fid in ("fig19-loop", "fig26")]
+BEAM_NETS += [parent_cb_net(net) for net in BEAM_NETS]
+
+
+def _value_sets(draw, net, comps, min_size):
+    return {
+        alpha: frozenset(
+            draw(st.lists(st.sampled_from(net.space.component_values(alpha)),
+                          min_size=min_size, unique=True))
+        )
+        for alpha in comps
+    }
+
+
+@st.composite
+def weight_queries(draw):
+    """A net, evidence (an empty value set makes it contradict), hypothesis
+    components that may share a node or sit in the evidence, and value-set
+    blocks over them."""
+    if draw(st.booleans()):
+        net, evidence = draw(nets_and_filters())
+    else:
+        net = draw(st.sampled_from(BEAM_NETS))
+        picked = draw(st.lists(st.sampled_from(net.all_components), max_size=3, unique=True))
+        evidence = _value_sets(draw, net, picked, min_size=1)
+    if evidence and draw(st.integers(0, 4)) == 0:
+        evidence[draw(st.sampled_from(sorted(evidence)))] = frozenset()
+    comps = draw(st.lists(st.sampled_from(net.all_components), min_size=1, max_size=3, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        constrained = draw(st.lists(st.sampled_from(comps), unique=True))
+        blocks.append(_value_sets(draw, net, constrained, min_size=0))
+    return net, tuple(comps), evidence, blocks
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(weight_queries())
+def test_weights_agree_with_per_block_chi_and_path_sums(query):
+    net, comps, evidence, blocks = query
+    weights = Weights(net, comps, evidence)
+    engine = chi if net.kind == "quantum" else chi_classical
+    combos = value_blocks(net, comps)
+    for chi_fn in (engine, path_chi):
+        assert weights.total() == pytest.approx(chi_fn(net, evidence), abs=1e-12)
+        want = distribution(chi_fn, net, combos, evidence)
+        assert weights.combos(comps) == pytest.approx(want, abs=1e-12)
+        want = distribution(chi_fn, net, blocks, evidence)
+        assert weights.blocks(blocks) == pytest.approx(want, abs=1e-12)
+
+
+def _cap_floor(net):
+    """The smallest cap under which one chi call per block still answers."""
+    return max(core._plan(net, net.external_order).peak, core._plan(parent_cb_net(net), ()).peak)
+
+
+def _opened_peak(net, square):
+    comps = catalog.query_components(net)
+    target = net if square else parent_cb_net(net)
+    nodes = tuple(dict.fromkeys([
+        *(net.external_order if square else ()), *(net.space.owner(a)[0] for a in comps)
+    ]))
+    return core._plan(target, nodes).peak
+
+
+@pytest.mark.parametrize("fid", ["fig23", "fig26", "fig29"])
+def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
+    net = catalog.build(fid)
+    partition = singleton_partition(net, catalog.query_components(net)[:2])
+    anywhere = DirectProductSet.over(net, {})
+
+    def answers():
+        results = catalog.run_evidence_cases(net)
+        rows = [(r.no_output, r.errors, [(row.cb, row.qb, row.cb_fqna, row.qb_fqna)
+                                         for row in r.rows]) for r in results]
+        return rows, quantum_fuzzy_distribution(net, partition, anywhere)
+
+    want = answers()
+    peaks = {_opened_peak(net, square) for square in (True, False)}
+    caps = sorted({p - 1 for p in peaks if p - 1 >= _cap_floor(net)} | {_cap_floor(net)})
+    for cap in caps:  # just below an opened plan's peak, down to per-block chi
+        monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
+        got = answers()
+        assert got[1] == pytest.approx(want[1], abs=1e-12)
+        assert len(got[0]) == len(want[0])
+        for (no_out, errors, rows), (want_no_out, want_errors, want_rows) in zip(got[0], want[0]):
+            assert (no_out, errors, len(rows)) == (want_no_out, want_errors, len(want_rows))
+            for row, want_row in zip(rows, want_rows):
+                for a, b in zip(row, want_row):
+                    assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """Every core.contract call, at each module binding of it."""
+    calls = []
+    original = core.contract
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("open_nodes", ()))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qbnet") and getattr(module, "contract", None) is original:
+            monkeypatch.setattr(module, "contract", counted)
+    return calls
+
+
+def test_an_evidence_case_costs_two_contractions(contract_calls):
+    net = catalog.build("fig23")
+    case = catalog.default_cases(net)[5]
+    (result,) = catalog.run_evidence_cases(net, cases=[case])
+    assert not result.no_output and len(result.rows) == 21
+    assert len(contract_calls) == 2  # the quantum net and its parent
+
+
+def test_a_conditional_costs_one_contraction(contract_calls):
+    net = catalog.build("fig19-loop")
+    want = chi(net, {"u.plus": 1, "z.minus": 0}) / chi(net, {"z.minus": 0})
+    contract_calls.clear()
+    assert quantum_conditional(net, {"u.plus": 1}, {"z.minus": 0}) == pytest.approx(want, abs=1e-12)
+    assert len(contract_calls) == 1

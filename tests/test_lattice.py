@@ -240,3 +240,37 @@ def test_step_amplitudes_must_be_finite():
     spec = LatticeSpec.make(n_x=6, dx=1.0, n_t=2, dt=1e308)
     with pytest.raises(InvalidParams, match="step amplitudes must be finite"):
         propagate(spec)
+
+
+def test_overflowing_step_products_are_refused():
+    # each gaussian step matrix is finite, but three of them overflow the state
+    spec = LatticeSpec.make(8, 1e150, 3, 1.0)
+    for build in (propagate, build_lattice_net):
+        with np.errstate(all="raise"):  # no overflow warning escapes either
+            with pytest.raises(InvalidParams, match="the step amplitudes overflow them"):
+                build(spec, "gaussian")
+    # |psi|^2 overflows while psi stays finite
+    with pytest.raises(InvalidParams, match="site probabilities must be finite"):
+        propagate(LatticeSpec.make(8, 1e100, 2, 1.0), "gaussian")
+    assert np.isfinite(propagate(LatticeSpec.make(8, 1e10, 3, 1.0), "gaussian")).all()
+
+
+@pytest.mark.parametrize(
+    "length, total_time, needle",
+    [
+        (math.inf, math.inf, "length"),
+        (math.nan, 1.0, "length"),
+        (-math.inf, 1.0, "length"),
+        (3.0, math.inf, "total_time"),
+        (3.0, math.nan, "total_time"),
+    ],
+)
+def test_spec_refuses_non_finite_products(length, total_time, needle):
+    with pytest.raises(InvalidParams, match=f"{needle} must equal"):
+        LatticeSpec(length=length, dx=1.0, n_x=3, total_time=total_time, dt=1.0, n_t=1)
+
+
+def test_spec_accepts_products_that_overflow_as_computed():
+    # make() fills in n_t * dt = inf; the step kernels then refuse the spec
+    spec = LatticeSpec.make(n_x=6, dx=1.0, n_t=2, dt=1e308)
+    assert spec.total_time == math.inf

@@ -195,3 +195,18 @@ def test_singlet_rotation_invariance():
         t1, p1, t2, p2 = rng.uniform(-6, 6, size=4)
         got = singlet_overlap_check(SpinDirection(t1, p1), SpinDirection(t2, p2))
         assert got == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("huge", [1e200, complex(1.7e308, 1.7e308), 1e308, 10**400])
+def test_huge_amplitudes_fail_the_norm_checks_without_overflow(huge):
+    # abs(x) ** 2, and abs itself for the complex value, raise OverflowError
+    with pytest.raises(InvalidParams, match="is inf, not 1"):
+        SpinState(huge, 0)
+    with pytest.raises(InvalidParams, match="is inf, not 1"):
+        SpinState(0.0, huge)
+    with pytest.raises(InvalidParams, match="is inf, not 1"):
+        InitialWavefunction(huge, 0.0)
+    # the tolerance is unchanged
+    SpinState(0.6, 0.8 + 1e-13)
+    with pytest.raises(InvalidParams):
+        SpinState(0.6, 0.8 + 1e-11)
