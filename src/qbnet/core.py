@@ -38,6 +38,12 @@ nodes) in one contraction under the evidence filters, and reads chi(E) and
 every combo or value-set block off it with 0/1 indicator einsums. The
 classical, quantum, fuzzy, catalog and CLI routes all answer through it; the
 path-sum route keeps one chi call per block, as the independent check.
+
+A net never changes after construction, so it caches what its queries reuse:
+a plan per set of open nodes, an indicator column per component, the last
+tensor a ``Weights`` opened (one read-only entry, keyed by open nodes and
+evidence, at most the cap in entries: 16 MB at the default) and, on a
+quantum net, its parent classical net (tables the size of its own).
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ def max_states() -> int:
 def _as_state(state) -> tuple[int, ...]:
     if isinstance(state, int):
         return (state,)
-    return tuple(int(v) for v in state)
+    return tuple(map(int, state))
 
 
 class StateSpace:
@@ -102,11 +108,11 @@ class StateSpace:
         self._owner: dict[str, tuple[str, int]] = {}
         self._values: dict[str, tuple[int, ...]] = {}
         for node, comps in self._components.items():
-            for k, alpha in enumerate(comps):
+            for k, (alpha, column) in enumerate(zip(comps, zip(*self._states[node]))):
                 if alpha in self._owner:
                     raise ValueError(f"component name {alpha!r} is not globally unique")
                 self._owner[alpha] = (node, k)
-                self._values[alpha] = tuple(sorted({s[k] for s in self._states[node]}))
+                self._values[alpha] = tuple(sorted(set(column)))
         self._index = {
             node: {s: i for i, s in enumerate(slist)} for node, slist in self._states.items()
         }
@@ -270,6 +276,7 @@ class BaseNet:
         self._enum_cache: _Enumeration | None = None
         self._plans: dict[tuple[str, ...], _Plan] = {}
         self._columns: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
 
     # -- construction -------------------------------------------------------
 
@@ -568,10 +575,16 @@ def external_map(net: BaseNet) -> dict[tuple[int, ...], object]:
 
 
 def value_set(v) -> frozenset[int]:
-    """One value or an iterable of values as a frozenset of ints."""
-    if hasattr(v, "__iter__"):
-        return frozenset(int(x) for x in v)
-    return frozenset((int(v),))
+    """One value or an iterable of values as a frozenset of ints; InvalidState
+    for a string or any value that is not a whole number."""
+    values = frozenset((v,) if isinstance(v, (str, bytes)) or not hasattr(v, "__iter__") else v)
+    try:
+        ints = frozenset(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:  # equal sets hold equal numbers: 1.0 == 1, but 0.5 and "1" differ
+        raise InvalidState(f"{v!r} is not an integer value or a set of them")
+    return ints
 
 
 def value_blocks(net: BaseNet, components: Iterable[str]) -> list[dict[str, int]]:
@@ -640,11 +653,17 @@ class Weights:
         self._wide = self._opened(components)
 
     def _opened(self, comps):
-        """(open nodes, tensor) for the nodes of ``comps``; None past the cap."""
+        """(open nodes, tensor) for the nodes of ``comps``; None past the cap.
+        The net keeps the last tensor, read-only, for the next equal request."""
         nodes = tuple(dict.fromkeys([*self._ext, *(self.net.space.owner(a)[0] for a in comps)]))
-        if _plan(self.net, nodes).peak <= self.cap:
-            return nodes, contract(self.net, nodes, self.evidence, self.cap)
-        return None
+        if _plan(self.net, nodes).peak > self.cap:
+            return None
+        key = (nodes, frozenset(self.evidence.items()))
+        if self.net._last_opened[0] != key:
+            tensor = np.asarray(contract(self.net, nodes, self.evidence, self.cap))
+            tensor.flags.writeable = False
+            self.net._last_opened = (key, tensor)
+        return nodes, self.net._last_opened[1]
 
     def total(self) -> float:
         """chi(E)."""

@@ -12,6 +12,11 @@ stationary-phase form sqrt(-i dtheta / pi) * exp(i dt L / hbar) with
 dtheta = m dx^2 / (2 hbar dt); it has uniform entry magnitude, is only
 approximately unitary, and a net built from it fails column normalization
 by design - validation reports that honestly rather than renormalizing.
+
+Both built-in kernels read the time only through V(x, t), so a net or a
+propagation runs one once per distinct potential vector and reuses the step
+matrix (once in all for a time-independent potential); a user-supplied
+kernel runs once per time step.
 """
 
 from __future__ import annotations
@@ -207,9 +212,22 @@ def _kernel_fn(kernel):
 
 def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndarray]:
     """The n_t step matrices, and the final-slice amplitudes they carry site
-    0 to; InvalidParams when those give non-finite site probabilities."""
+    0 to; InvalidParams when those give non-finite site probabilities.
+
+    A built-in kernel runs once per distinct potential vector, keyed by its
+    bytes; a user-supplied kernel runs once per step."""
     step = _kernel_fn(kernel)
-    matrices = [step(spec, i * spec.dt).matrix for i in range(spec.n_t)]
+    matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
+    built = {} if callable(kernel) else {_potential_values(spec, 0.0).tobytes(): matrices[0]}
+    for i in range(1, spec.n_t):
+        t = i * spec.dt
+        if callable(kernel):
+            matrices.append(step(spec, t).matrix)
+            continue
+        key = _potential_values(spec, t).tobytes()
+        if key not in built:
+            built[key] = step(spec, t).matrix
+        matrices.append(built[key])
     psi = np.eye(spec.n_x, dtype=complex)[0]
     with np.errstate(all="ignore"):  # an overflow fails the check below
         for alpha in matrices:
@@ -232,9 +250,7 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
         raise StateSpaceTooLarge(
             f"{spec.n_x}**{spec.n_t} single-particle configurations exceed the cap"
         )
-    one_hots = [
-        tuple(1 if r == s else 0 for r in range(spec.n_x)) for s in range(spec.n_x)
-    ]
+    one_hots = [(0,) * s + (1,) + (0,) * (spec.n_x - s - 1) for s in range(spec.n_x)]
     comps = lambda i: tuple(f"t{i}.x{s}" for s in range(spec.n_x))
     blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=comps(0))]
     matrices, _ = _step_matrices(spec, kernel)

@@ -58,6 +58,7 @@ class QBNet(BaseNet):
         if pre_net:
             raise ValueError("quantum nets must be acyclic; pre-nets are classical-only")
         super().__init__(graph, space, tables, meta=meta)
+        self._parent: CBNet | None = None
 
 
 def joint_amplitude(net: QBNet, assignment: Mapping[str, object]) -> complex:
@@ -103,9 +104,12 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
 
 
 def parent_cb_net(net: QBNet) -> CBNet:
-    """Classical net with tables |A|^2 on the same graph and state space."""
-    tables = {n: np.abs(net.table(n)) ** 2 for n in net.graph.nodes}
-    return CBNet(net.graph, net.space, tables, meta=dict(net.meta))
+    """Classical net with tables |A|^2 on the same graph and state space,
+    built once per net."""
+    if net._parent is None:
+        tables = {n: np.abs(net.table(n)) ** 2 for n in net.graph.nodes}
+        net._parent = CBNet(net.graph, net.space, tables, meta=dict(net.meta))
+    return net._parent
 
 
 def validate_quantum(net: QBNet) -> ValidationReport:

@@ -8,13 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbnet import catalog, core
-from qbnet.classical import CBNet, chi_classical, external_mass_map, total_mass
+from qbnet import catalog, core, quantum
+from qbnet.classical import (
+    CBNet,
+    chi_classical,
+    classical_conditional,
+    external_mass_map,
+    total_mass,
+)
 from qbnet.core import NodeBlock, Weights, contract, distribution, filter_mask, value_blocks
-from qbnet.errors import StateSpaceTooLarge
-from qbnet.fuzzy import DirectProductSet, quantum_fuzzy_distribution, singleton_partition
+from qbnet.errors import InvalidState, StateSpaceTooLarge
+from qbnet.fuzzy import (
+    DirectProductSet,
+    classical_fuzzy_conditional,
+    quantum_fuzzy_distribution,
+    singleton_partition,
+)
 from qbnet.lattice import LatticeSpec, build_lattice_net, potential_preset, propagate
-from qbnet.pathsum import path_chi
+from qbnet.pathsum import path_chi, pathsum_conditional
 from qbnet.quantum import (
     QBNet,
     chi,
@@ -22,6 +33,7 @@ from qbnet.quantum import (
     parent_cb_net,
     quantum_conditional,
     total_squared_amplitude,
+    validate_quantum,
 )
 
 from conftest import random_cbnet, random_qbnet
@@ -283,3 +295,85 @@ def test_a_conditional_costs_one_contraction(contract_calls):
     contract_calls.clear()
     assert quantum_conditional(net, {"u.plus": 1}, {"z.minus": 0}) == pytest.approx(want, abs=1e-12)
     assert len(contract_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# What a net caches: the last opened tensor and the parent net
+
+
+def test_final_site_conditionals_share_one_contraction(contract_calls):
+    spec = LatticeSpec.make(8, 1.0, 3, 0.2, potential=potential_preset("harmonic", 8.0, 1.0))
+    net = build_lattice_net(spec)
+    got = [quantum_conditional(net, {f"t3.x{s}": 1}, {}) for s in range(8)]
+    np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
+    assert len(contract_calls) == 1
+    assert not net._last_opened[1].flags.writeable
+    quantum_conditional(net, {"t3.x0": 1}, {"t1.x4": 1})  # new evidence
+    assert len(contract_calls) == 2
+    quantum_conditional(net, {"t3.x5": 1}, {"t1.x4": 1})
+    assert len(contract_calls) == 2
+    quantum_conditional(net, {"t2.x0": 1}, {"t1.x4": 1})  # another hypothesis node
+    assert len(contract_calls) == 3
+    quantum_conditional(net, {"t3.x0": 1}, {"t1.x4": 1})  # one entry: the first is gone
+    assert len(contract_calls) == 4
+
+
+def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, contract_calls):
+    net = catalog.build("fig26")
+    hypothesis, evidence = {"z.plus": 1}, {"v.minus": 0}
+    want = quantum_conditional(net, hypothesis, evidence)
+    assert quantum_conditional(net, hypothesis, evidence) == want
+    assert len(contract_calls) == 1
+    assert core._plan(net, (*net.external_order, "z.plus")).peak == 24
+    monkeypatch.setenv("QBNET_MAX_STATES", "23")
+    assert quantum_conditional(net, hypothesis, evidence) == pytest.approx(want, abs=1e-12)
+    assert len(contract_calls) == 3  # one per value of z.plus, with the external nodes open
+
+
+def test_the_parent_net_is_built_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(quantum, "CBNet", lambda *args, **kw: built.append(1) or CBNet(*args, **kw))
+    net = catalog.build("fig23")
+    parent = parent_cb_net(net)
+    assert parent_cb_net(net) is parent
+    assert not any(parent.factor(n).flags.writeable for n in parent.graph.nodes)
+    catalog.run_evidence_cases(net, cases=catalog.default_cases(net)[:3])
+    validate_quantum(net)
+    total_squared_amplitude(net)
+    assert parent_cb_net(net) is parent and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Evidence values are whole numbers
+
+
+@pytest.mark.parametrize(
+    "bad", [0.5, 1.9, math.nan, math.inf, "1", "10", b"1", {0.5}, [0, "1"], frozenset({1.5, 0})]
+)
+def test_a_value_that_is_not_an_integer_is_refused_on_every_route(bad):
+    net = catalog.build("fig19-loop")
+    parent = parent_cb_net(net)
+    routes = [
+        lambda: quantum_conditional(net, {"u.plus": 1}, {"z.plus": bad}),
+        lambda: classical_conditional(parent, {"u.plus": 1}, {"z.plus": bad}),
+        lambda: pathsum_conditional(net, {"u.plus": 1}, {"z.plus": bad}),
+        lambda: classical_fuzzy_conditional(
+            parent,
+            DirectProductSet.over(net, {"u.plus": 1}),
+            DirectProductSet.over(net, {"z.plus": bad}),
+        ),
+        lambda: chi(net, {"z.plus": bad}),
+        lambda: catalog.EvidenceCase(2, (("z.plus", bad),)).as_sets(),
+    ]
+    for route in routes:
+        with pytest.raises(InvalidState, match="not an integer value"):
+            route()
+
+
+def test_whole_numbers_of_any_type_are_accepted():
+    net = catalog.build("fig19-loop")
+    want = quantum_conditional(net, {"u.plus": 1}, {"z.plus": 1})
+    for good in (1.0, np.int64(1), np.float64(1.0), True, [1, 1.0], frozenset({1})):
+        assert quantum_conditional(net, {"u.plus": 1}, {"z.plus": good}) == want
+    assert core.value_set(np.array([0.0, 1.0])) == {0, 1}
+    assert core.value_set(()) == frozenset()

@@ -1,10 +1,12 @@
 """Lattice kernels and nets against closed forms and each other."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qbnet import lattice
 from qbnet.errors import InvalidParams, StateSpaceTooLarge
 from qbnet.lattice import (
     LatticeSpec,
@@ -16,7 +18,7 @@ from qbnet.lattice import (
     step_amplitudes_gaussian,
 )
 from qbnet.pathsum import feynman_integral
-from qbnet.quantum import validate_quantum
+from qbnet.quantum import external_amplitude_map, validate_quantum
 
 
 def test_spec_checks_its_products():
@@ -274,3 +276,68 @@ def test_spec_accepts_products_that_overflow_as_computed():
     # make() fills in n_t * dt = inf; the step kernels then refuse the spec
     spec = LatticeSpec.make(n_x=6, dx=1.0, n_t=2, dt=1e308)
     assert spec.total_time == math.inf
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The time t of every call to a built-in step kernel."""
+    calls = []
+    for name, kernel in list(lattice._KERNELS.items()):
+        def counted(spec, t=0.0, kernel=kernel):
+            calls.append(t)
+            return kernel(spec, t)
+        monkeypatch.setitem(lattice._KERNELS, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
+def test_a_time_independent_potential_builds_one_step_matrix(kernel_calls, kernel, preset):
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential_preset(preset, 5.0, 2.0))
+    net = build_lattice_net(spec, kernel)
+    assert kernel_calls == [0.0]
+    step = {"exact": step_amplitudes_exact, "gaussian": step_amplitudes_gaussian}[kernel]
+    for i in range(2, 5):  # bit for bit the per-step kernel output
+        assert np.array_equal(net.table(f"t{i}"), step(spec, (i - 1) * spec.dt).matrix)
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+def test_a_time_dependent_potential_runs_the_kernel_at_every_step(kernel_calls, kernel):
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=lambda x, t: t * x)
+    net = build_lattice_net(spec, kernel)
+    assert kernel_calls == [i * 0.2 for i in range(4)]
+    step = {"exact": step_amplitudes_exact, "gaussian": step_amplitudes_gaussian}[kernel]
+    psi = np.eye(5, dtype=complex)[0]
+    for i in range(4):
+        psi = step(spec, i * spec.dt).matrix @ psi
+    np.testing.assert_allclose(list(external_amplitude_map(net).values()), psi, atol=1e-12)
+    tables = [net.table(f"t{i}") for i in range(2, 5)]
+    assert not any(np.allclose(a, b) for a, b in zip(tables, tables[1:]))
+
+
+def test_a_user_kernel_runs_once_per_step():
+    times = []
+
+    def kernel(spec, t):
+        times.append(t)
+        return step_amplitudes_exact(spec, t)
+
+    propagate(LatticeSpec.make(3, 1.0, 4, 0.5), kernel)
+    assert times == [0.0, 0.5, 1.0, 1.5]
+
+
+@pytest.mark.parametrize(
+    "kernel, dx, message",
+    [
+        ("exact", 1e-200, "hop term hbar^2/(2 m dx^2) must be finite and positive, got inf"),
+        ("gaussian", 1e200, "dtheta = m dx^2/(2 hbar dt) must be finite and positive, got inf"),
+    ],
+)
+def test_the_kernel_checks_speak_before_the_potential(kernel, dx, message):
+    spec = LatticeSpec.make(3, dx, 3, 1.0, potential=potential_preset("harmonic", 3 * dx))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in (build_lattice_net, propagate):
+            with pytest.raises(InvalidParams) as err:
+                build(spec, kernel)
+            assert str(err.value) == message
