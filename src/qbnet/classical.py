@@ -19,7 +19,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, StateSpace, Weights, conditional, contract, external_map
+from .core import BaseNet, NodeBlock, Weights, as_table, conditional, contract
+# one chi and one external map serve both net kinds, under their classical names too
+from .core import chi as chi_classical, external_map as external_mass_map  # noqa: F401
 from .graph import classify_nodes, is_acyclic
 
 EPS_NORM = 1e-9
@@ -83,18 +85,6 @@ def total_mass(net: CBNet) -> float:
     return float(contract(net))
 
 
-def external_mass_map(net: CBNet) -> dict[tuple[int, ...], float]:
-    """Probability of each external configuration, keyed by the component
-    values in canonical external order. Zero-mass configurations included."""
-    return external_map(net)
-
-
-def chi_classical(net: CBNet, fixed: Mapping[str, object] | None = None) -> float:
-    """Filtered mass: sum of joint probabilities over assignments matching
-    ``fixed``, which maps component names to a value or a set of values."""
-    return float(contract(net, (), fixed))
-
-
 def classical_conditional(
     net: CBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
@@ -152,17 +142,8 @@ def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
                 states=list(net.space.states(n)),
                 components=net.space.components(n),
                 parents=tuple(kept[:i]),
-                table=_reader(net.space, kept[: i + 1], cond),
+                table=as_table(cond),
             )
         )
     return CBNet.from_blocks(blocks, meta=dict(net.meta))
 
-
-def _reader(space: StateSpace, nodes, factor: np.ndarray):
-    """A NodeBlock table callable that reads ``factor``, whose axes are ``nodes``."""
-
-    def read(state, parent_states):
-        states = (*parent_states, state)
-        return factor[tuple(space.state_index(n, s) for n, s in zip(nodes, states))]
-
-    return read

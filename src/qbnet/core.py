@@ -13,12 +13,13 @@ node's state k under parent states i and j. Every route indexes the factor
 directly. The 2-D form, which ``NodeBlock`` takes and ``BaseNet.table``
 shows, flattens the parent axes into columns in ``itertools.product`` order
 over the parent state lists (the last parent varies fastest); root nodes have
-a single column. That column order is defined in ``BaseNet`` alone.
+a single column. That column order is defined here alone: ``as_table``
+gives a factor's 2-D form, and ``BaseNet`` stores a 2-D table as a factor.
 
-Total mass, the chi functionals, the external maps and coarsening are all
-sums over the joint, and the contraction engine computes every one of them
-without materializing it. A greedy planner sums the nodes that are not kept
-open out one at a time, multiplying only the factors that mention the node
+Total mass, chi, the external map and coarsening are all sums over the
+joint, and the contraction engine computes every one of them without
+materializing it. A greedy planner sums the nodes that are not kept open
+out one at a time, multiplying only the factors that mention the node
 (variable elimination), and compiles the eliminations into einsum steps once
 per net. A filter multiplies a node's factor by a 0/1 indicator of its
 allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
@@ -28,16 +29,20 @@ the state counts of every node the step touches.
 The dense enumeration (``BaseNet.enumeration`` and ``filter_mask``)
 materializes the joint value vector over the full cartesian product of node
 states. No route computes with it; it stays as the plain reference that the
-engine is tested against, and it refuses joints past the same cap.
+engine is tested against. It refuses joints past the same cap through
+``joint_states``, as the path-sum listing does.
 
 The query layer at the very bottom answers every query from one opened
 tensor. Tucci's conditional divides a hypothesis combo's weight by the total
 over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction under the evidence filters, and reads chi(E) and
-every combo or value-set block off it with 0/1 indicator einsums. The
-classical, quantum, fuzzy, catalog and CLI routes all answer through it; the
-path-sum route keeps one chi call per block, as the independent check.
+every combo or value-set block off it with 0/1 indicator einsums. Past the
+cap each block is one ``chi`` call instead. ``chi`` is one function for both
+net kinds (the classical and quantum modules re-export it), and so is
+``external_map``. The classical, quantum,
+fuzzy, catalog and CLI routes all answer through ``Weights``; the path-sum
+route keeps one chi call per block, as the independent check.
 
 A net never changes after construction, so it caches what its queries reuse:
 a plan per set of open nodes, an indicator column per component, the last
@@ -68,9 +73,12 @@ def max_states() -> int:
     raw = os.environ.get("QBNET_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError(f"QBNET_MAX_STATES must be positive, got {value}")
+        raise ValueError(f"QBNET_MAX_STATES must be a positive integer, got {raw!r}")
     return value
 
 
@@ -81,30 +89,25 @@ def _as_state(state) -> tuple[int, ...]:
 
 
 class StateSpace:
-    """Per-node state lists plus the global component naming."""
+    """Per-node state lists plus the global component naming, from the
+    blocks' states as ``NodeBlock`` normalized them."""
 
-    def __init__(
-        self,
-        components: Mapping[str, Sequence[str]],
-        states: Mapping[str, Sequence],
-    ):
-        if set(components) != set(states):
-            raise ValueError("components and states must cover the same nodes")
-        self._components = {n: tuple(c) for n, c in components.items()}
+    def __init__(self, blocks: Sequence[NodeBlock]):
+        self._components = {b.name: b.components for b in blocks}
         self._states = {}
-        for node, slist in states.items():
-            fixed = tuple(_as_state(s) for s in slist)
-            if not fixed:
-                raise ValueError(f"node {node!r} has no states")
-            width = len(self._components[node])
-            for s in fixed:
+        for b in blocks:
+            states = tuple(b.states)
+            if not states:
+                raise ValueError(f"node {b.name!r} has no states")
+            width = len(b.components)
+            for s in states:
                 if len(s) != width:
                     raise ValueError(
-                        f"node {node!r}: state {s} has {len(s)} entries, expected {width}"
+                        f"node {b.name!r}: state {s} has {len(s)} entries, expected {width}"
                     )
-            if len(set(fixed)) != len(fixed):
-                raise ValueError(f"node {node!r} has duplicate states")
-            self._states[node] = fixed
+            if len(set(states)) != len(states):
+                raise ValueError(f"node {b.name!r} has duplicate states")
+            self._states[b.name] = states
         self._owner: dict[str, tuple[str, int]] = {}
         self._values: dict[str, tuple[int, ...]] = {}
         for node, comps in self._components.items():
@@ -180,25 +183,13 @@ class NodeBlock:
 class _Enumeration:
     """Dense joint enumeration over one net (values vector + helpers)."""
 
-    def __init__(self, net: "BaseNet", cap: int):
+    def __init__(self, net: "BaseNet"):
+        self.njoint = njoint = joint_states(net)
         self.order = net.node_order()
-        sizes = [len(net.space.states(n)) for n in self.order]
-        njoint = 1
-        for s in sizes:
-            njoint *= s
-        if njoint > cap:
-            raise StateSpaceTooLarge(
-                f"{njoint} joint states exceeds the cap of {cap}"
-            )
-        self.sizes = sizes
-        self.njoint = njoint
+        self.sizes = sizes = [len(net.space.states(n)) for n in self.order]
         self.pos = {n: j for j, n in enumerate(self.order)}
-        strides = [1] * len(self.order)
-        for j in range(len(self.order) - 2, -1, -1):
-            strides[j] = strides[j + 1] * sizes[j + 1]
-        self.strides = strides
-        flat = np.arange(njoint, dtype=np.int64)
-        self._flat = flat
+        self.strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+        self._flat = np.arange(njoint, dtype=np.int64)
 
         values = np.ones(njoint, dtype=net.dtype)
         for node in self.order:
@@ -206,20 +197,12 @@ class _Enumeration:
             values = values * net.factor(node)[index]
         self.values = values
 
-        ext = [n for n in self.order if n in net.external_nodes]
-        self.external_order = tuple(ext)
-        if ext:
-            group = np.zeros(njoint, dtype=np.int64)
-            mult = 1
-            for n in reversed(ext):
-                j = self.pos[n]
-                group += ((flat // strides[j]) % sizes[j]) * mult
-                mult *= sizes[j]
-            self.ext_group = group
-            self.n_ext = mult
-        else:
-            self.ext_group = np.zeros(njoint, dtype=np.int64)
-            self.n_ext = 1
+        # external configuration index of each joint state, the last external node fastest
+        self.external_order = tuple(n for n in self.order if n in net.external_nodes)
+        self.ext_group, self.n_ext = np.zeros(njoint, dtype=np.int64), 1
+        for n in reversed(self.external_order):
+            self.ext_group += self.node_state_indices(n) * self.n_ext
+            self.n_ext *= sizes[self.pos[n]]
 
     def node_state_indices(self, node: str) -> np.ndarray:
         j = self.pos[node]
@@ -234,6 +217,12 @@ class _Enumeration:
         node, k = net.space.owner(alpha)
         table = np.asarray([s[k] for s in net.space.states(node)], dtype=np.int64)
         return table[self.node_state_indices(node)]
+
+
+def as_table(factor: np.ndarray) -> np.ndarray:
+    """A factor (parent axes, then the node's) as the 2-D table that
+    ``NodeBlock`` takes: a view, one column per parent state combo."""
+    return factor.reshape(-1, factor.shape[-1]).T
 
 
 class BaseNet:
@@ -288,10 +277,7 @@ class BaseNet:
         arrows = [Arrow(p, b.name) for b in blocks for p in b.parents]
         arrows += [Arrow(n) for n in names if n not in with_children]
         graph = LabelledGraph(names, arrows)
-        space = StateSpace(
-            {b.name: b.components for b in blocks},
-            {b.name: b.states for b in blocks},
-        )
+        space = StateSpace(blocks)
         tables = {
             b.name: cls._tabulate(b, space) if callable(b.table) else b.table for b in blocks
         }
@@ -356,8 +342,7 @@ class BaseNet:
     def table(self, node: str) -> np.ndarray:
         """The node's table as (n_states, n_columns), one column per parent
         state combo, the last parent fastest: a read-only view of the factor."""
-        factor = self._factors[node]
-        return factor.reshape(-1, factor.shape[-1]).T
+        return as_table(self._factors[node])
 
     def entry(self, node: str, state, parent_states: Sequence = ()):
         """One table value, addressed by state values (not indices)."""
@@ -386,11 +371,20 @@ class BaseNet:
 
     def enumeration(self) -> _Enumeration:
         if self._enum_cache is None:
-            self._enum_cache = _Enumeration(self, max_states())
+            self._enum_cache = _Enumeration(self)
         return self._enum_cache
 
     def __repr__(self):
         return f"{type(self).__name__}(nodes={list(self.graph.nodes)})"
+
+
+def joint_states(net: BaseNet) -> int:
+    """The size of the net's joint state space; StateSpaceTooLarge past the
+    cap, for the routes that walk every joint state."""
+    n, cap = math.prod(len(net.space.states(v)) for v in net.graph.nodes), max_states()
+    if n > cap:
+        raise StateSpaceTooLarge(f"{n} joint states exceeds the cap of {cap}")
+    return n
 
 
 def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray | None:
@@ -530,17 +524,16 @@ def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray, np.ndarray]:
     return col
 
 
-def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None,
-             cap: int | None = None):
+def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None):
     """Sum the joint over every node outside ``open_nodes``.
 
     Only assignments matching ``fixed`` (component -> value or value set)
     count. The result has one axis per open node in the given order; with no
     open nodes it is a scalar. Raises StateSpaceTooLarge when a step of the
-    plan spans more index states than ``cap`` (default ``max_states()``).
+    plan spans more index states than the cap.
     """
     plan = _plan(net, tuple(open_nodes))
-    cap = max_states() if cap is None else cap
+    cap = max_states()
     if plan.peak > cap:
         raise StateSpaceTooLarge(
             f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
@@ -558,12 +551,24 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
 
 
 def external_map(net: BaseNet) -> dict[tuple[int, ...], object]:
-    """The joint summed onto each external configuration, keyed by the
-    component values in canonical external order. Zero entries included."""
+    """The joint summed onto each external configuration -- a summed
+    amplitude on a quantum net, a probability on a classical one -- keyed by
+    the component values in canonical external order. Zero entries included."""
     ext = net.external_order
     keys = itertools.product(*[net.space.states(n) for n in ext])
     sums = contract(net, ext).reshape(-1).tolist()
     return {sum(key, ()): v for key, v in zip(keys, sums)}
+
+
+def chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
+    """chi[K], the weight of the assignments matching ``fixed`` (component ->
+    value or value set). On a classical net it is their mass; on a quantum
+    net their amplitudes are summed per external configuration, and the
+    squared magnitudes of those sums are totalled."""
+    if net.kind != "quantum":
+        return float(contract(net, (), fixed))
+    amps = contract(net, net.external_order, fixed)
+    return float((amps.real * amps.real + amps.imag * amps.imag).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +644,15 @@ class Weights:
     """chi(B and E) for blocks B, read off one contraction under evidence E.
 
     The contraction keeps open the nodes owning ``components``, plus the
-    external nodes on a quantum net. A read multiplies it by 0/1 indicators
-    of its blocks and sums the other open axes, coherently; on a quantum net
-    it then squares and sums the external axes. A read past the cap opens
-    the nodes of its own components alone; past the cap again, each block is
-    contracted on its own with only the external nodes open.
+    external nodes on a quantum net. A read multiplies the tensor by 0/1
+    indicators of its blocks and sums the other open axes, coherently; on a
+    quantum net it then squares and sums the external axes. Past the cap
+    (the opened plan's peak, or the tensor size times the read's rows), or
+    for a component whose node the tensor does not keep open, each block is
+    one ``_chi`` call instead.
     """
+
+    _chi = staticmethod(chi)
 
     def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping):
         self.net, self.square, self.cap = net, net.kind == "quantum", max_states()
@@ -660,7 +668,7 @@ class Weights:
             return None
         key = (nodes, frozenset(self.evidence.items()))
         if self.net._last_opened[0] != key:
-            tensor = np.asarray(contract(self.net, nodes, self.evidence, self.cap))
+            tensor = np.asarray(contract(self.net, nodes, self.evidence))
             tensor.flags.writeable = False
             self.net._last_opened = (key, tensor)
         return nodes, self.net._last_opened[1]
@@ -674,36 +682,28 @@ class Weights:
         comps = tuple(comps)
         owner = self.net.space.owner
         reads = [(i, owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
-        return self._read(comps, reads, lambda: value_blocks(self.net, comps))
+        return self._read(reads, lambda: value_blocks(self.net, comps))
 
     def blocks(self, blocks) -> list[float]:
         """chi(B and E) for each block B, a {component: value or value set}."""
         blocks = list(blocks)
-        comps = tuple(dict.fromkeys(alpha for b in blocks for alpha in b))
         reads = [(0, None, np.ones(len(blocks)))]
-        for a in comps:
+        for a in dict.fromkeys(alpha for b in blocks for alpha in b):
             values = self.net.space.component_values(a)
             picks = np.array([[a not in b or v in value_set(b[a]) for v in values] for b in blocks])
             reads.append((0, self.net.space.owner(a)[0], picks @ _column(self.net, a)[2]))
-        return self._read(comps, reads, lambda: blocks)
+        return self._read(reads, lambda: blocks)
 
-    def _read(self, comps, reads, blocks) -> list[float]:
+    def _read(self, reads, blocks) -> list[float]:
         """The weights of ``reads``, each (row axis, node, 0/1 rows x node
-        states); ``blocks()`` lists the same rows for the per-block route."""
-        nodes = {self.net.space.owner(a)[0] for a in comps}
+        states); ``blocks()`` lists the same rows for the per-block route,
+        taken past the cap or for a node the tensor does not keep open."""
         rows = math.prod({i: m.shape[0] for i, _, m in reads}.values())
-        found = self._wide
-        if found is None or not nodes <= set(found[0]) or found[1].size * rows > self.cap:
-            found = self._opened(comps)
-        if found is None or found[1].size * rows > self.cap:
+        nodes, tensor = self._wide or ((), None)
+        if tensor is None or tensor.size * rows > self.cap or not (
+            {n for _, n, _ in reads} <= {None, *nodes}
+        ):
             return distribution(self._chi, self.net, blocks(), self.evidence)
-        return self._reduce(*found, reads)
-
-    def _chi(self, net: BaseNet, sets: Mapping) -> float:
-        """One block's weight with only the external nodes open."""
-        return self._reduce(self._ext, contract(net, self._ext, sets, self.cap), [])[0]
-
-    def _reduce(self, nodes, tensor, reads) -> list[float]:
         subscripts, n_rows = _read_subscripts(nodes, self._ext, tuple(r[:2] for r in reads))
         amps = np.einsum(subscripts, tensor, *(m for _, _, m in reads))
         flat = amps.reshape(math.prod(amps.shape[:n_rows]), -1)

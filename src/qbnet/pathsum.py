@@ -20,8 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import BaseNet, Weights, conditional, max_states, value_set
-from .errors import StateSpaceTooLarge
+from .core import BaseNet, Weights, conditional, joint_states, value_set
 from .fuzzy import classical_fuzzy_conditional, quantum_fuzzy_conditional
 
 
@@ -46,18 +45,9 @@ class PathClassification:
     classes: dict[FinalState, list[Path]]
 
 
-def _space_size(net: BaseNet) -> int:
-    n = 1
-    for node in net.graph.nodes:
-        n *= len(net.space.states(node))
-    return n
-
-
 def enumerate_paths(net: BaseNet) -> list[Path]:
     """All nonzero-support paths, in lexicographic state-index order."""
-    cap = max_states()
-    if _space_size(net) > cap:
-        raise StateSpaceTooLarge(f"{_space_size(net)} joint states exceeds the cap of {cap}")
+    joint_states(net)
     order = net.node_order()
     state_lists = [net.space.states(n) for n in order]
     pos = {n: j for j, n in enumerate(order)}
@@ -157,11 +147,10 @@ class PathWeights(Weights):
     """The reads of ``core.Weights`` with nothing contracted: each block is
     one ``path_chi`` call, through ``core.distribution``."""
 
+    _chi = staticmethod(path_chi)
+
     def _opened(self, comps):
         return None
-
-    def _chi(self, net: BaseNet, sets: Mapping) -> float:
-        return path_chi(net, sets)
 
 
 def pathsum_conditional(

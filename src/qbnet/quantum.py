@@ -17,7 +17,9 @@ conditional probability of a hypothesis H given evidence E is
 
 which is ``core.conditional``, the recipe every route shares (on classical
 nets the denominator equals chi[E]); ``core.Weights`` reads every chi in it
-off one contraction that keeps the hypothesis and external nodes open. The
+off one contraction that keeps the hypothesis and external nodes open.
+``chi`` and ``external_amplitude_map`` are ``core.chi`` and
+``core.external_map``, which serve classical nets too. The
 quantum-noise factor below measures how far that denominator sits from
 chi[E] itself; it equals one whenever the hypothesis components are all
 external, and drifts from one when conditioning cuts into coherent sums.
@@ -39,9 +41,9 @@ from .core import (
     BaseNet,
     Weights,
     check_query,
+    chi,
     conditional,
-    contract,
-    external_map,
+    external_map as external_amplitude_map,  # noqa: F401  (one map for both kinds)
     filter_mask,  # noqa: F401  (the dense reference, kept importable here)
     normalize,
 )
@@ -70,19 +72,6 @@ def total_squared_amplitude(net: QBNet) -> float:
     """Sum of |A|^2 over every joint state, i.e. the parent net's mass; one
     for any normalized net."""
     return total_mass(parent_cb_net(net))
-
-
-def external_amplitude_map(net: QBNet) -> dict[tuple[int, ...], complex]:
-    """Summed amplitude of each external configuration, keyed by component
-    values in canonical external order. Zero entries included."""
-    return external_map(net)
-
-
-def chi(net: QBNet, fixed: Mapping[str, object] | None = None) -> float:
-    """Filtered squared magnitude of internal sums, totalled over external
-    configurations. ``fixed`` maps component names to a value or value set."""
-    amps = contract(net, net.external_order, fixed)
-    return float((amps.real * amps.real + amps.imag * amps.imag).sum())
 
 
 def quantum_conditional(

@@ -267,6 +267,13 @@ def test_paths_respects_the_state_cap(capsys, fig19_file, monkeypatch):
     assert "cap" in err
 
 
+def test_a_cap_that_is_not_an_integer_is_refused(capsys, fig19_file, monkeypatch):
+    monkeypatch.setenv("QBNET_MAX_STATES", "abc")
+    code, out, err = run(capsys, "query", fig19_file, "--hypothesis", "u.plus")
+    assert (code, out) == (2, "")
+    assert err == "error: QBNET_MAX_STATES must be a positive integer, got 'abc'\n"
+
+
 def test_catalog_list_census(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -1,13 +1,16 @@
 """The contraction engine against the dense reference and the path sums."""
 
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbnet
 from qbnet import catalog, core, quantum
 from qbnet.classical import (
     CBNet,
@@ -224,6 +227,14 @@ def test_weights_agree_with_per_block_chi_and_path_sums(query):
         assert weights.blocks(blocks) == pytest.approx(want, abs=1e-12)
 
 
+def test_a_read_outside_the_opened_nodes_goes_block_by_block():
+    net = catalog.build("fig19-loop")
+    weights = Weights(net, ("u.plus",), {"z.plus": 1})
+    blocks = [{"u.plus": 1, "z.minus": 0}, {"psi._plus": {0, 1}}]
+    want = distribution(chi, net, blocks, {"z.plus": 1})
+    assert weights.blocks(blocks) == pytest.approx(want, abs=1e-12)
+
+
 def _cap_floor(net):
     """The smallest cap under which one chi call per block still answers."""
     return max(core._plan(net, net.external_order).peak, core._plan(parent_cb_net(net), ()).peak)
@@ -377,3 +388,55 @@ def test_whole_numbers_of_any_type_are_accepted():
         assert quantum_conditional(net, {"u.plus": 1}, {"z.plus": good}) == want
     assert core.value_set(np.array([0.0, 1.0])) == {0, 1}
     assert core.value_set(()) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# One chi and one external map for both net kinds
+
+
+def test_one_chi_and_one_external_map_serve_both_net_kinds():
+    assert qbnet.chi is qbnet.chi_classical
+    assert external_amplitude_map is external_mass_map
+    net = catalog.build("fig19-loop")
+    parent = parent_cb_net(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning from a wrong-kind route fails here
+        for target in (net, parent):
+            for fixed in ({}, {"u.plus": 1}, {"z.plus": 0, "u._minus": {0, 1}}):
+                want = path_chi(target, fixed)
+                assert qbnet.chi(target, fixed) == pytest.approx(want, abs=1e-12)
+                assert qbnet.chi_classical(target, fixed) == pytest.approx(want, abs=1e-12)
+        assert qbnet.chi(parent) == total_mass(parent)
+
+
+# ---------------------------------------------------------------------------
+# The state cap and the state-space checks
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e3", "", "0", "-3"])
+def test_a_cap_that_is_not_a_positive_integer_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("QBNET_MAX_STATES", raw)
+    with pytest.raises(ValueError) as err:
+        core.max_states()
+    assert str(err.value) == f"QBNET_MAX_STATES must be a positive integer, got {raw!r}"
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([NodeBlock("a", [], [])], "node 'a' has no states"),
+        (
+            [NodeBlock("a", [(0, 1)], [1.0], components=("p",))],
+            "node 'a': state (0, 1) has 2 entries, expected 1",
+        ),
+        ([NodeBlock("a", [0, 1, 0], [0.5, 0.5, 0.0])], "node 'a' has duplicate states"),
+        (
+            [NodeBlock("a", [0, 1], [0.5, 0.5]),
+             NodeBlock("b", [0, 1], [0.5, 0.5], components=("a",))],
+            "component name 'a' is not globally unique",
+        ),
+    ],
+)
+def test_the_state_space_checks_keep_their_messages(blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CBNet.from_blocks(blocks)
