@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import CBNet
-from .core import NodeBlock, Weights, normalize, value_set
+from .core import NodeBlock, Weights, expect_kind, normalize, value_set
 from .errors import ContradictoryEvidence, InvalidParams, UnknownEntry
 from .quantum import QBNet, chi, parent_cb_net  # noqa: F401  (perfbench traces catalog.chi)
 from .spin import (
@@ -489,8 +489,7 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     recorded and the run continues. Each case reads every row off one
     ``Weights`` on the quantum net and one on its parent.
     """
-    if not isinstance(net, QBNet):
-        raise InvalidParams("run_evidence_cases expects a quantum net")
+    expect_kind(net, "quantum", "run_evidence_cases")
     if hypotheses not in ("singles", "pairs", "both"):
         raise InvalidParams(f"hypotheses must be singles/pairs/both, got {hypotheses!r}")
     if cases is None:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, Weights, as_table, conditional, contract
+from .core import BaseNet, NodeBlock, Weights, as_table, conditional, contract, expect_kind
 # one chi and one external map serve both net kinds, under their classical names too
 from .core import chi as chi_classical, external_map as external_mass_map  # noqa: F401
 from .graph import classify_nodes, is_acyclic
@@ -73,6 +73,7 @@ class ValidationReport:
 
 def joint_probability(net: CBNet, assignment: Mapping[str, object]) -> float:
     """Probability of one full assignment {node: state}."""
+    expect_kind(net, "classical", "joint_probability")
     return float(net.joint_value(assignment))
 
 
@@ -82,18 +83,20 @@ def total_mass(net: CBNet) -> float:
     Equals 1 (up to float noise) for any valid acyclic net; cyclic pre-nets
     may give other values, which is exactly what this diagnostic is for.
     """
+    expect_kind(net, "classical", "total_mass")
     return float(contract(net))
 
 
 def classical_conditional(
-    net: CBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
+    net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
-    """P(hypothesis | evidence) with both given as {component: value}."""
+    """P(hypothesis | evidence), both given as {component: value}, on either net kind."""
     return conditional(Weights, net, hypothesis, evidence)
 
 
 def validate(net: CBNet) -> ValidationReport:
     """Check table nonnegativity, column normalization, and graph sanity."""
+    expect_kind(net, "classical", "validate")
     report = ValidationReport()
     report.flag_invalid_nodes(net.graph)
     if not is_acyclic(net.graph):
@@ -120,6 +123,7 @@ def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
     which makes the outcome independent of how the dropped nodes are
     summed out.
     """
+    expect_kind(net, "classical", "coarsen")
     keep_set = set(keep)
     unknown = keep_set - set(net.graph.nodes)
     if unknown:

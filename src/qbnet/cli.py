@@ -56,10 +56,11 @@ def cmd_validate(args) -> int:
     report = validate_quantum(net) if isinstance(net, QBNet) else validate(net)
     if report.ok:
         print(f"{args.net}: ok ({net.kind}, {len(net.graph.nodes)} nodes)")
-        return EXIT_OK
     for problem in report.problems:
         print(f"violation: {problem}")
-    return EXIT_INVALID
+    for note in report.notes:
+        print(f"note: {note}")
+    return EXIT_OK if report.ok else EXIT_INVALID
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContradictoryEvidence, CyclicGraph, InvalidState, StateSpaceTooLarge
+from .errors import ContradictoryEvidence, CyclicGraph, InvalidParams, InvalidState
+from .errors import StateSpaceTooLarge
 from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
@@ -198,7 +199,7 @@ class _Enumeration:
         self.values = values
 
         # external configuration index of each joint state, the last external node fastest
-        self.external_order = tuple(n for n in self.order if n in net.external_nodes)
+        self.external_order = net.external_order
         self.ext_group, self.n_ext = np.zeros(njoint, dtype=np.int64), 1
         for n in reversed(self.external_order):
             self.ext_group += self.node_state_indices(n) * self.n_ext
@@ -318,18 +319,11 @@ class BaseNet:
     def external_components(self) -> tuple[str, ...]:
         """Gamma_ex in canonical order: external nodes chronologically, their
         components in declared order."""
-        out = []
-        for n in self.node_order():
-            if n in self.external_nodes:
-                out.extend(self.space.components(n))
-        return tuple(out)
+        return tuple(a for n in self.external_order for a in self.space.components(n))
 
     @property
     def all_components(self) -> tuple[str, ...]:
-        out = []
-        for n in self.node_order():
-            out.extend(self.space.components(n))
-        return tuple(out)
+        return tuple(a for n in self.node_order() for a in self.space.components(n))
 
     def parents(self, node: str) -> tuple[str, ...]:
         return self.graph.parents(node)
@@ -376,6 +370,12 @@ class BaseNet:
 
     def __repr__(self):
         return f"{type(self).__name__}(nodes={list(self.graph.nodes)})"
+
+
+def expect_kind(net: BaseNet, kind: str, caller: str) -> None:
+    """Refuse a net of the other kind with InvalidParams naming the caller."""
+    if net.kind != kind:
+        raise InvalidParams(f"{caller} expects a {kind} net")
 
 
 def joint_states(net: BaseNet) -> int:

@@ -6,7 +6,8 @@ the path products within a class gives that configuration's total amplitude
 (quantum) or probability (classical). Everything the net engine computes by
 tensor contraction can be recomputed here from explicit path lists with
 plain Python arithmetic, which is exactly what makes this module useful as a
-cross-check: the two routes share the tables and nothing else.
+cross-check: the two routes share the tables and nothing else. One pass that
+groups the paths matching a filter by final configuration serves every result.
 
 Zero support is decided by exact comparison with zero, entry by entry; a
 path is excluded the moment any factor vanishes, never because its product
@@ -15,10 +16,11 @@ is merely small.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import BaseNet, Weights, conditional, joint_states, value_set
 from .fuzzy import classical_fuzzy_conditional, quantum_fuzzy_conditional
@@ -72,21 +74,29 @@ def enumerate_paths(net: BaseNet) -> list[Path]:
     return paths
 
 
-def _final_state(net: BaseNet, order, states) -> FinalState:
-    values: list[int] = []
-    for node, state in zip(order, states):
-        if node in net.external_nodes:
-            values.extend(state)
-    return FinalState(tuple(values))
+def _classes(net: BaseNet, fixed: Mapping[str, object]) -> dict[FinalState, list[Path]]:
+    """The paths matching ``fixed`` (component -> value or value set), grouped
+    by final external configuration: the one walk every result here reads."""
+    pos = {n: j for j, n in enumerate(net.node_order())}
+    owners = [(net.space.owner(alpha), value_set(v)) for alpha, v in fixed.items()]
+    matchers = [(pos[node], k, vs) for (node, k), vs in owners]
+    external = [pos[n] for n in net.external_order]
+    classes: dict[FinalState, list[Path]] = {}
+    for path in enumerate_paths(net):
+        if all(path.states[j][k] in vs for j, k, vs in matchers):
+            final = FinalState(tuple(v for j in external for v in path.states[j]))
+            classes.setdefault(final, []).append(path)
+    return classes
 
 
 def classify_paths(net: BaseNet) -> PathClassification:
     """Group the nonzero-support paths by final external configuration."""
-    order = net.node_order()
-    classes: dict[FinalState, list[Path]] = {}
-    for path in enumerate_paths(net):
-        classes.setdefault(_final_state(net, order, path.states), []).append(path)
-    return PathClassification(order=order, classes=classes)
+    return PathClassification(order=net.node_order(), classes=_classes(net, {}))
+
+
+def _class_sums(net: BaseNet, fixed: Mapping[str, object]) -> dict:
+    classes = _classes(net, fixed).items()
+    return {f: functools.reduce(operator.add, (p.value for p in ps)) for f, ps in classes}
 
 
 def feynman_integral(net: BaseNet):
@@ -97,13 +107,7 @@ def feynman_integral(net: BaseNet):
     configuration probabilities directly. Only classes with at least one
     nonzero-support path appear (their sum may still cancel to zero).
     """
-    out = {}
-    for final, paths in classify_paths(net).classes.items():
-        total = paths[0].value
-        for p in paths[1:]:
-            total = total + p.value
-        out[final] = total
-    return out
+    return _class_sums(net, {})
 
 
 # ---------------------------------------------------------------------------
@@ -111,36 +115,14 @@ def feynman_integral(net: BaseNet):
 # explicit paths instead.
 
 
-def _matchers(net: BaseNet, order, fixed):
-    pos = {n: j for j, n in enumerate(order)}
-    out = []
-    for alpha, allowed in fixed.items():
-        node, k = net.space.owner(alpha)
-        out.append((pos[node], k, value_set(allowed)))
-    return out
-
-
 def path_chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
-    """Path-route version of the filtered weight.
-
-    Classical nets: total probability of matching paths. Quantum nets:
-    matching amplitudes are summed within each final-state class before
-    squaring.
-    """
-    order = net.node_order()
-    matchers = _matchers(net, order, fixed or {})
+    """Path-route version of the filtered weight: the class sums of the
+    matching paths, squared before they are added on a quantum net and added
+    as they are on a classical one."""
+    sums = _class_sums(net, fixed or {}).values()
     if net.kind == "quantum":
-        sums: dict[FinalState, complex] = {}
-        for path in enumerate_paths(net):
-            if all(path.states[j][k] in vs for j, k, vs in matchers):
-                key = _final_state(net, order, path.states)
-                sums[key] = sums.get(key, 0j) + path.value
-        return sum(abs(v) ** 2 for v in sums.values())
-    total = 0.0
-    for path in enumerate_paths(net):
-        if all(path.states[j][k] in vs for j, k, vs in matchers):
-            total += path.value
-    return total
+        sums = (abs(v) ** 2 for v in sums)
+    return sum(sums, 0.0)
 
 
 class PathWeights(Weights):

@@ -19,7 +19,8 @@ which is ``core.conditional``, the recipe every route shares (on classical
 nets the denominator equals chi[E]); ``core.Weights`` reads every chi in it
 off one contraction that keeps the hypothesis and external nodes open.
 ``chi`` and ``external_amplitude_map`` are ``core.chi`` and
-``core.external_map``, which serve classical nets too. The
+``core.external_map``, and ``quantum_conditional`` is
+``classical.classical_conditional``; all three serve both net kinds. The
 quantum-noise factor below measures how far that denominator sits from
 chi[E] itself; it equals one whenever the hypothesis components are all
 external, and drifts from one when conditioning cuts into coherent sums.
@@ -37,12 +38,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .classical import CBNet, ValidationReport, total_mass
+from .classical import classical_conditional as quantum_conditional  # noqa: F401
 from .core import (
     BaseNet,
     Weights,
     check_query,
     chi,
-    conditional,
+    expect_kind,
     external_map as external_amplitude_map,  # noqa: F401  (one map for both kinds)
     filter_mask,  # noqa: F401  (the dense reference, kept importable here)
     normalize,
@@ -71,14 +73,8 @@ def joint_amplitude(net: QBNet, assignment: Mapping[str, object]) -> complex:
 def total_squared_amplitude(net: QBNet) -> float:
     """Sum of |A|^2 over every joint state, i.e. the parent net's mass; one
     for any normalized net."""
+    expect_kind(net, "quantum", "total_squared_amplitude")
     return total_mass(parent_cb_net(net))
-
-
-def quantum_conditional(
-    net: QBNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
-) -> float:
-    """P(hypothesis | evidence), both given as {component: value}."""
-    return conditional(Weights, net, hypothesis, evidence)
 
 
 def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) -> float:
@@ -95,6 +91,7 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
 def parent_cb_net(net: QBNet) -> CBNet:
     """Classical net with tables |A|^2 on the same graph and state space,
     built once per net."""
+    expect_kind(net, "quantum", "parent_cb_net")
     if net._parent is None:
         tables = {n: np.abs(net.table(n)) ** 2 for n in net.graph.nodes}
         net._parent = CBNet(net.graph, net.space, tables, meta=dict(net.meta))
@@ -103,6 +100,7 @@ def parent_cb_net(net: QBNet) -> CBNet:
 
 def validate_quantum(net: QBNet) -> ValidationReport:
     """Check column norms, node classification, and the whole-net sums."""
+    expect_kind(net, "quantum", "validate_quantum")
     report = ValidationReport()
     report.flag_invalid_nodes(net.graph)
     for node in net.graph.nodes:

@@ -267,6 +267,19 @@ def test_paths_respects_the_state_cap(capsys, fig19_file, monkeypatch):
     assert "cap" in err
 
 
+def test_validate_prints_the_notes_of_skipped_sums(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "fig26.qbn"
+    path.write_text(emit_net(catalog.build("fig26")))
+    monkeypatch.setenv("QBNET_MAX_STATES", "4")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{path}: ok (quantum, 9 nodes)",
+        "note: whole-net sums skipped: contraction step over nodes v.minus, v.plus, u"
+        " spans 12 index states, over the cap of 4",
+    ]
+
+
 def test_a_cap_that_is_not_an_integer_is_refused(capsys, fig19_file, monkeypatch):
     monkeypatch.setenv("QBNET_MAX_STATES", "abc")
     code, out, err = run(capsys, "query", fig19_file, "--hypothesis", "u.plus")

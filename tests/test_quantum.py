@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from qbnet import catalog
-from qbnet.classical import classical_conditional, total_mass, validate
+from qbnet.classical import (
+    classical_conditional,
+    coarsen,
+    joint_probability,
+    total_mass,
+    validate,
+)
 from qbnet.core import NodeBlock
-from qbnet.errors import ContradictoryEvidence, CyclicGraph
+from qbnet.errors import ContradictoryEvidence, CyclicGraph, InvalidParams
 from qbnet.quantum import (
     QBNet,
     chi,
@@ -174,6 +180,32 @@ def test_validate_quantum_cap_note(monkeypatch):
     report = validate_quantum(net)
     assert report.ok
     assert any("skipped" in n for n in report.notes)
+
+
+def test_one_conditional_serves_both_net_kinds():
+    assert quantum_conditional is classical_conditional
+
+
+@pytest.mark.parametrize(
+    "fn, kind",
+    [
+        (validate, "classical"),
+        (total_mass, "classical"),
+        (coarsen, "classical"),
+        (joint_probability, "classical"),
+        (validate_quantum, "quantum"),
+        (total_squared_amplitude, "quantum"),
+        (parent_cb_net, "quantum"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_a_net_of_the_wrong_kind_is_refused(fn, kind):
+    net = catalog.build("fig9-and" if kind == "quantum" else "fig19-loop")
+    first_states = {n: net.space.states(n)[0] for n in net.graph.nodes}
+    extra = {coarsen: (net.graph.nodes[:1],), joint_probability: (first_states,)}
+    with pytest.raises(InvalidParams) as err:
+        fn(net, *extra.get(fn, ()))
+    assert str(err.value) == f"{fn.__name__} expects a {kind} net"
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.5), complex(math.inf, 0.0)])
