@@ -49,8 +49,9 @@ from typing import Callable
 import numpy as np
 
 from .classical import CBNet
-from .core import NodeBlock, Weights, expect_kind, normalize, value_set
+from .core import NodeBlock, Weights, expect_kind
 from .errors import ContradictoryEvidence, InvalidParams, UnknownEntry
+from .netfile import EvidenceCase
 from .quantum import QBNet, chi, parent_cb_net  # noqa: F401  (perfbench traces catalog.chi)
 from .spin import (
     MAGNET_STATES,
@@ -400,33 +401,6 @@ def build(entry_id: str, **params):
 # Evidence cases
 
 
-@dataclass(frozen=True)
-class EvidenceCase:
-    """One row of an evidence-case table.
-
-    ``constraints`` maps component names to either a sharp integer value
-    or a frozenset of allowed values; unconstrained components are simply
-    absent (the blank columns of the table).
-    """
-
-    number: int
-    constraints: tuple = ()
-
-    def as_sets(self) -> dict[str, frozenset]:
-        return {alpha: value_set(v) for alpha, v in self.constraints}
-
-    def describe(self) -> str:
-        if not self.constraints:
-            return "(no evidence)"
-        bits = []
-        for alpha, v in self.constraints:
-            if isinstance(v, frozenset):
-                bits.append(f"{alpha}in{{{','.join(str(x) for x in sorted(v))}}}")
-            else:
-                bits.append(f"{alpha}={v}")
-        return " ".join(bits)
-
-
 def query_components(net) -> tuple[str, ...]:
     """Components used for evidence and hypotheses, in header order."""
     meta = net.meta.get("query_components")
@@ -486,8 +460,9 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
 
     Returns one CaseResult per case. A case whose evidence is impossible
     is marked no_output with no rows; errors inside individual rows are
-    recorded and the run continues. Each case reads every row off one
-    ``Weights`` on the quantum net and one on its parent.
+    recorded and the run continues. Each case reads every row, with
+    ``Weights.row``, off one ``Weights`` on the quantum net and one on its
+    parent.
     """
     expect_kind(net, "quantum", "run_evidence_cases")
     if hypotheses not in ("singles", "pairs", "both"):
@@ -512,24 +487,16 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
             result.errors.append(f"unknown components {sorted(unknown)}")
             continue
         qb_weights = Weights(net, comps, evidence)
-        qb_base = qb_weights.total()
-        cb_weights = Weights(parent, comps, evidence) if qb_base else None
-        cb_base = cb_weights.total() if qb_base else 0.0
-        if cb_base == 0.0:
+        cb_weights = Weights(parent, comps, evidence) if qb_weights.total() else None
+        if cb_weights is None or cb_weights.total() == 0.0:
             result.no_output = True
             continue
         for hyp in sets:
             try:
-                qb, cb = qb_weights.combos(hyp), cb_weights.combos(hyp)
-                qb_total, cb_total = sum(qb), sum(cb)
-                row = HypothesisRow(
-                    hyp,
-                    tuple(itertools.product(*map(net.space.component_values, hyp))),
-                    tuple(normalize(cb, cb_total, evidence)),
-                    tuple(normalize(qb, qb_total, evidence)),
-                    cb_total / cb_base,
-                    qb_total / qb_base,
-                )
+                qb, qb_fqna = qb_weights.row(hyp)
+                cb, cb_fqna = cb_weights.row(hyp)
+                combos = tuple(itertools.product(*map(net.space.component_values, hyp)))
+                row = HypothesisRow(hyp, combos, tuple(cb), tuple(qb), cb_fqna, qb_fqna)
             except ContradictoryEvidence:
                 result.errors.append(f"{hyp}: zero weight under this evidence")
                 continue

@@ -64,12 +64,6 @@ class ValidationReport:
         if len(bad) > 4:
             self.problems.append(f"node {node!r}: {len(bad) - 4} more bad columns")
 
-    def __str__(self):
-        lines = [("ok" if self.ok else "INVALID")]
-        lines += [f"problem: {p}" for p in self.problems]
-        lines += [f"note: {n}" for n in self.notes]
-        return "\n".join(lines)
-
 
 def joint_probability(net: CBNet, assignment: Mapping[str, object]) -> float:
     """Probability of one full assignment {node: state}."""

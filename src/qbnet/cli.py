@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog
 from .classical import validate
-from .core import Weights, check_query, normalize, value_blocks
+from .core import Weights, check_query, value_blocks
 from .errors import (
     ContradictoryEvidence,
     InvalidParams,
@@ -140,11 +140,8 @@ def cmd_query(args) -> int:
     except InvalidState as err:
         raise ParseError(str(err)) from None
     comps = tuple(hypothesis)
-    weights = engine(net, comps, evidence)
-    combos = weights.combos(comps)
     # zero-weight evidence raises here, before anything is printed
-    f_qna = normalize([sum(combos)], weights.total(), evidence)[0]
-    probs = normalize(combos, sum(combos), evidence)
+    probs, f_qna = engine(net, comps, evidence).row(comps)
     for block, p in zip(value_blocks(net, comps), probs):
         if all(hypothesis[a] in (None, v) for a, v in block.items()):
             label = " ".join(f"{a}={v}" for a, v in block.items())

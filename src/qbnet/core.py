@@ -40,9 +40,12 @@ nodes) in one contraction under the evidence filters, and reads chi(E) and
 every combo or value-set block off it with 0/1 indicator einsums. Past the
 cap each block is one ``chi`` call instead. ``chi`` is one function for both
 net kinds (the classical and quantum modules re-export it), and so is
-``external_map``. The classical, quantum,
-fuzzy, catalog and CLI routes all answer through ``Weights``; the path-sum
-route keeps one chi call per block, as the independent check.
+``external_map``. ``Weights.row`` is the one hypothesis-row recipe, used by
+the CLI query, ``quantum.f_qna`` and the case runner: each combo over the
+combos' total, and f_qna, that total over chi(E). ``conditional`` is its
+probabilities-only half; it skips chi(E), which can vanish on a quantum net
+while the combos do not. Every other route answers through ``Weights`` too;
+the path-sum route keeps one chi call per block, as the independent check.
 
 A net never changes after construction, so it caches what its queries reuse:
 a plan per set of open nodes, an indicator column per component, the last
@@ -658,7 +661,7 @@ class Weights:
         self.net, self.square, self.cap = net, net.kind == "quantum", max_states()
         self.evidence = {alpha: value_set(v) for alpha, v in evidence.items()}
         self._ext = net.external_order if self.square else ()
-        self._wide = self._opened(components)
+        self._wide, self._total = self._opened(components), None
 
     def _opened(self, comps):
         """(open nodes, tensor) for the nodes of ``comps``; None past the cap.
@@ -674,8 +677,19 @@ class Weights:
         return nodes, self.net._last_opened[1]
 
     def total(self) -> float:
-        """chi(E)."""
-        return self.combos(())[0]
+        """chi(E), read once per instance."""
+        if self._total is None:
+            self._total = self.combos(())[0]
+        return self._total
+
+    def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
+        """(P(m | E) for every value combo m of ``comps``, f_qna): the combos
+        over their total, and that total over chi(E). ContradictoryEvidence
+        if chi(E), or else the combos' total, is zero."""
+        weights = self.combos(comps)
+        total = sum(weights)
+        f_qna = normalize([total], self.total(), self.evidence)[0]
+        return normalize(weights, total, self.evidence), f_qna
 
     def combos(self, comps: Iterable[str]) -> list[float]:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks`` order."""

@@ -24,8 +24,9 @@ accepted wherever a number is, and meta values are kept verbatim, so
 symbolic angles survive emission unchanged.
 
 Evidence-case files are CSV: a header row of "case" plus component names,
-then one row per case. A blank cell means unconstrained, an integer is a
-sharp value, and a braced list like {0,1} is a fuzzy value set.
+then one row per case, an ``EvidenceCase``. A blank cell means
+unconstrained, an integer is a sharp value, and a braced list like {0,1} is
+a fuzzy value set.
 
 Both emitters are deterministic: the same net or case list always yields
 byte-identical text.
@@ -38,11 +39,12 @@ import io
 import itertools
 import re
 import math
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
-from .catalog import EvidenceCase
 from .classical import CBNet
-from .core import NodeBlock
+from .core import NodeBlock, value_set
 from .errors import CyclicGraph, ParseError
 from .quantum import QBNet
 
@@ -326,7 +328,38 @@ def read_net(path):
 
 
 # ---------------------------------------------------------------------------
-# Evidence-case files
+# Evidence cases
+
+
+def _value_cell(v) -> str:
+    """A sharp integer as itself, any other value or values as {v,...}."""
+    if isinstance(v, Integral):
+        return str(v)
+    return "{" + ",".join(str(x) for x in sorted(value_set(v))) + "}"
+
+
+@dataclass(frozen=True)
+class EvidenceCase:
+    """One row of an evidence-case table.
+
+    ``constraints`` pairs component names with either a sharp integer value
+    or an iterable of allowed values; unconstrained components are simply
+    absent (the blank columns of the table).
+    """
+
+    number: int
+    constraints: tuple = ()
+
+    def as_sets(self) -> dict[str, frozenset]:
+        return {alpha: value_set(v) for alpha, v in self.constraints}
+
+    def describe(self) -> str:
+        if not self.constraints:
+            return "(no evidence)"
+        return " ".join(
+            f"{alpha}{'=' if isinstance(v, Integral) else 'in'}{_value_cell(v)}"
+            for alpha, v in self.constraints
+        )
 
 
 def emit_cases(components: Sequence[str], cases: Iterable[EvidenceCase]) -> str:
@@ -335,21 +368,9 @@ def emit_cases(components: Sequence[str], cases: Iterable[EvidenceCase]) -> str:
     writer.writerow(["case", *components])
     for case in cases:
         fixed = dict(case.constraints)
-        row = [str(case.number)]
-        for alpha in components:
-            if alpha not in fixed:
-                row.append("")
-            elif isinstance(fixed[alpha], (set, frozenset)):
-                row.append("{" + ",".join(str(v) for v in sorted(fixed[alpha])) + "}")
-            else:
-                row.append(str(fixed[alpha]))
-        writer.writerow(row)
+        cells = [_value_cell(fixed[alpha]) if alpha in fixed else "" for alpha in components]
+        writer.writerow([str(case.number), *cells])
     return buf.getvalue()
-
-
-def write_cases(components, cases, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_cases(components, cases))
 
 
 def parse_value_cell(cell: str, line=None):

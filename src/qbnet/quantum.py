@@ -21,8 +21,9 @@ off one contraction that keeps the hypothesis and external nodes open.
 ``chi`` and ``external_amplitude_map`` are ``core.chi`` and
 ``core.external_map``, and ``quantum_conditional`` is
 ``classical.classical_conditional``; all three serve both net kinds. The
-quantum-noise factor below measures how far that denominator sits from
-chi[E] itself; it equals one whenever the hypothesis components are all
+quantum-noise factor ``f_qna`` measures how far that denominator sits from
+chi[E] itself, as ``core.Weights.row`` computes it next to the
+conditionals; it equals one whenever the hypothesis components are all
 external, and drifts from one when conditioning cuts into coherent sums.
 
 Every quantum net has a parent classical net with tables |A|^2. The two give
@@ -47,7 +48,6 @@ from .core import (
     expect_kind,
     external_map as external_amplitude_map,  # noqa: F401  (one map for both kinds)
     filter_mask,  # noqa: F401  (the dense reference, kept importable here)
-    normalize,
 )
 from .errors import StateSpaceTooLarge
 
@@ -81,11 +81,11 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
     """Quantum-noise factor for conditioning on the given hypothesis
     components: the hypothesis-summed weight over the plain evidence weight.
     One exactly when the components are all external; otherwise a measure of
-    how much coherence the conditioning destroys."""
+    how much coherence the conditioning destroys. ContradictoryEvidence when
+    either weight is zero."""
     comps = tuple(components)
     check_query(net, dict.fromkeys(comps), evidence)
-    weights = Weights(net, comps, evidence)
-    return normalize([sum(weights.combos(comps))], weights.total(), evidence)[0]
+    return Weights(net, comps, evidence).row(comps)[1]
 
 
 def parent_cb_net(net: QBNet) -> CBNet:

@@ -19,8 +19,16 @@ from qbnet.classical import (
     external_mass_map,
     total_mass,
 )
-from qbnet.core import NodeBlock, Weights, contract, distribution, filter_mask, value_blocks
-from qbnet.errors import InvalidState, StateSpaceTooLarge
+from qbnet.core import (
+    NodeBlock,
+    Weights,
+    conditional,
+    contract,
+    distribution,
+    filter_mask,
+    value_blocks,
+)
+from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
 from qbnet.fuzzy import (
     DirectProductSet,
     classical_fuzzy_conditional,
@@ -28,11 +36,12 @@ from qbnet.fuzzy import (
     singleton_partition,
 )
 from qbnet.lattice import LatticeSpec, build_lattice_net, potential_preset, propagate
-from qbnet.pathsum import path_chi, pathsum_conditional
+from qbnet.pathsum import PathWeights, path_chi, pathsum_conditional
 from qbnet.quantum import (
     QBNet,
     chi,
     external_amplitude_map,
+    f_qna,
     parent_cb_net,
     quantum_conditional,
     total_squared_amplitude,
@@ -227,6 +236,72 @@ def test_weights_agree_with_per_block_chi_and_path_sums(query):
         assert weights.blocks(blocks) == pytest.approx(want, abs=1e-12)
 
 
+ROW_NETS = BEAM_NETS + [catalog.build(fid) for fid in ("fig29", "fig13-clauser-horne")]
+
+
+def _chi_floor(net):
+    """The smallest cap under which one chi call per block still answers."""
+    return core._plan(net, net.external_order if net.kind == "quantum" else ()).peak
+
+
+@st.composite
+def row_queries(draw):
+    """A net, one or two hypothesis components, evidence on other components
+    (possibly none, possibly of zero weight), and a cap: the default, or the
+    lowest one that still answers, block by block."""
+    if draw(st.booleans()):
+        net, evidence = draw(nets_and_filters())
+    else:
+        net = draw(st.sampled_from(ROW_NETS))
+        picked = draw(st.lists(st.sampled_from(net.all_components), max_size=3, unique=True))
+        evidence = _value_sets(draw, net, picked, min_size=1)
+    comps = draw(st.lists(st.sampled_from(net.all_components), min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        evidence = {}
+    evidence = {a: v for a, v in evidence.items() if a not in comps}
+    cap = draw(st.sampled_from([None, _chi_floor(net)]))
+    return net, tuple(comps), evidence, cap
+
+
+def _opened_plan_peak(net, comps):
+    ext = net.external_order if net.kind == "quantum" else ()
+    nodes = tuple(dict.fromkeys([*ext, *(net.space.owner(a)[0] for a in comps)]))
+    return core._plan(net, nodes).peak
+
+
+def _row(engine, net, comps, evidence):
+    try:
+        return engine(net, comps, evidence).row(comps)
+    except ContradictoryEvidence:
+        return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(row_queries())
+def test_a_row_is_the_conditionals_and_f_qna(query):
+    net, comps, evidence, cap = query
+    path_row = _row(PathWeights, net, comps, evidence)
+    try:
+        probs = [conditional(Weights, net, b, evidence) for b in value_blocks(net, comps)]
+        pieces = (probs, f_qna(net, comps, evidence))
+    except ContradictoryEvidence:
+        pieces = None
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setenv("QBNET_MAX_STATES", str(cap))
+            fallback = Weights(net, comps, evidence)._wide is None
+            assert fallback == (cap < _opened_plan_peak(net, comps))
+        got = _row(Weights, net, comps, evidence)
+    for want in (path_row, pieces):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+            assert got[1] == pytest.approx(want[1], abs=1e-12)
+    if got is not None:  # f_qna from the chi calls themselves
+        combos = distribution(path_chi, net, value_blocks(net, comps), evidence)
+        assert got[1] == pytest.approx(sum(combos) / path_chi(net, evidence), abs=1e-12)
+
+
 def test_a_read_outside_the_opened_nodes_goes_block_by_block():
     net = catalog.build("fig19-loop")
     weights = Weights(net, ("u.plus",), {"z.plus": 1})
@@ -298,6 +373,23 @@ def test_an_evidence_case_costs_two_contractions(contract_calls):
     (result,) = catalog.run_evidence_cases(net, cases=[case])
     assert not result.no_output and len(result.rows) == 21
     assert len(contract_calls) == 2  # the quantum net and its parent
+
+
+def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch):
+    net = catalog.build("fig23")
+    case = catalog.default_cases(net)[5]
+    reads = []
+    original = Weights._read
+
+    def counted(self, reads_, blocks):
+        reads.append("chi(E)" if not reads_ else "combos")
+        return original(self, reads_, blocks)
+
+    monkeypatch.setattr(Weights, "_read", counted)
+    (result,) = catalog.run_evidence_cases(net, cases=[case])
+    assert not result.errors and len(result.rows) == 21
+    assert reads.count("chi(E)") == 2  # the quantum net and its parent
+    assert reads.count("combos") == 2 * 21
 
 
 def test_a_conditional_costs_one_contraction(contract_calls):

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbnet import catalog
+from qbnet import catalog, netfile
 from qbnet.classical import CBNet, total_mass, validate
 from qbnet.core import NodeBlock
 from qbnet.errors import CyclicGraph, ParseError
 from qbnet.netfile import (
+    EvidenceCase,
     emit_cases,
     emit_net,
     parse_cases,
@@ -434,6 +436,36 @@ def test_cases_round_trip():
     for before, after in zip(cases, again):
         assert before.as_sets() == after.as_sets()
     assert text == emit_cases(header, again)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [frozenset({0, 1}), {0, 1}, (1, 0), [0, 1], frozenset({1}), (1,), [1]],
+    ids=["frozenset", "set", "tuple", "list", "frozenset1", "tuple1", "list1"],
+)
+def test_a_value_set_renders_the_same_from_any_iterable(values):
+    cell = "{" + ",".join(str(v) for v in sorted(values)) + "}"
+    case = EvidenceCase(7, (("z.plus", values), ("u.plus", 1)))
+    assert case.describe() == f"z.plusin{cell} u.plus=1"
+    text = emit_cases(("z.plus", "u.plus"), [case])
+    quoted = f'"{cell}"' if "," in cell else cell
+    assert text == f"case,z.plus,u.plus\n7,{quoted},1\n"
+    header, (again,) = parse_cases(text)
+    assert again.as_sets() == case.as_sets()
+    assert again.describe() == case.describe()
+
+
+def test_the_case_record_lives_in_netfile_without_the_catalog():
+    assert catalog.EvidenceCase is EvidenceCase
+    with open(netfile.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert "catalog" not in {name.split(".")[-1] for name in names}
 
 
 def test_cases_cells():
