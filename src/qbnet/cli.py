@@ -31,7 +31,8 @@ from .errors import (
     UnknownEntry,
 )
 from .lattice import LatticeSpec, potential_preset, propagate
-from .netfile import emit_net, parse_number, parse_value_cell, read_cases, read_net
+from .netfile import (describe_constraints, emit_net, format_state, parse_constraints,
+                      parse_number, read_cases, read_net)
 from .pathsum import PathWeights, classify_paths
 from .quantum import QBNet, parent_cb_net, validate_quantum
 
@@ -43,7 +44,10 @@ EXIT_PARSE = 2
 EXIT_CONTRADICTION = 3
 
 
-def _num(x: float) -> str:
+def _num(x) -> str:
+    """12 significant digits; a complex number as re+imj."""
+    if isinstance(x, complex):
+        return f"{_num(x.real)}{x.imag:+.12g}j"
     return format(float(x), ".12g")
 
 
@@ -67,66 +71,18 @@ def cmd_validate(args) -> int:
 # query
 
 
-def _parse_evidence(text: str) -> dict:
-    """Comma-separated comp=value or comp={v1,v2} constraints."""
-    out: dict[str, object] = {}
-    if not text:
-        return out
-    # braces may contain commas, so split only outside them
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    for part in parts:
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ParseError(f"evidence term {part!r} needs comp=value")
-        comp, value = part.split("=", 1)
-        comp = comp.strip()
-        if comp in out:
-            raise ParseError(f"component {comp!r} constrained twice")
-        out[comp] = parse_value_cell(value)
-        if out[comp] is None:
-            raise ParseError(f"evidence term {part!r} needs a value")
-    return out
-
-
-def _parse_hypothesis(text: str) -> dict:
-    """Comma-separated components, each bare or pinned with =value, as
-    {component: pinned value or None} in the order given."""
-    out: dict[str, int | None] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        comp, pinned = part, None
-        if "=" in part:
-            comp, value = part.split("=", 1)
-            comp = comp.strip()
-            try:
-                pinned = int(value.strip())
-            except ValueError:
-                raise ParseError(f"hypothesis value in {part!r} must be an integer")
-        if comp in out:
-            raise ParseError(f"hypothesis names {comp!r} twice")
-        out[comp] = pinned
-    if not out:
-        raise ParseError("empty hypothesis")
-    return out
-
-
 def cmd_query(args) -> int:
     net = read_net(args.net)
-    hypothesis = _parse_hypothesis(args.hypothesis)
-    evidence = _parse_evidence(args.evidence)
+    hypothesis = parse_constraints(args.hypothesis)
+    if not hypothesis:
+        raise ParseError("empty hypothesis")
+    for comp, v in hypothesis.items():
+        if isinstance(v, frozenset):
+            raise ParseError(f"hypothesis pin for {comp!r} must be an integer, not a value set")
+    evidence = parse_constraints(args.evidence)
+    for comp, v in evidence.items():
+        if v is None:
+            raise ParseError(f"evidence term {comp!r} needs comp=value")
     if args.mode == "quantum" and not isinstance(net, QBNet):
         raise InvalidParams("quantum mode needs a quantum net file")
     if args.mode == "classical" and isinstance(net, QBNet):
@@ -144,8 +100,7 @@ def cmd_query(args) -> int:
     probs, f_qna = engine(net, comps, evidence).row(comps)
     for block, p in zip(value_blocks(net, comps), probs):
         if all(hypothesis[a] in (None, v) for a, v in block.items()):
-            label = " ".join(f"{a}={v}" for a, v in block.items())
-            print(f"{label}  {_num(p)}")
+            print(f"{describe_constraints(block.items())}  {_num(p)}")
     if args.fqna:
         print(f"f_qna  {_num(f_qna)}")
     return EXIT_OK
@@ -153,10 +108,6 @@ def cmd_query(args) -> int:
 
 # ---------------------------------------------------------------------------
 # cases
-
-
-def _combo_label(combo) -> str:
-    return "(" + ",".join(str(v) for v in combo) + ")"
 
 
 def _print_case_table(result) -> None:
@@ -176,12 +127,9 @@ def _print_case_table(result) -> None:
         if not rows:
             continue
         print(f"  {title}")
-        combos = rows[0].combos
         header = ["hypothesis"]
-        header += [f"CB {_combo_label(c)}" for c in combos]
-        header += ["CB f_qna"]
-        header += [f"QB {_combo_label(c)}" for c in combos]
-        header += ["QB f_qna"]
+        for kind in ("CB", "QB"):
+            header += [f"{kind} {format_state(c)}" for c in rows[0].combos] + [f"{kind} f_qna"]
         table = [header]
         for row in rows:
             cells = [" ".join(row.components)]
@@ -195,20 +143,20 @@ def _print_case_table(result) -> None:
 
 
 def _case_csv_rows(result):
-    case = result.case
+    head = [result.case.number, result.case.describe()]
     if result.errors:
         for err in result.errors:
-            yield [case.number, case.describe(), "", "error", "", "", err]
+            yield [*head, "", "error", "", "", err]
         return
     if result.no_output:
-        yield [case.number, case.describe(), "", "no-output", "", "", ""]
+        yield [*head, "", "no-output", "", "", ""]
         return
     for row in result.rows:
         name = " ".join(row.components)
         for kind, probs, fq in (("CB", row.cb, row.cb_fqna), ("QB", row.qb, row.qb_fqna)):
             for combo, p in zip(row.combos, probs):
-                yield [case.number, case.describe(), name, kind, _combo_label(combo), _num(p), ""]
-            yield [case.number, case.describe(), name, kind, "f_qna", _num(fq), ""]
+                yield [*head, name, kind, format_state(combo), _num(p), ""]
+            yield [*head, name, kind, "f_qna", _num(fq), ""]
 
 
 def cmd_cases(args) -> int:
@@ -247,24 +195,14 @@ def cmd_paths(args) -> int:
     print(f"{len(classification.classes)} final configurations")
     for final in sorted(classification.classes, key=lambda f: f.values):
         paths = classification.classes[final]
-        label = " ".join(f"{a}={v}" for a, v in zip(ext, final.values))
+        label = describe_constraints(zip(ext, final.values))
         total = sum(p.value for p in paths)
         if quantum:
-            print(
-                f"final {label}  amplitude {_num(total.real)}{total.imag:+.12g}j"
-                f"  weight {_num(abs(total) ** 2)}"
-            )
+            print(f"final {label}  amplitude {_num(total)}  weight {_num(abs(total) ** 2)}")
         else:
             print(f"final {label}  probability {_num(total)}")
         for p in paths:
-            states = " ".join(
-                "(" + ",".join(str(x) for x in s) + ")" for s in p.states
-            )
-            if quantum:
-                value = f"{_num(p.value.real)}{p.value.imag:+.12g}j"
-            else:
-                value = _num(p.value)
-            print(f"  path {states}  value {value}")
+            print(f"  path {' '.join(map(format_state, p.states))}  value {_num(p.value)}")
     return EXIT_OK
 
 

@@ -26,7 +26,9 @@ symbolic angles survive emission unchanged.
 Evidence-case files are CSV: a header row of "case" plus component names,
 then one row per case, an ``EvidenceCase``. A blank cell means
 unconstrained, an integer is a sharp value, and a braced list like {0,1} is
-a fuzzy value set.
+a fuzzy value set. The same value cells spell the constraint lists of the
+command line, ``comp,comp=V,comp={V,...}``, and the labels of the printed
+reports, ``comp=V compin{V,...}``; this module reads and writes them all.
 
 Both emitters are deterministic: the same net or case list always yields
 byte-identical text.
@@ -45,7 +47,7 @@ from typing import Iterable, Sequence
 
 from .classical import CBNet
 from .core import NodeBlock, value_set
-from .errors import CyclicGraph, ParseError
+from .errors import CyclicGraph, InvalidState, ParseError
 from .quantum import QBNet
 
 FORMAT_HEADER = "qbnet 1"
@@ -64,7 +66,8 @@ def _fmt_value(value, quantum: bool) -> str:
     return _fmt(float(value))
 
 
-def _fmt_state(state: Sequence[int]) -> str:
+def format_state(state: Sequence[int]) -> str:
+    """A state or value combo as (0,1)."""
     return "(" + ",".join(str(int(x)) for x in state) + ")"
 
 
@@ -133,13 +136,13 @@ def emit_net(net) -> str:
         parents = net.parents(node)
         lines.append(f"node {node}")
         lines.append("components " + " ".join(net.space.components(node)))
-        lines.append("states " + " ".join(_fmt_state(s) for s in states))
+        lines.append("states " + " ".join(format_state(s) for s in states))
         lines.append(("parents " + " ".join(parents)).rstrip())
         cells = itertools.product(*[net.space.states(p) for p in parents], states)
         for (*combo, state), value in zip(cells, net.factor(node).flat):
             if value == 0:
                 continue
-            tokens = [_fmt_state(s) for s in (state, *combo)]
+            tokens = [format_state(s) for s in (state, *combo)]
             lines.append("entry " + " ".join(tokens + [_fmt_value(value, quantum)]))
     return "\n".join(lines) + "\n"
 
@@ -288,7 +291,7 @@ def parse_net(text: str):
                 raise ParseError("a [re,im] value needs kind quantum", lineno)
             if state not in draft.states:
                 raise ParseError(
-                    f"entry state {_fmt_state(state)} not in the states line", lineno
+                    f"entry state {format_state(state)} not in the states line", lineno
                 )
             if len(combo) != len(parent_states):
                 raise ParseError(
@@ -298,7 +301,7 @@ def parse_net(text: str):
             for parent, states, s in zip(draft.parents, parent_states, combo):
                 if s not in states:
                     raise ParseError(
-                        f"parent state {_fmt_state(s)} not declared for {parent!r}", lineno
+                        f"parent state {format_state(s)} not declared for {parent!r}", lineno
                     )
             if (state, combo) in values:
                 raise ParseError("duplicate entry", lineno)
@@ -328,14 +331,26 @@ def read_net(path):
 
 
 # ---------------------------------------------------------------------------
-# Evidence cases
+# Constraints and evidence cases
 
 
-def _value_cell(v) -> str:
-    """A sharp integer as itself, any other value or values as {v,...}."""
+def format_value_cell(v) -> str:
+    """A sharp integer as itself, any other value or values as {v,...}; an
+    empty set raises InvalidState, since no cell reads back as one."""
     if isinstance(v, Integral):
-        return str(v)
-    return "{" + ",".join(str(x) for x in sorted(value_set(v))) + "}"
+        return str(int(v))
+    values = value_set(v)
+    if not values:
+        raise InvalidState(f"{v!r} is an empty value set")
+    return "{" + ",".join(str(x) for x in sorted(values)) + "}"
+
+
+def describe_constraints(constraints: Iterable[tuple[str, object]]) -> str:
+    """(component, value) pairs as a report label: a=1 bin{0,1}."""
+    return " ".join(
+        f"{alpha}{'=' if isinstance(v, Integral) else 'in'}{format_value_cell(v)}"
+        for alpha, v in constraints
+    )
 
 
 @dataclass(frozen=True)
@@ -354,12 +369,7 @@ class EvidenceCase:
         return {alpha: value_set(v) for alpha, v in self.constraints}
 
     def describe(self) -> str:
-        if not self.constraints:
-            return "(no evidence)"
-        return " ".join(
-            f"{alpha}{'=' if isinstance(v, Integral) else 'in'}{_value_cell(v)}"
-            for alpha, v in self.constraints
-        )
+        return describe_constraints(self.constraints) or "(no evidence)"
 
 
 def emit_cases(components: Sequence[str], cases: Iterable[EvidenceCase]) -> str:
@@ -368,7 +378,7 @@ def emit_cases(components: Sequence[str], cases: Iterable[EvidenceCase]) -> str:
     writer.writerow(["case", *components])
     for case in cases:
         fixed = dict(case.constraints)
-        cells = [_value_cell(fixed[alpha]) if alpha in fixed else "" for alpha in components]
+        cells = [format_value_cell(fixed[alpha]) if alpha in fixed else "" for alpha in components]
         writer.writerow([str(case.number), *cells])
     return buf.getvalue()
 
@@ -389,6 +399,32 @@ def parse_value_cell(cell: str, line=None):
         return int(cell)
     except ValueError:
         raise ParseError(f"value must be blank, int, or {{...}}: {cell!r}", line) from None
+
+
+# a term runs to the next comma outside braces; an unclosed brace runs to the end
+_TERM_RE = re.compile(r"(?:[^,{]|\{[^}]*\}?)+")
+
+
+def parse_constraints(text: str) -> dict[str, int | frozenset | None]:
+    """Comma-separated terms ``comp``, ``comp=V`` or ``comp={V,...}`` as
+    {comp: None, an int or a frozenset} in the order given. Commas inside
+    braces do not split; blank terms are skipped; a term with no component
+    or a blank value, or a component named twice, raises ParseError."""
+    out: dict[str, int | frozenset | None] = {}
+    for term in _TERM_RE.findall(text):
+        comp, eq, cell = term.partition("=")
+        comp = comp.strip()
+        if not (comp or eq):
+            continue
+        if not comp:
+            raise ParseError(f"term {term.strip()!r} names no component")
+        if comp in out:
+            raise ParseError(f"component {comp!r} constrained twice")
+        value = parse_value_cell(cell) if eq else None
+        if eq and value is None:
+            raise ParseError(f"term {term.strip()!r} needs a value")
+        out[comp] = value
+    return out
 
 
 def parse_cases(text: str) -> tuple[tuple[str, ...], list[EvidenceCase]]:

@@ -183,6 +183,23 @@ def test_query_usage_errors_exit_2(capsys, fig19_file):
         assert err.startswith("parse error:")
 
 
+MALFORMED_CONSTRAINTS = {
+    "--hypothesis": ("u.plus=", "=1", "u.plus,u.plus", "u.plus={0,1}", "u.plus=1.5"),
+    "--evidence": ("z.plus=", "z.plus=1,z.plus=0", "=1", "z.plus=}1"),
+}
+
+
+def test_constraint_lists_refuse_malformed_terms_and_ignore_spaces(capsys, fig19_file):
+    for flag, value in ((f, v) for f, values in MALFORMED_CONSTRAINTS.items() for v in values):
+        argv = {"--hypothesis": "u.plus", "--evidence": "", flag: value}
+        code, out, _ = run(capsys, "query", fig19_file, *(f"{k}={v}" for k, v in argv.items()))
+        assert (code, out) == (2, ""), (flag, value)
+    query = ("query", fig19_file, "--hypothesis", "u.plus", "--fqna", "--evidence")
+    spaced = run(capsys, *query, " z.plus = {0, 1} , z.minus=1")
+    assert spaced == run(capsys, *query, "z.plus={0,1},z.minus=1")
+    assert spaced[0] == 0 and "u.plus=1" in spaced[1]
+
+
 def test_cases_report_structure(capsys, fig19_file):
     code, out, _ = run(capsys, "cases", fig19_file)
     assert code == 0
@@ -475,11 +492,16 @@ def cli_calls(draw):
     if command in ("validate", "paths"):
         return [command, net], files
     if command == "query":
-        hyp = ",".join(
-            c + draw(st.sampled_from(["", "", "=0", "=1", "=7"]))
+        # names may repeat; pins include a value set, a blank and spaced spellings
+        hyp = draw(st.sampled_from([",", " , "])).join(
+            c + draw(st.sampled_from(["", "", "=0", "=1", "={0,1}", "=7", "=", " = 1 "]))
             for c in draw(st.lists(comps, min_size=1, max_size=2))
         )
-        evidence = ",".join(f"{c}={draw(values)}" for c in draw(st.lists(comps, max_size=2)))
+        # evidence terms may also be a bare name, nameless or pinned twice over
+        evidence = ",".join(
+            draw(st.sampled_from([f"{c}={v}", f"{c}={v}", c, "=1", f"{c}=1=2"]))
+            for c, v in draw(st.lists(st.tuples(comps, values), max_size=2))
+        )
         mode = draw(st.sampled_from(["classical", "quantum", "pathsum"]))
         argv = ["query", net, f"--hypothesis={hyp}", f"--evidence={evidence}", f"--mode={mode}"]
         return argv + draw(st.sampled_from([[], ["--fqna"]])), files

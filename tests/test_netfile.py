@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from qbnet import catalog, netfile
 from qbnet.classical import CBNet, total_mass, validate
 from qbnet.core import NodeBlock
-from qbnet.errors import CyclicGraph, ParseError
+from qbnet.errors import CyclicGraph, InvalidState, ParseError
 from qbnet.netfile import (
     EvidenceCase,
     emit_cases,
     emit_net,
+    format_value_cell,
     parse_cases,
+    parse_constraints,
     parse_net,
     parse_number,
     read_net,
@@ -453,6 +455,35 @@ def test_a_value_set_renders_the_same_from_any_iterable(values):
     header, (again,) = parse_cases(text)
     assert again.as_sets() == case.as_sets()
     assert again.describe() == case.describe()
+
+
+CASE_COMPONENTS = ("z.plus", "z.minus", "u.plus")
+CASE_VALUES = st.one_of(
+    st.integers(-2, 3),
+    st.booleans(),
+    st.integers(0, 3).map(np.int64),
+    st.sets(st.integers(0, 3), max_size=3).flatmap(
+        lambda s: st.sampled_from([s, frozenset(s), tuple(sorted(s)), list(s)])
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(CASE_COMPONENTS), CASE_VALUES, max_size=3))
+def test_written_cases_and_constraint_lists_read_back(fixed):
+    case = EvidenceCase(3, tuple((a, fixed[a]) for a in CASE_COMPONENTS if a in fixed))
+    if not all(case.as_sets().values()):
+        # no cell reads back as an empty set, so the writers refuse one
+        with pytest.raises(InvalidState):
+            emit_cases(CASE_COMPONENTS, [case])
+        with pytest.raises(InvalidState):
+            case.describe()
+        return
+    _, (again,) = parse_cases(emit_cases(CASE_COMPONENTS, [case]))
+    assert again.as_sets() == case.as_sets()
+    assert again.describe() == case.describe()
+    terms = ",".join(f"{alpha}={format_value_cell(v)}" for alpha, v in case.constraints)
+    assert EvidenceCase(0, tuple(parse_constraints(terms).items())).as_sets() == case.as_sets()
 
 
 def test_the_case_record_lives_in_netfile_without_the_catalog():
