@@ -460,9 +460,9 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
 
     Returns one CaseResult per case. A case whose evidence is impossible
     is marked no_output with no rows; errors inside individual rows are
-    recorded and the run continues. Each case reads every row, with
-    ``Weights.row``, off one ``Weights`` on the quantum net and one on its
-    parent.
+    recorded and the run continues. Each case reads every row with one
+    ``Weights.rows`` product on the quantum net and one on its parent, and
+    normalizes each through ``Weights.row``.
     """
     expect_kind(net, "quantum", "run_evidence_cases")
     if hypotheses not in ("singles", "pairs", "both"):
@@ -476,6 +476,7 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     if hypotheses in ("pairs", "both"):
         sets += [(comps[i], comps[j]) for i, j in itertools.combinations(range(len(comps)), 2)]
 
+    hyps = [(hyp, tuple(itertools.product(*map(net.space.component_values, hyp)))) for hyp in sets]
     parent = parent_cb_net(net)
     results = []
     for case in cases:
@@ -491,11 +492,10 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
         if cb_weights is None or cb_weights.total() == 0.0:
             result.no_output = True
             continue
-        for hyp in sets:
+        for (hyp, combos), qb_w, cb_w in zip(hyps, qb_weights.rows(sets), cb_weights.rows(sets)):
             try:
-                qb, qb_fqna = qb_weights.row(hyp)
-                cb, cb_fqna = cb_weights.row(hyp)
-                combos = tuple(itertools.product(*map(net.space.component_values, hyp)))
+                qb, qb_fqna = qb_weights.row(hyp, qb_w)
+                cb, cb_fqna = cb_weights.row(hyp, cb_w)
                 row = HypothesisRow(hyp, combos, tuple(cb), tuple(qb), cb_fqna, qb_fqna)
             except ContradictoryEvidence:
                 result.errors.append(f"{hyp}: zero weight under this evidence")

@@ -37,9 +37,10 @@ tensor. Tucci's conditional divides a hypothesis combo's weight by the total
 over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction under the evidence filters, and reads chi(E) and
-every combo or value-set block off it with 0/1 indicator einsums. Past the
-cap each block is one ``chi`` call instead. ``chi`` is one function for both
-net kinds (the classical and quantum modules re-export it), and so is
+every combo or value-set block off it with 0/1 indicator einsums, or many
+sets' combos with one 0/1 selector product (``Weights.rows``). Past the cap
+each block is one ``chi`` call instead. ``chi`` is one function for both net
+kinds (the classical and quantum modules re-export it), and so is
 ``external_map``. ``Weights.row`` is the one hypothesis-row recipe, used by
 the CLI query, ``quantum.f_qna`` and the case runner: each combo over the
 combos' total, and f_qna, that total over chi(E). ``conditional`` is its
@@ -49,9 +50,10 @@ the path-sum route keeps one chi call per block, as the independent check.
 
 A net never changes after construction, so it caches what its queries reuse:
 a plan per set of open nodes, an indicator column per component, the last
-tensor a ``Weights`` opened (one read-only entry, keyed by open nodes and
-evidence, at most the cap in entries: 16 MB at the default) and, on a
-quantum net, its parent classical net (tables the size of its own).
+tensor a ``Weights`` opened and the last selector it built (one read-only
+entry each, keyed by open nodes and evidence or sets, at most the cap in
+entries: 16 MB at the default) and, on a quantum net, its parent classical
+net (tables the size of its own).
 """
 
 from __future__ import annotations
@@ -270,6 +272,7 @@ class BaseNet:
         self._plans: dict[tuple[str, ...], _Plan] = {}
         self._columns: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
+        self._last_selector: tuple = (None, None, None)  # Weights.rows
 
     # -- construction -------------------------------------------------------
 
@@ -682,11 +685,11 @@ class Weights:
             self._total = self.combos(())[0]
         return self._total
 
-    def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
-        """(P(m | E) for every value combo m of ``comps``, f_qna): the combos
-        over their total, and that total over chi(E). ContradictoryEvidence
-        if chi(E), or else the combos' total, is zero."""
-        weights = self.combos(comps)
+    def row(self, comps: Iterable[str], weights=None) -> tuple[list[float], float]:
+        """(P(m | E) for every value combo m of ``comps``, f_qna), from ``weights``
+        if already read: the combos over their total, and that total over chi(E).
+        ContradictoryEvidence if chi(E), or else the combos' total, is zero."""
+        weights = self.combos(comps) if weights is None else weights
         total = sum(weights)
         f_qna = normalize([total], self.total(), self.evidence)[0]
         return normalize(weights, total, self.evidence), f_qna
@@ -697,6 +700,43 @@ class Weights:
         owner = self.net.space.owner
         reads = [(i, owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
         return self._read(reads, lambda: value_blocks(self.net, comps))
+
+    def rows(self, sets) -> list[list[float]]:
+        """``combos(s)`` for each set s: for two or more, one product of the
+        tensor and the net's 0/1 selector (every combo row of every set x the
+        tensor's entries), batched over the external axes; past the cap (the
+        selector's size), or for a node not kept open, one read per set."""
+        sets = tuple(map(tuple, sets))
+        nodes, tensor = self._wide or ((), None)
+        if tensor is not None and len(sets) > 1 and self.net._last_selector[0] != (nodes, sets):
+            self._select(nodes, tensor.shape, sets)
+        key, selector, ends = self.net._last_selector
+        if tensor is None or key != (nodes, sets) or selector.size > self.cap:
+            return [self.combos(s) for s in sets]
+        amps = (selector @ tensor.reshape(selector.shape[0], -1, 1))[..., 0]
+        if self.square:
+            amps = amps.real * amps.real + amps.imag * amps.imag
+        flat = amps.sum(axis=0).tolist()
+        return [flat[a:b] for a, b in zip((0, *ends), ends)]
+
+    def _select(self, nodes, shape, sets) -> None:
+        """Keep the selector of ``rows`` on the net, (external configs, rows,
+        other entries): per set one einsum of its component indicators, with
+        ones for the open nodes it does not own; none past the cap or off them."""
+        space, axis, k = self.net.space, {n: j for j, n in enumerate(nodes)}, len(nodes)
+        counts = [math.prod(len(space.component_values(a)) for a in s) for s in sets]
+        owned = [[axis.get(space.owner(a)[0]) for a in s] for s in sets]
+        if sum(counts) * math.prod(shape) > self.cap or None in itertools.chain(*owned):
+            return
+        n_ext, blocks = math.prod(shape[:len(self._ext)]), []
+        for s, own, count in zip(sets, owned, counts):
+            ops = [x for i, a in enumerate(s) for x in (_column(self.net, a)[2], [k + i, own[i]])]
+            free = [j for j in range(k) if j not in own]
+            ops += [np.ones([shape[j] for j in free]), free, [*range(k, k + len(s)), *range(k)]]
+            blocks.append(np.einsum(*ops).reshape(count, n_ext, -1))
+        selector = np.ascontiguousarray(np.concatenate(blocks).transpose(1, 0, 2), self.net.dtype)
+        selector.flags.writeable = False
+        self.net._last_selector = ((nodes, sets), selector, tuple(itertools.accumulate(counts)))
 
     def blocks(self, blocks) -> list[float]:
         """chi(B and E) for each block B, a {component: value or value set}."""

@@ -1,5 +1,6 @@
 """The contraction engine against the dense reference and the path sums."""
 
+import itertools
 import math
 import re
 import sys
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbnet
@@ -324,24 +325,57 @@ def _opened_peak(net, square):
     return core._plan(target, nodes).peak
 
 
+def _selector_size(net, square):
+    """The size of the runner's selector: every single and pair row of the
+    query components times the opened tensor's entries."""
+    comps = catalog.query_components(net)
+    sets = [(a,) for a in comps] + list(itertools.combinations(comps, 2))
+    n_rows = sum(math.prod(len(net.space.component_values(a)) for a in s) for s in sets)
+    nodes = {*(net.external_order if square else ()), *(net.space.owner(a)[0] for a in comps)}
+    return n_rows * math.prod(len(net.space.states(n)) for n in nodes)
+
+
 @pytest.mark.parametrize("fid", ["fig23", "fig26", "fig29"])
 def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
     net = catalog.build(fid)
     partition = singleton_partition(net, catalog.query_components(net)[:2])
     anywhere = DirectProductSet.over(net, {})
+    targets = {"quantum": net, "classical": parent_cb_net(net)}
+    sizes = {kind: _selector_size(net, kind == "quantum") for kind in targets}
+    read, per_set = Weights._read, set()
+
+    def counted(self, reads, blocks):
+        if reads:  # a per-set read, not chi(E)
+            per_set.add(self.net.kind)
+        return read(self, reads, blocks)
+
+    monkeypatch.setattr(Weights, "_read", counted)
 
     def answers():
+        per_set.clear()
+        for target in targets.values():
+            target._last_selector = (None, None, None)
         results = catalog.run_evidence_cases(net)
         rows = [(r.no_output, r.errors, [(row.cb, row.qb, row.cb_fqna, row.qb_fqna)
                                          for row in r.rows]) for r in results]
-        return rows, quantum_fuzzy_distribution(net, partition, anywhere)
+        kept = {kind for kind, t in targets.items() if t._last_selector[1] is not None}
+        reads = (set(per_set), kept)
+        return rows, quantum_fuzzy_distribution(net, partition, anywhere), reads
 
     want = answers()
-    peaks = {_opened_peak(net, square) for square in (True, False)}
+    assert want[2] == (set(), set(targets))
+    assert {kind: t._last_selector[1].size for kind, t in targets.items()} == sizes
+    monkeypatch.setenv("QBNET_MAX_STATES", str(min(sizes.values()) - 1))
+    per_set.clear()
+    catalog.run_evidence_cases(net)  # the selectors kept above are past this cap
+    assert per_set == set(targets)
+    peaks = {_opened_peak(net, square) for square in (True, False)} | set(sizes.values())
     caps = sorted({p - 1 for p in peaks if p - 1 >= _cap_floor(net)} | {_cap_floor(net)})
-    for cap in caps:  # just below an opened plan's peak, down to per-block chi
+    for cap in caps:  # just below a selector's size or an opened plan's peak, down to per-block chi
         monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
         got = answers()
+        past = {kind for kind, size in sizes.items() if size > cap}
+        assert got[2] == (past, set(targets) - past)  # no selector past the cap, one read per set
         assert got[1] == pytest.approx(want[1], abs=1e-12)
         assert len(got[0]) == len(want[0])
         for (no_out, errors, rows), (want_no_out, want_errors, want_rows) in zip(got[0], want[0]):
@@ -379,17 +413,24 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
     net = catalog.build("fig23")
     case = catalog.default_cases(net)[5]
     reads = []
-    original = Weights._read
+    read, rows = Weights._read, Weights.rows
 
-    def counted(self, reads_, blocks):
-        reads.append("chi(E)" if not reads_ else "combos")
-        return original(self, reads_, blocks)
+    def counted_read(self, reads_, blocks):
+        reads.append(("chi(E)" if not reads_ else "combos", self.net.kind))
+        return read(self, reads_, blocks)
 
-    monkeypatch.setattr(Weights, "_read", counted)
+    def counted_rows(self, sets):
+        reads.append(("rows", self.net.kind))
+        return rows(self, sets)
+
+    monkeypatch.setattr(Weights, "_read", counted_read)
+    monkeypatch.setattr(Weights, "rows", counted_rows)
     (result,) = catalog.run_evidence_cases(net, cases=[case])
     assert not result.errors and len(result.rows) == 21
-    assert reads.count("chi(E)") == 2  # the quantum net and its parent
-    assert reads.count("combos") == 2 * 21
+    # on the quantum net and its parent: chi(E) once, then every row in one product
+    assert sorted(reads) == sorted(
+        (name, kind) for name in ("chi(E)", "rows") for kind in ("quantum", "classical")
+    )
 
 
 def test_a_conditional_costs_one_contraction(contract_calls):
@@ -421,6 +462,60 @@ def test_final_site_conditionals_share_one_contraction(contract_calls):
     assert len(contract_calls) == 4
 
 
+QUANTUM_NETS = [catalog.build(e.id) for e in catalog.list_entries() if e.kind == "quantum"]
+# a lattice net: eight components on each node, so a set can hold two of one node
+LATTICE_NET = build_lattice_net(
+    LatticeSpec.make(4, 1.0, 2, 0.2, potential=potential_preset("harmonic", 4.0, 1.0))
+)
+ROWS_NETS = QUANTUM_NETS + [parent_cb_net(net) for net in QUANTUM_NETS] + [LATTICE_NET]
+
+
+@st.composite
+def rows_queries(draw):
+    """A net, evidence (or none), the components a Weights opens, and sets
+    over them: any size from the empty set up, repeats allowed, often two
+    components of one node, sometimes a component the Weights does not open,
+    sometimes just one set."""
+    if draw(st.booleans()):
+        net, evidence = draw(nets_and_filters())
+    else:
+        net = draw(st.sampled_from(ROWS_NETS))
+        picked = draw(st.lists(st.sampled_from(net.all_components), max_size=2, unique=True))
+        evidence = _value_sets(draw, net, picked, min_size=1)
+    if draw(st.booleans()):
+        evidence = {}
+    node = draw(st.sampled_from(net.node_order()))  # up to two components of one node
+    drawn = draw(st.lists(st.sampled_from(net.all_components), min_size=1, max_size=4, unique=True))
+    pool = list(dict.fromkeys([*net.space.components(node)[:2], *drawn]))[:4]
+    comps = pool[:-1] if draw(st.integers(0, 4)) == 0 else pool
+    one_set = st.lists(st.sampled_from(pool), max_size=2, unique=True).map(tuple)
+    sets = draw(st.lists(one_set, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        sets.insert(draw(st.integers(0, len(sets))), tuple(net.space.components(node)[:2]))
+    return net, tuple(comps), evidence, sets
+
+
+def _rows_example(net, sets, evidence=None):
+    comps = tuple(dict.fromkeys(a for s in sets for a in s))
+    return example((net, comps, evidence or {}, sets))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rows_queries())
+@_rows_example(LATTICE_NET, [("t1.x0", "t1.x3"), ("t1.x0", "t1.x3"), (), ("t0.x2",)])
+@_rows_example(LATTICE_NET, [("t1.x0", "t1.x3")], {"t0.x1": 1})
+@_rows_example(QUANTUM_NETS[0], [(), ()], {"u.plus": 1})
+def test_rows_are_the_combos_of_each_set(query):
+    net, comps, evidence, sets = query
+    weights = Weights(net, comps, evidence)
+    got = weights.rows(sets)
+    assert len(got) == len(sets)
+    for s, row in zip(sets, got):
+        assert row == pytest.approx(weights.combos(s), abs=1e-12)
+        want = distribution(path_chi, net, value_blocks(net, s), evidence)
+        assert row == pytest.approx(want, abs=1e-12)
+
+
 def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, contract_calls):
     net = catalog.build("fig26")
     hypothesis, evidence = {"z.plus": 1}, {"v.minus": 0}
@@ -431,6 +526,15 @@ def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, con
     monkeypatch.setenv("QBNET_MAX_STATES", "23")
     assert quantum_conditional(net, hypothesis, evidence) == pytest.approx(want, abs=1e-12)
     assert len(contract_calls) == 3  # one per value of z.plus, with the external nodes open
+
+
+def test_a_single_set_read_leaves_the_selector_alone():
+    net = build_lattice_net(LatticeSpec.make(4, 1.0, 2, 0.2))
+    Weights(net, ("t1.x0",), {}).rows([("t1.x0", "t1.x3"), ("t1.x2",)])
+    kept = net._last_selector
+    assert kept[0] is not None and not kept[1].flags.writeable
+    quantum_conditional(net, {"t1.x3": 1}, {})
+    assert net._last_selector is kept
 
 
 def test_the_parent_net_is_built_once(monkeypatch):
