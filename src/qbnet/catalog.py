@@ -428,10 +428,9 @@ def default_cases(net) -> list[EvidenceCase]:
             n += 1
     for i, j in itertools.combinations(range(len(comps)), 2):
         a, b = comps[i], comps[j]
-        for va in net.space.component_values(a):
-            for vb in net.space.component_values(b):
-                cases.append(EvidenceCase(n, ((a, va), (b, vb))))
-                n += 1
+        for va, vb in net.space.combos((a, b)):
+            cases.append(EvidenceCase(n, ((a, va), (b, vb))))
+            n += 1
     return cases
 
 
@@ -462,7 +461,9 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     is marked no_output with no rows; errors inside individual rows are
     recorded and the run continues. Each case reads every row with one
     ``Weights.rows`` product on the quantum net and one on its parent, and
-    normalizes each through ``Weights.row``.
+    normalizes each through ``Weights.row``. Evidence on the query
+    components' nodes only masks each net's cached contraction, so the
+    cases contract again only for evidence on other nodes.
     """
     expect_kind(net, "quantum", "run_evidence_cases")
     if hypotheses not in ("singles", "pairs", "both"):
@@ -476,7 +477,7 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     if hypotheses in ("pairs", "both"):
         sets += [(comps[i], comps[j]) for i, j in itertools.combinations(range(len(comps)), 2)]
 
-    hyps = [(hyp, tuple(itertools.product(*map(net.space.component_values, hyp)))) for hyp in sets]
+    hyps = [(hyp, net.space.combos(hyp)) for hyp in sets]
     parent = parent_cb_net(net)
     results = []
     for case in cases:

@@ -36,7 +36,9 @@ The query layer at the very bottom answers every query from one opened
 tensor. Tucci's conditional divides a hypothesis combo's weight by the total
 over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
-nodes) in one contraction under the evidence filters, and reads chi(E) and
+nodes) in one contraction, filtered by the evidence on the nodes it sums
+away; evidence on an open node is a 0/1 mask on a copy of the tensor
+(Darwiche's evidence indicators, J. ACM 50(3), 2003). It reads chi(E) and
 every combo or value-set block off it with 0/1 indicator einsums, or many
 sets' combos with one 0/1 selector product (``Weights.rows``). Past the cap
 each block is one ``chi`` call instead. ``chi`` is one function for both net
@@ -49,11 +51,12 @@ while the combos do not. Every other route answers through ``Weights`` too;
 the path-sum route keeps one chi call per block, as the independent check.
 
 A net never changes after construction, so it caches what its queries reuse:
-a plan per set of open nodes, an indicator column per component, the last
-tensor a ``Weights`` opened and the last selector it built (one read-only
-entry each, keyed by open nodes and evidence or sets, at most the cap in
-entries: 16 MB at the default) and, on a quantum net, its parent classical
-net (tables the size of its own).
+a plan per set of open nodes, an indicator column per component, the value
+combos of each component tuple, the last tensor a ``Weights`` opened and the
+last selector it built (one read-only entry each, keyed by open nodes and
+the evidence on summed-away nodes, or sets; at most the cap in entries like
+a masked copy: 16 MB at the default) and, on a quantum net, its parent
+classical net (tables the size of its own).
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class StateSpace:
         self._index = {
             node: {s: i for i, s in enumerate(slist)} for node, slist in self._states.items()
         }
+        self._combos: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
 
     def components(self, node: str) -> tuple[str, ...]:
         return self._components[node]
@@ -146,6 +150,16 @@ class StateSpace:
         """Sorted realizable values of one component."""
         self.owner(alpha)
         return self._values[alpha]
+
+    def combos(self, comps: Iterable[str]) -> tuple[tuple[int, ...], ...]:
+        """Every value combo of the components, in ``itertools.product`` order
+        (the last component varies fastest), memoized."""
+        comps = tuple(comps)
+        got = self._combos.get(comps)
+        if got is None:
+            got = tuple(itertools.product(*map(self.component_values, comps)))
+            self._combos[comps] = got
+        return got
 
     def state_index(self, node: str, state) -> int:
         s = _as_state(state)
@@ -602,8 +616,7 @@ def value_blocks(net: BaseNet, components: Iterable[str]) -> list[dict[str, int]
     """One {component: value} block per value combo of the components, in
     ``itertools.product`` order (the last component varies fastest)."""
     comps = tuple(components)
-    values = [net.space.component_values(a) for a in comps]
-    return [dict(zip(comps, combo)) for combo in itertools.product(*values)]
+    return [dict(zip(comps, combo)) for combo in net.space.combos(comps)]
 
 
 def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> None:
@@ -668,16 +681,27 @@ class Weights:
 
     def _opened(self, comps):
         """(open nodes, tensor) for the nodes of ``comps``; None past the cap.
-        The net keeps the last tensor, read-only, for the next equal request."""
-        nodes = tuple(dict.fromkeys([*self._ext, *(self.net.space.owner(a)[0] for a in comps)]))
+        Only evidence on a node the contraction sums away filters it and,
+        with the open nodes, keys the net's memo of the last tensor (kept
+        read-only). Evidence on an open node masks that axis of a copy, at
+        most the cap in entries, so it never contracts again."""
+        owner = self.net.space.owner
+        nodes = tuple(dict.fromkeys([*self._ext, *(owner(a)[0] for a in comps)]))
         if _plan(self.net, nodes).peak > self.cap:
             return None
-        key = (nodes, frozenset(self.evidence.items()))
+        axis = {n: j for j, n in enumerate(nodes)}
+        masks = [(axis[owner(a)[0]], a, v) for a, v in self.evidence.items() if owner(a)[0] in axis]
+        summed = {a: v for a, v in self.evidence.items() if owner(a)[0] not in axis}
+        key = (nodes, frozenset(summed.items()))
         if self.net._last_opened[0] != key:
-            tensor = np.asarray(contract(self.net, nodes, self.evidence))
+            tensor = np.asarray(contract(self.net, nodes, summed))
             tensor.flags.writeable = False
             self.net._last_opened = (key, tensor)
-        return nodes, self.net._last_opened[1]
+        tensor = self.net._last_opened[1]
+        for j, alpha, allowed in masks:
+            mask = _allowed(_column(self.net, alpha)[1], allowed)
+            tensor = tensor * mask.reshape([-1 if i == j else 1 for i in range(len(nodes))])
+        return nodes, tensor
 
     def total(self) -> float:
         """chi(E), read once per instance."""
@@ -795,5 +819,5 @@ def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: M
     check_query(net, hypothesis, evidence)
     comps = tuple(hypothesis)
     weights = engine(net, comps, evidence).combos(comps)
-    index = value_blocks(net, comps).index(dict(hypothesis))
+    index = net.space.combos(comps).index(tuple(hypothesis.values()))
     return normalize(weights, sum(weights), evidence)[index]

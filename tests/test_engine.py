@@ -409,6 +409,20 @@ def test_an_evidence_case_costs_two_contractions(contract_calls):
     assert len(contract_calls) == 2  # the quantum net and its parent
 
 
+@pytest.mark.parametrize("per_call", [False, True], ids=["one-call", "one-case-per-call"])
+def test_every_default_case_of_a_net_shares_two_contractions(contract_calls, per_call):
+    net = catalog.build("fig23")
+    cases = catalog.default_cases(net)
+    batches = [[case] for case in cases] if per_call else [cases]
+    results = [r for batch in batches for r in catalog.run_evidence_cases(net, cases=batch)]
+    assert len(results) == len(cases) and not any(r.errors for r in results)
+    assert all(bool(r.rows) != r.no_output for r in results)
+    assert len(contract_calls) == 2  # the quantum net and its parent, once each
+    for batch in batches:  # a second run reuses both
+        catalog.run_evidence_cases(net, cases=batch)
+    assert len(contract_calls) == 2
+
+
 def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch):
     net = catalog.build("fig23")
     case = catalog.default_cases(net)[5]
@@ -516,6 +530,81 @@ def test_rows_are_the_combos_of_each_set(query):
         assert row == pytest.approx(want, abs=1e-12)
 
 
+@st.composite
+def open_and_summed_evidence(draw):
+    """A random net, the components a Weights opens, evidence on components
+    of open nodes and of summed-away ones (each sharp, a value set, or now and
+    then an empty set), sets of the opened components and value-set blocks."""
+    net, _ = draw(nets_and_filters())
+    comps = draw(st.lists(st.sampled_from(net.all_components), min_size=1, max_size=2, unique=True))
+    ext = net.external_order if net.kind == "quantum" else ()
+    nodes = {*ext, *(net.space.owner(a)[0] for a in comps)}
+    on_open = [a for a in net.all_components if net.space.owner(a)[0] in nodes]
+    summed = [a for a in net.all_components if a not in on_open]
+    evidence = {}
+    for pool in filter(None, (on_open, summed)):
+        at_least = draw(st.integers(0, 1))
+        for alpha in draw(st.lists(st.sampled_from(pool), min_size=at_least, max_size=2, unique=True)):
+            values = net.space.component_values(alpha)
+            sharp_or_set = st.one_of(
+                st.sampled_from(values), st.frozensets(st.sampled_from(values), min_size=1)
+            )
+            evidence[alpha] = draw(st.just(frozenset()) if draw(st.integers(0, 7)) == 7
+                                   else sharp_or_set)
+    one_set = st.lists(st.sampled_from(comps), max_size=2, unique=True).map(tuple)
+    sets = draw(st.lists(one_set, min_size=1, max_size=4))
+    blocks = [_value_sets(draw, net, draw(st.lists(st.sampled_from(comps), unique=True)), 0)
+              for _ in range(draw(st.integers(1, 3)))]
+    return net, tuple(comps), evidence, sets, blocks
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(open_and_summed_evidence())
+def test_evidence_on_open_nodes_masks_one_cached_contraction(query):
+    net, comps, evidence, sets, blocks = query
+    weights = Weights(net, comps, evidence)
+    nodes, _ = weights._wide
+    summed = {a: v for a, v in evidence.items() if net.space.owner(a)[0] not in nodes}
+    bare = np.asarray(contract(net, nodes, summed))  # evidence-free when all of it is open
+    cached = net._last_opened[1]
+
+    def reads():
+        yield weights.total(), [{}]
+        yield weights.combos(comps), value_blocks(net, comps)
+        for s, row in zip(sets, weights.rows(sets)):
+            yield row, value_blocks(net, s)
+        yield weights.blocks(blocks), blocks
+
+    engine = chi if net.kind == "quantum" else chi_classical
+    for got, want_blocks in reads():
+        got = got if isinstance(got, list) else [got]
+        for chi_fn in (engine, path_chi):
+            want = distribution(chi_fn, net, want_blocks, evidence)
+            assert got == pytest.approx(want, abs=1e-12)
+        assert net._last_opened[1] is cached and not cached.flags.writeable
+        assert cached.dtype == bare.dtype and cached.tobytes() == bare.tobytes()
+    if path_chi(net, evidence) == 0.0:
+        with pytest.raises(ContradictoryEvidence):
+            weights.row(comps)
+
+
+def test_evidence_that_zeroes_an_open_axis_is_still_contradictory(contract_calls):
+    net = catalog.build("fig23")
+    comps = catalog.query_components(net)
+    catalog.run_evidence_cases(net, cases=[catalog.EvidenceCase(1)])
+    key, cached = net._last_opened
+    kept = cached.tobytes()
+    for impossible in (7, frozenset()):  # a value comps[0] never takes, and no value at all
+        (result,) = catalog.run_evidence_cases(
+            net, cases=[catalog.EvidenceCase(2, ((comps[0], impossible),))]
+        )
+        assert result.no_output and not result.rows and not result.errors
+        with pytest.raises(ContradictoryEvidence):
+            Weights(net, comps, {comps[0]: impossible}).row(comps[1:2])
+    assert len(contract_calls) == 2 and net._last_opened[0] == key
+    assert net._last_opened[1] is cached and cached.tobytes() == kept
+
+
 def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, contract_calls):
     net = catalog.build("fig26")
     hypothesis, evidence = {"z.plus": 1}, {"v.minus": 0}
@@ -548,6 +637,25 @@ def test_the_parent_net_is_built_once(monkeypatch):
     validate_quantum(net)
     total_squared_amplitude(net)
     assert parent_cb_net(net) is parent and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Value combos: one memoized recipe
+
+
+@pytest.mark.parametrize("net", [LATTICE_NET, *BEAM_NETS[:2], random_qbnet(3, max_values=3)],
+                         ids=["lattice", "fig19-loop", "fig26", "random"])
+def test_combos_are_the_product_of_component_values_and_are_memoized(net):
+    space = net.space
+    picks = [(), *((a,) for a in net.all_components[:3]), net.all_components[:3],
+             net.all_components[::-1][:2], tuple(space.components(net.node_order()[-1]))]
+    for comps in picks:
+        want = tuple(itertools.product(*map(space.component_values, comps)))
+        got = space.combos(comps)
+        assert got == want and space.combos(list(comps)) is got
+        assert value_blocks(net, comps) == [dict(zip(comps, c)) for c in want]
+    with pytest.raises(KeyError, match="unknown component 'nope'"):
+        space.combos((net.all_components[0], "nope"))
 
 
 # ---------------------------------------------------------------------------
