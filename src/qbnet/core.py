@@ -50,13 +50,16 @@ probabilities-only half; it skips chi(E), which can vanish on a quantum net
 while the combos do not. Every other route answers through ``Weights`` too;
 the path-sum route keeps one chi call per block, as the independent check.
 
+Nodes given equal state lists share one checked ``_StateList`` (256 kept, by
+value), whose int array and stacked 0/1 indicator every component column slices.
 A net never changes after construction, so it caches what its queries reuse:
-a plan per set of open nodes, an indicator column per component, the value
-combos of each component tuple, the last tensor a ``Weights`` opened and the
-last selector it built (one read-only entry each, keyed by open nodes and
-the evidence on summed-away nodes, or sets; at most the cap in entries like
-a masked copy: 16 MB at the default) and, on a quantum net, its parent
-classical net (tables the size of its own).
+a plan per set of open nodes, a column per component, the value combos of
+each component tuple, and one read-only entry each for the last tensor a
+``Weights`` opened (keyed by open nodes and the evidence on summed-away
+nodes), the last selector it built (by open nodes and sets) and the last
+whole-node read of ``Weights.combos`` (by open nodes, that node and the
+evidence) -- at most the cap in entries, 16 MB at the default -- and, on a
+quantum net, its parent classical net (tables the size of its own).
 """
 
 from __future__ import annotations
@@ -91,50 +94,92 @@ def max_states() -> int:
     return value
 
 
+def _whole(v) -> int:
+    """``v`` as an int if it is a number equal to a whole one (True, 1.0, 1+0j,
+    a numpy integer), so equal numbers give one int; else InvalidState."""
+    try:
+        if int(v.real) == v:
+            return int(v.real)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidState(f"{v!r} is not a whole number")
+
+
 def _as_state(state) -> tuple[int, ...]:
-    if isinstance(state, int):
-        return (state,)
-    return tuple(map(int, state))
+    """A state as a tuple of ints; one number is a one-entry state."""
+    if isinstance(state, (str, bytes)) or not hasattr(state, "__iter__"):
+        state = (state,)
+    return tuple(map(_whole, state))
+
+
+class _StateList:
+    """One state list as int tuples: each state's index, each position's sorted
+    values and, if the widths agree, the read-only int array (states x
+    positions) and 0/1 indicator (every (position, value) row x the states;
+    position k's rows are ``offsets[k]:offsets[k + 1]``)."""
+
+    def __init__(self, states: tuple):
+        self.states = tuple(map(_as_state, states))
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.widths = frozenset(map(len, self.states))
+        self.values = tuple(tuple(sorted(set(column))) for column in zip(*self.states))
+        self.offsets = (0, *itertools.accumulate(map(len, self.values)))
+        if len(self.widths) == 1:  # StateSpace refuses the rest
+            self.array = np.array(self.states, dtype=np.int64)
+            rows = np.repeat(np.arange(len(self.values)), np.diff(self.offsets))
+            values = np.fromiter(itertools.chain(*self.values), np.int64, self.offsets[-1])
+            self.indicator = (self.array[:, rows].T == values[:, None]).astype(float)
+            self.array.flags.writeable = self.indicator.flags.writeable = False
+
+
+_shared = functools.lru_cache(maxsize=256)(_StateList)  # one per equal list, by value
+
+
+def _state_list(node: str, states) -> _StateList:
+    """The shared ``_StateList`` equal to ``states``; InvalidState names the node."""
+    try:
+        try:
+            return _shared(tuple(states))
+        except TypeError:  # states given as lists or arrays: key by their tuples
+            return _shared(tuple(map(_as_state, states)))
+    except InvalidState as exc:
+        raise InvalidState(f"node {node!r}: {exc}") from None
 
 
 class StateSpace:
     """Per-node state lists plus the global component naming, from the
-    blocks' states as ``NodeBlock`` normalized them."""
+    blocks' states as ``NodeBlock`` normalized them. Nodes with equal state
+    lists share one ``_StateList``."""
 
     def __init__(self, blocks: Sequence[NodeBlock]):
         self._components = {b.name: b.components for b in blocks}
-        self._states = {}
+        self._lists: dict[str, _StateList] = {}
         for b in blocks:
-            states = tuple(b.states)
-            if not states:
-                raise ValueError(f"node {b.name!r} has no states")
+            states = b._list if b._list.states is b.states else _state_list(b.name, b.states)
+            self._lists[b.name] = states
             width = len(b.components)
-            for s in states:
-                if len(s) != width:
-                    raise ValueError(
-                        f"node {b.name!r}: state {s} has {len(s)} entries, expected {width}"
-                    )
-            if len(set(states)) != len(states):
+            if not states.states:
+                raise ValueError(f"node {b.name!r} has no states")
+            if states.widths != {width}:
+                s = next(s for s in states.states if len(s) != width)
+                raise ValueError(
+                    f"node {b.name!r}: state {s} has {len(s)} entries, expected {width}"
+                )
+            if len(states.index) != len(states.states):
                 raise ValueError(f"node {b.name!r} has duplicate states")
-            self._states[b.name] = states
         self._owner: dict[str, tuple[str, int]] = {}
-        self._values: dict[str, tuple[int, ...]] = {}
         for node, comps in self._components.items():
-            for k, (alpha, column) in enumerate(zip(comps, zip(*self._states[node]))):
+            for k, alpha in enumerate(comps):
                 if alpha in self._owner:
                     raise ValueError(f"component name {alpha!r} is not globally unique")
                 self._owner[alpha] = (node, k)
-                self._values[alpha] = tuple(sorted(set(column)))
-        self._index = {
-            node: {s: i for i, s in enumerate(slist)} for node, slist in self._states.items()
-        }
         self._combos: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
 
     def components(self, node: str) -> tuple[str, ...]:
         return self._components[node]
 
     def states(self, node: str) -> tuple[tuple[int, ...], ...]:
-        return self._states[node]
+        return self._lists[node].states
 
     def owner(self, alpha: str) -> tuple[str, int]:
         """(node, position) of component alpha."""
@@ -148,8 +193,8 @@ class StateSpace:
 
     def component_values(self, alpha: str) -> tuple[int, ...]:
         """Sorted realizable values of one component."""
-        self.owner(alpha)
-        return self._values[alpha]
+        node, k = self.owner(alpha)
+        return self._lists[node].values[k]
 
     def combos(self, comps: Iterable[str]) -> tuple[tuple[int, ...], ...]:
         """Every value combo of the components, in ``itertools.product`` order
@@ -162,21 +207,22 @@ class StateSpace:
         return got
 
     def state_index(self, node: str, state) -> int:
-        s = _as_state(state)
         try:
-            return self._index[node][s]
-        except KeyError:
-            raise InvalidState(f"{s} is not a state of node {node!r}") from None
+            return self._lists[node].index[_as_state(state)]
+        except (KeyError, InvalidState):
+            raise InvalidState(f"{state!r} is not a state of node {node!r}") from None
 
 
 @dataclass
 class NodeBlock:
     """Everything the net builder needs to know about one node.
 
-    ``table`` may be an array-like of shape (n_states, n_columns), in the
-    column order of the module docstring -- a flat length-n_states sequence
-    is accepted for root nodes -- or a callable ``f(state, parent_states) ->
-    value`` that is tabulated at build time.
+    Each state is a tuple of whole numbers, or one number; the states are kept
+    as int tuples shared by every block given an equal list. ``table`` may be
+    an array-like of shape (n_states, n_columns), in the column order of the
+    module docstring -- a flat length-n_states sequence is accepted for root
+    nodes -- or a callable ``f(state, parent_states) -> value`` tabulated at
+    build time.
     """
 
     name: str
@@ -186,7 +232,8 @@ class NodeBlock:
     components: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.states = [_as_state(s) for s in self.states]
+        self._list = _state_list(self.name, self.states)
+        self.states = self._list.states
         self.parents = tuple(self.parents)
         if self.components is None:
             width = len(self.states[0]) if self.states else 1
@@ -234,9 +281,7 @@ class _Enumeration:
         return [sum(combo, ()) for combo in itertools.product(*states)]
 
     def component_column(self, net: "BaseNet", alpha: str) -> np.ndarray:
-        node, k = net.space.owner(alpha)
-        table = np.asarray([s[k] for s in net.space.states(node)], dtype=np.int64)
-        return table[self.node_state_indices(node)]
+        return _column(net, alpha)[1][self.node_state_indices(net.space.owner(alpha)[0])]
 
 
 def as_table(factor: np.ndarray) -> np.ndarray:
@@ -287,6 +332,7 @@ class BaseNet:
         self._columns: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_selector: tuple = (None, None, None)  # Weights.rows
+        self._last_node_read: tuple = (None, None)  # Weights.combos
 
     # -- construction -------------------------------------------------------
 
@@ -534,13 +580,14 @@ def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
 
 def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Operand slot of alpha's node, alpha's value in each of its states, and
-    the 0/1 indicator (alpha's sorted values x the node's states)."""
+    the 0/1 indicator (alpha's sorted values x the node's states): views into
+    the node's shared state list, kept per net."""
     col = net._columns.get(alpha)
     if col is None:
         node, k = net.space.owner(alpha)
-        values = np.array([s[k] for s in net.space.states(node)], dtype=np.int64)
-        indicator = np.equal.outer(net.space.component_values(alpha), values).astype(float)
-        col = net._columns[alpha] = (net.node_order().index(node), values, indicator)
+        states = net.space._lists[node]
+        rows = states.indicator[states.offsets[k]:states.offsets[k + 1]]
+        col = net._columns[alpha] = (net.node_order().index(node), states.array[:, k], rows)
     return col
 
 
@@ -602,14 +649,11 @@ def chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
 def value_set(v) -> frozenset[int]:
     """One value or an iterable of values as a frozenset of ints; InvalidState
     for a string or any value that is not a whole number."""
-    values = frozenset((v,) if isinstance(v, (str, bytes)) or not hasattr(v, "__iter__") else v)
+    values = (v,) if isinstance(v, (str, bytes)) or not hasattr(v, "__iter__") else v
     try:
-        ints = frozenset(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values:  # equal sets hold equal numbers: 1.0 == 1, but 0.5 and "1" differ
-        raise InvalidState(f"{v!r} is not an integer value or a set of them")
-    return ints
+        return frozenset(map(_whole, values))
+    except InvalidState:
+        raise InvalidState(f"{v!r} is not an integer value or a set of them") from None
 
 
 def value_blocks(net: BaseNet, components: Iterable[str]) -> list[dict[str, int]]:
@@ -719,10 +763,20 @@ class Weights:
         return normalize(weights, total, self.evidence), f_qna
 
     def combos(self, comps: Iterable[str]) -> list[float]:
-        """chi(m and E) for every value combo m of ``comps``, in ``value_blocks`` order."""
+        """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``
+        order. One component of an open node is read with all of that node's,
+        by its stacked indicator, within the cap; the net keeps the last such
+        read (keyed by open nodes, node and evidence) for the node's others."""
         comps = tuple(comps)
-        owner = self.net.space.owner
-        reads = [(i, owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
+        space, (nodes, tensor) = self.net.space, self._wide or ((), None)
+        node, k = space.owner(comps[0]) if len(comps) == 1 else (None, 0)
+        states = space._lists.get(node)
+        if node in nodes and tensor.size * len(states.indicator) <= self.cap:
+            key = (nodes, node, frozenset(self.evidence.items()))
+            if self.net._last_node_read[0] != key:  # fits the cap: never per block
+                self.net._last_node_read = (key, self._read([(0, node, states.indicator)], None))
+            return self.net._last_node_read[1][states.offsets[k]:states.offsets[k + 1]]
+        reads = [(i, space.owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
         return self._read(reads, lambda: value_blocks(self.net, comps))
 
     def rows(self, sets) -> list[list[float]]:

@@ -155,14 +155,12 @@ def _potential_values(spec: LatticeSpec, t: float) -> np.ndarray:
 
 
 def _hamiltonian(spec: LatticeSpec, t: float) -> np.ndarray:
-    hop = spec.hop()
-    n = spec.n_x
-    v = _potential_values(spec, t)
-    h = np.zeros((n, n))
-    for s in range(n):
-        h[s, s] += 2.0 * hop + v[s]
-        h[s, (s + 1) % n] -= hop
-        h[s, (s - 1) % n] -= hop
+    """2 hop + V on the diagonal, minus hop on the identity rolled +1, then -1:
+    the periodic neighbours (at n_x = 2 both are the other site, at 1 itself)."""
+    hop, s = spec.hop(), np.arange(spec.n_x)
+    h = np.diag(2.0 * hop + _potential_values(spec, t))
+    h[s, (s + 1) % spec.n_x] -= hop
+    h[s, (s - 1) % spec.n_x] -= hop
     if not np.isfinite(h).all():
         raise InvalidParams("Hamiltonian entries must be finite")
     return h
@@ -218,13 +216,10 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     bytes; a user-supplied kernel runs once per step."""
     step = _kernel_fn(kernel)
     matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
-    built = {} if callable(kernel) else {_potential_values(spec, 0.0).tobytes(): matrices[0]}
+    built = {0 if callable(kernel) else _potential_values(spec, 0.0).tobytes(): matrices[0]}
     for i in range(1, spec.n_t):
         t = i * spec.dt
-        if callable(kernel):
-            matrices.append(step(spec, t).matrix)
-            continue
-        key = _potential_values(spec, t).tobytes()
+        key = i if callable(kernel) else _potential_values(spec, t).tobytes()
         if key not in built:
             built[key] = step(spec, t).matrix
         matrices.append(built[key])
@@ -254,19 +249,10 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
     comps = lambda i: tuple(f"t{i}.x{s}" for s in range(spec.n_x))
     blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=comps(0))]
     matrices, _ = _step_matrices(spec, kernel)
-    for i in range(1, spec.n_t + 1):
-        alpha = matrices[i - 1].astype(complex)
-        if i == 1:
-            alpha = alpha[:, [0]]  # the root offers a single parent state
-        blocks.append(
-            NodeBlock(
-                f"t{i}",
-                one_hots,
-                alpha,
-                parents=(f"t{i-1}",),
-                components=comps(i),
-            )
-        )
+    matrices[0] = matrices[0][:, [0]]  # the root offers a single parent state
+    for i, alpha in enumerate(matrices, start=1):
+        blocks.append(NodeBlock(f"t{i}", one_hots, alpha.astype(complex),
+                                parents=(f"t{i-1}",), components=comps(i)))
     meta = {
         "lattice_kernel": kernel if isinstance(kernel, str) else "custom",
         "n_x": str(spec.n_x),

@@ -36,7 +36,13 @@ from qbnet.fuzzy import (
     quantum_fuzzy_distribution,
     singleton_partition,
 )
-from qbnet.lattice import LatticeSpec, build_lattice_net, potential_preset, propagate
+from qbnet.lattice import (
+    LatticeSpec,
+    build_lattice_net,
+    potential_preset,
+    propagate,
+    step_amplitudes_exact,
+)
 from qbnet.pathsum import PathWeights, path_chi, pathsum_conditional
 from qbnet.quantum import (
     QBNet,
@@ -476,6 +482,57 @@ def test_final_site_conditionals_share_one_contraction(contract_calls):
     assert len(contract_calls) == 4
 
 
+LATTICE_SPEC = LatticeSpec.make(6, 1.0, 4, 0.2, potential=potential_preset("harmonic", 6.0, 1.0))
+
+
+def _propagated_weight(spec, pins):
+    """The final slice's total |amplitude|^2 from site 0 by step-matrix
+    propagation, each (slice, site, value) pin keeping only that site (1) or
+    dropping it (0) at its slice."""
+    step = step_amplitudes_exact(spec).matrix
+    psi = np.eye(spec.n_x, dtype=complex)[0]
+    for t in range(1, spec.n_t + 1):
+        psi = step @ psi
+        for _, site, value in (p for p in pins if p[0] == t):
+            keep = np.arange(spec.n_x) == site
+            psi = np.where(keep if value else ~keep, psi, 0)
+    return float((np.abs(psi) ** 2).sum())
+
+
+@pytest.mark.parametrize("cap", [None, 71], ids=["default-cap", "node-read-past-cap"])
+def test_per_site_conditionals_match_a_fresh_net_and_propagation(monkeypatch, cap):
+    net, fresh_nets = build_lattice_net(LATTICE_SPEC), iter(
+        [build_lattice_net(LATTICE_SPEC) for _ in range(3 * 2 * LATTICE_SPEC.n_x)]
+    )
+    if cap is not None:  # past the whole-node read (6 x 12 rows), not one component's (6 x 2)
+        monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
+    a, b = {"t1.x2": 1}, {"t3.x0": 0}
+    for t in (4, 2):  # the final slice, then a middle one
+        for evidence in (a, b, a):
+            pins = [(int(k[1]), int(k[-1]), v) for k, v in evidence.items()]
+            for site in range(LATTICE_SPEC.n_x):
+                hypothesis = {f"t{t}.x{site}": 1}
+                got = quantum_conditional(net, hypothesis, evidence)
+                fresh = quantum_conditional(next(fresh_nets), hypothesis, evidence)
+                on = _propagated_weight(LATTICE_SPEC, [*pins, (t, site, 1)])
+                want = on / (on + _propagated_weight(LATTICE_SPEC, [*pins, (t, site, 0)]))
+                assert got == pytest.approx(fresh, abs=1e-12)
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_a_lattice_chain_shares_its_state_list_and_one_read_of_the_final_slice(
+    monkeypatch, contract_calls
+):
+    spec = LatticeSpec.make(16, 1.0, 4, 0.2, potential=potential_preset("well", 16.0, 1.0))
+    net = build_lattice_net(spec)
+    assert net.space.states("t1") is net.space.states("t4")
+    reads, read = [], Weights._read
+    monkeypatch.setattr(Weights, "_read", lambda self, *args: reads.append(1) or read(self, *args))
+    got = [quantum_conditional(net, {f"t4.x{s}": 1}, {}) for s in range(16)]
+    np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
+    assert len(contract_calls) == 1 and len(reads) <= 2
+
+
 QUANTUM_NETS = [catalog.build(e.id) for e in catalog.list_entries() if e.kind == "quantum"]
 # a lattice net: eight components on each node, so a set can hold two of one node
 LATTICE_NET = build_lattice_net(
@@ -744,3 +801,77 @@ def test_a_cap_that_is_not_a_positive_integer_is_refused(monkeypatch, raw):
 def test_the_state_space_checks_keep_their_messages(blocks, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CBNet.from_blocks(blocks)
+
+
+@pytest.mark.parametrize(
+    "states, want",
+    [
+        ([(1.5,), (2,)], "node 'a': 1.5 is not a whole number"),
+        ([(0.9,), (0,)], "node 'a': 0.9 is not a whole number"),
+        (["01", "10"], "node 'a': '01' is not a whole number"),
+        ([(0, "1")], "node 'a': '1' is not a whole number"),
+        ([math.nan], "node 'a': nan is not a whole number"),
+        ([True, False], ((1,), (0,))),
+        ([(True, 0), (False, 1)], ((1, 0), (0, 1))),
+        (np.arange(2), ((0,), (1,))),
+        ([np.float64(1.0), 2.0], ((1,), (2,))),
+        (np.eye(2), ((1, 0), (0, 1))),
+        ([[np.int64(0), 1], (1, 0)], ((0, 1), (1, 0))),
+    ],
+    ids=["fraction", "truncates-to-duplicate", "string", "string-entry", "nan", "bools",
+         "bool-entries", "numpy-ints", "whole-floats", "numpy-rows", "list-rows"],
+)
+def test_states_are_whole_numbers_as_ints(states, want):
+    components = ("p", "q") if isinstance(want, tuple) and len(want[0]) == 2 else None
+    if isinstance(want, str):
+        with pytest.raises(InvalidState, match=f"^{re.escape(want)}$"):
+            NodeBlock("a", states, None, components=components)
+        return
+    block = NodeBlock("a", states, None, components=components)
+    assert block.states == want
+    assert all(type(v) is int for s in block.states for v in s)
+
+
+def _state_forms(states):
+    """The same state list written the ways a caller may write it."""
+    forms = [list(states), tuple(states), [list(s) for s in states],
+             [tuple(map(np.int64, s)) for s in states]]
+    if all(v in (0, 1) for s in states for v in s):
+        forms.append([tuple(map(bool, s)) for s in states])
+    if len({len(s) for s in states}) == 1:
+        forms.append(np.array(states, dtype=np.int64).reshape(len(states), -1))
+    if all(len(s) == 1 for s in states):
+        forms.append([s[0] for s in states])
+    return forms
+
+
+def _space_facts(states, width):
+    """What a one-node net makes of ``states``: its states, values and
+    index, or the refusal's type and message."""
+    comps = tuple(f"c{k}" for k in range(width))
+    try:
+        net = CBNet.from_blocks([NodeBlock("a", states, np.ones(len(states)), components=comps)])
+    except (ValueError, InvalidState) as exc:
+        return type(exc), str(exc)
+    space = net.space
+    return (space.states("a"), [space.component_values(c) for c in comps],
+            [space.state_index("a", s) for s in space.states("a")])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.lists(st.tuples(*[st.integers(0, 2)] * w), max_size=5),
+    st.lists(st.integers(1, 3), max_size=1),
+)))
+def test_equal_state_lists_give_equal_state_spaces(case):
+    width, states, odd = case
+    states = states + [(0,) * odd[0]] if odd else states  # sometimes a state of the wrong width
+    copies = [[tuple(int(v) for v in s) for s in states] for _ in range(2)]
+    core._shared.cache_clear()
+    want = _space_facts(copies[0], width)  # worked out with nothing shared yet
+    assert _space_facts(copies[1], width) == want
+    for form in _state_forms(states):
+        assert _space_facts(form, width) == want
+        core._shared.cache_clear()
+        assert _space_facts(form, width) == want

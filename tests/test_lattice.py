@@ -341,3 +341,27 @@ def test_the_kernel_checks_speak_before_the_potential(kernel, dx, message):
             with pytest.raises(InvalidParams) as err:
                 build(spec, kernel)
             assert str(err.value) == message
+
+
+def _loop_hamiltonian(spec, t):
+    """The three-point Hamiltonian written site by site: the reference form."""
+    hop, n = spec.hop(), spec.n_x
+    v = lattice._potential_values(spec, t)
+    h = np.zeros((n, n))
+    for s in range(n):
+        h[s, s] += 2.0 * hop + v[s]
+        h[s, (s + 1) % n] -= hop
+        h[s, (s - 1) % n] -= hop
+    return h
+
+
+# at n_x = 1 with dx 0.45 and strength 2, (2 hop + V - hop) - hop and
+# 2 hop + V - 2 hop differ in the last bit, so the subtraction order shows
+@pytest.mark.parametrize("n_x", [1, 2, 3, 32])
+@pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
+@pytest.mark.parametrize("dx, strength", [(0.7, 1.3), (0.45, 2.0)])
+def test_the_hamiltonian_is_bitwise_the_site_by_site_form(n_x, preset, dx, strength):
+    spec = LatticeSpec.make(n_x, dx, 3, 0.2, potential=potential_preset(preset, n_x * dx, strength))
+    for t in spec.times():
+        got, want = lattice._hamiltonian(spec, t), _loop_hamiltonian(spec, t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
