@@ -50,11 +50,15 @@ probabilities-only half; it skips chi(E), which can vanish on a quantum net
 while the combos do not. Every other route answers through ``Weights`` too;
 the path-sum route keeps one chi call per block, as the independent check.
 
-Nodes given equal state lists share one checked ``_StateList`` (256 kept, by
-value), whose int array and stacked 0/1 indicator every component column slices.
-A net never changes after construction, so it caches what its queries reuse:
-a plan per set of open nodes, a column per component, the value combos of
-each component tuple, and one read-only entry each for the last tensor a
+Nets never change after construction, so what does not depend on their
+tables is interned by value (Filliatre & Conchon's hash-consing). Equal state
+lists share one checked ``_StateList`` (256 kept), whose int array and stacked
+0/1 indicator every component column slices. Blocks of equal names, parents,
+components and state lists share one ``_Shape`` (256 kept), as does a quantum
+net's parent: the graph, the state space with the value combos of each
+component tuple (256), the labelling, the external order, a column per
+component and a view per tuple of open nodes (256): its plan and axis map.
+Each net keeps its factors and one read-only entry each for the last tensor a
 ``Weights`` opened (keyed by open nodes and the evidence on summed-away
 nodes), the last selector it built (by open nodes and sets) and the last
 whole-node read of ``Weights.combos`` (by open nodes, that node and the
@@ -147,33 +151,33 @@ def _state_list(node: str, states) -> _StateList:
 
 
 class StateSpace:
-    """Per-node state lists plus the global component naming, from the
-    blocks' states as ``NodeBlock`` normalized them. Nodes with equal state
-    lists share one ``_StateList``."""
+    """Per-node state lists plus the global component naming, from one
+    (name, parents, components, ``_StateList``) per node, as ``_shape_of``
+    reads them off the blocks. Nodes with equal state lists share one list."""
 
-    def __init__(self, blocks: Sequence[NodeBlock]):
-        self._components = {b.name: b.components for b in blocks}
+    def __init__(self, nodes: Sequence[tuple]):
+        self._components = {name: comps for name, _, comps, _ in nodes}
         self._lists: dict[str, _StateList] = {}
-        for b in blocks:
-            states = b._list if b._list.states is b.states else _state_list(b.name, b.states)
-            self._lists[b.name] = states
-            width = len(b.components)
+        for name, _, comps, states in nodes:
+            self._lists[name] = states
+            width = len(comps)
             if not states.states:
-                raise ValueError(f"node {b.name!r} has no states")
+                raise ValueError(f"node {name!r} has no states")
             if states.widths != {width}:
                 s = next(s for s in states.states if len(s) != width)
                 raise ValueError(
-                    f"node {b.name!r}: state {s} has {len(s)} entries, expected {width}"
+                    f"node {name!r}: state {s} has {len(s)} entries, expected {width}"
                 )
             if len(states.index) != len(states.states):
-                raise ValueError(f"node {b.name!r} has duplicate states")
+                raise ValueError(f"node {name!r} has duplicate states")
         self._owner: dict[str, tuple[str, int]] = {}
         for node, comps in self._components.items():
             for k, alpha in enumerate(comps):
                 if alpha in self._owner:
                     raise ValueError(f"component name {alpha!r} is not globally unique")
                 self._owner[alpha] = (node, k)
-        self._combos: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
+        self._combos = functools.lru_cache(maxsize=256)(
+            lambda comps: tuple(itertools.product(*map(self.component_values, comps))))
 
     def components(self, node: str) -> tuple[str, ...]:
         return self._components[node]
@@ -199,12 +203,7 @@ class StateSpace:
     def combos(self, comps: Iterable[str]) -> tuple[tuple[int, ...], ...]:
         """Every value combo of the components, in ``itertools.product`` order
         (the last component varies fastest), memoized."""
-        comps = tuple(comps)
-        got = self._combos.get(comps)
-        if got is None:
-            got = tuple(itertools.product(*map(self.component_values, comps)))
-            self._combos[comps] = got
-        return got
+        return self._combos(tuple(comps))
 
     def state_index(self, node: str, state) -> int:
         try:
@@ -245,6 +244,39 @@ class NodeBlock:
                 )
         else:
             self.components = tuple(self.components)
+
+
+class _Shape:
+    """A net without its tables: graph, state space, chronological labelling
+    (None for a cycle), external nodes in node order, factor dims, one view
+    (plan, axis map) per tuple of open nodes (256 kept), one column per
+    component."""
+
+    def __init__(self, graph: LabelledGraph, space: StateSpace):
+        self.graph, self.space, self.columns = graph, space, {}
+        try:
+            self.chron: tuple[str, ...] | None = chronological_labelling(graph)
+        except CyclicGraph:
+            self.chron = None
+        self.order = graph.nodes if self.chron is None else self.chron
+        ext = classify_nodes(graph).external
+        self.ext_order = tuple(n for n in self.order if n in ext)
+        self.dims = {n: tuple(len(space.states(v)) for v in (*graph.parents(n), n))
+                     for n in graph.nodes}
+        self.structure = (self.order, tuple(map(graph.parents, self.order)),
+                          tuple(self.dims[n][-1] for n in self.order))
+        self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
+            _compile(self.structure, open_nodes), {n: j for j, n in enumerate(open_nodes)}))
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_of(nodes: tuple[tuple, ...]) -> _Shape:
+    """The one shape of equal (name, parents, components, ``_StateList``)
+    nodes, 256 kept; a refused structure raises every time."""
+    names, with_children = [n[0] for n in nodes], {p for n in nodes for p in n[1]}
+    arrows = [Arrow(p, n[0]) for n in nodes for p in n[1]]
+    arrows += [Arrow(name) for name in names if name not in with_children]
+    return _Shape(LabelledGraph(names, arrows), StateSpace(nodes))
 
 
 class _Enumeration:
@@ -291,45 +323,37 @@ def as_table(factor: np.ndarray) -> np.ndarray:
 
 
 class BaseNet:
-    """Graph + state space + one factor per node. Treat as immutable."""
+    """One factor per node, over a shape (graph + state space) that nets of
+    equal structure share. Treat as immutable."""
 
     dtype: type = np.float64
     kind = "classical"
 
     def __init__(self, graph: LabelledGraph, space: StateSpace, tables: Mapping[str, np.ndarray],
-                 meta: Mapping[str, str] | None = None, pre_net: bool = False):
-        self.graph = graph
-        self.space = space
+                 meta: Mapping[str, str] | None = None, pre_net: bool = False,
+                 _shape: _Shape | None = None):  # the shape of ``graph`` and ``space``, if known
+        self._shape = _shape or _Shape(graph, space)
         self.pre_net = bool(pre_net)
         self.meta: dict[str, str] = dict(meta or {})
         self._factors: dict[str, np.ndarray] = {}
-        for node in graph.nodes:
+        for node, dims in self._shape.dims.items():
             if node not in tables:
                 raise ValueError(f"missing table for node {node!r}")
             arr = np.asarray(tables[node], dtype=self.dtype)
-            shape = tuple(len(space.states(n)) for n in (*graph.parents(node), node))
-            n_cols = math.prod(shape[:-1])
+            n_cols = math.prod(dims[:-1])
             if arr.ndim == 1 and n_cols == 1:
-                arr = arr.reshape(shape[-1], 1)
-            if arr.shape != (shape[-1], n_cols):
+                arr = arr.reshape(dims[-1], 1)
+            if arr.shape != (dims[-1], n_cols):
                 raise ValueError(
-                    f"node {node!r}: table shape {arr.shape}, expected ({shape[-1]}, {n_cols})"
+                    f"node {node!r}: table shape {arr.shape}, expected ({dims[-1]}, {n_cols})"
                 )
             # column c holds the parent states whose C-order flat index is c
-            factor = arr.T.reshape(shape).copy()
+            factor = arr.T.reshape(dims).copy()
             factor.flags.writeable = False
             self._factors[node] = factor
-        try:
-            self._chron: tuple[str, ...] | None = chronological_labelling(graph)
-        except CyclicGraph:
-            if not self.pre_net:
-                raise CyclicGraph(
-                    "net graph has a directed cycle (use a pre-net for diagnostics)"
-                ) from None
-            self._chron = None
+        if self._shape.chron is None and not self.pre_net:
+            raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
         self._enum_cache: _Enumeration | None = None
-        self._plans: dict[tuple[str, ...], _Plan] = {}
-        self._columns: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_selector: tuple = (None, None, None)  # Weights.rows
         self._last_node_read: tuple = (None, None)  # Weights.combos
@@ -339,16 +363,14 @@ class BaseNet:
     @classmethod
     def from_blocks(cls, blocks: Iterable[NodeBlock], meta=None, pre_net=False):
         blocks = list(blocks)
-        names = [b.name for b in blocks]
-        with_children = {p for b in blocks for p in b.parents}
-        arrows = [Arrow(p, b.name) for b in blocks for p in b.parents]
-        arrows += [Arrow(n) for n in names if n not in with_children]
-        graph = LabelledGraph(names, arrows)
-        space = StateSpace(blocks)
+        shape = _shape_of(tuple(
+            (b.name, tuple(b.parents), tuple(b.components),
+             b._list if b._list.states is b.states else _state_list(b.name, b.states))
+            for b in blocks))
         tables = {
-            b.name: cls._tabulate(b, space) if callable(b.table) else b.table for b in blocks
+            b.name: cls._tabulate(b, shape.space) if callable(b.table) else b.table for b in blocks
         }
-        return cls(graph, space, tables, meta=meta, pre_net=pre_net)
+        return cls(shape.graph, shape.space, tables, meta=meta, pre_net=pre_net, _shape=shape)
 
     @classmethod
     def _tabulate(cls, block: NodeBlock, space: StateSpace) -> np.ndarray:
@@ -359,27 +381,20 @@ class BaseNet:
 
     # -- structure ----------------------------------------------------------
 
+    graph = property(lambda self: self._shape.graph, doc="The shape's LabelledGraph.")
+    space = property(lambda self: self._shape.space, doc="The shape's StateSpace.")
+
     def node_order(self) -> tuple[str, ...]:
         """Chronological order for acyclic nets, declared order for cyclic pre-nets."""
-        return self.graph.nodes if self._chron is None else self._chron
+        return self._shape.order
 
     @property
     def chronological(self) -> tuple[str, ...]:
         """The chronological labelling; a cyclic pre-net raises CyclicGraph."""
-        return chronological_labelling(self.graph) if self._chron is None else self._chron
+        return self._shape.chron or chronological_labelling(self.graph)
 
-    @property
-    def external_nodes(self) -> frozenset:
-        if not hasattr(self, "_ext"):
-            self._ext = frozenset(classify_nodes(self.graph).external)
-        return self._ext
-
-    @property
-    def external_order(self) -> tuple[str, ...]:
-        """The external nodes in node order."""
-        if not hasattr(self, "_ext_order"):
-            self._ext_order = tuple(n for n in self.node_order() if n in self.external_nodes)
-        return self._ext_order
+    external_order = property(lambda self: self._shape.ext_order,
+                              doc="The external nodes in node order.")
 
     @property
     def external_components(self) -> tuple[str, ...]:
@@ -566,28 +581,19 @@ def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
 
 
 def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
-    plan = net._plans.get(open_nodes)
-    if plan is None:
-        order = net.node_order()
-        structure = (
-            order,
-            tuple(net.parents(n) for n in order),
-            tuple(len(net.space.states(n)) for n in order),
-        )
-        plan = net._plans[open_nodes] = _compile(structure, open_nodes)
-    return plan
+    return net._shape.view(open_nodes)[0]
 
 
 def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Operand slot of alpha's node, alpha's value in each of its states, and
     the 0/1 indicator (alpha's sorted values x the node's states): views into
-    the node's shared state list, kept per net."""
-    col = net._columns.get(alpha)
+    the node's shared state list, kept per shape."""
+    col = net._shape.columns.get(alpha)
     if col is None:
         node, k = net.space.owner(alpha)
         states = net.space._lists[node]
         rows = states.indicator[states.offsets[k]:states.offsets[k + 1]]
-        col = net._columns[alpha] = (net.node_order().index(node), states.array[:, k], rows)
+        col = net._shape.columns[alpha] = (net.node_order().index(node), states.array[:, k], rows)
     return col
 
 
@@ -731,9 +737,9 @@ class Weights:
         most the cap in entries, so it never contracts again."""
         owner = self.net.space.owner
         nodes = tuple(dict.fromkeys([*self._ext, *(owner(a)[0] for a in comps)]))
-        if _plan(self.net, nodes).peak > self.cap:
+        plan, axis = self.net._shape.view(nodes)
+        if plan.peak > self.cap:
             return None
-        axis = {n: j for j, n in enumerate(nodes)}
         masks = [(axis[owner(a)[0]], a, v) for a, v in self.evidence.items() if owner(a)[0] in axis]
         summed = {a: v for a, v in self.evidence.items() if owner(a)[0] not in axis}
         key = (nodes, frozenset(summed.items()))
@@ -801,7 +807,7 @@ class Weights:
         """Keep the selector of ``rows`` on the net, (external configs, rows,
         other entries): per set one einsum of its component indicators, with
         ones for the open nodes it does not own; none past the cap or off them."""
-        space, axis, k = self.net.space, {n: j for j, n in enumerate(nodes)}, len(nodes)
+        space, axis, k = self.net.space, self.net._shape.view(nodes)[1], len(nodes)
         counts = [math.prod(len(space.component_values(a)) for a in s) for s in sets]
         owned = [[axis.get(space.owner(a)[0]) for a in s] for s in sets]
         if sum(counts) * math.prod(shape) > self.cap or None in itertools.chain(*owned):

@@ -14,14 +14,16 @@ approximately unitary, and a net built from it fails column normalization
 by design - validation reports that honestly rather than renormalizing.
 
 Both built-in kernels read the time only through V(x, t), so a net or a
-propagation runs one once per distinct potential vector and reuses the step
-matrix (once in all for a time-independent potential); a user-supplied
-kernel runs once per time step.
+propagation runs one once per distinct potential vector; a preset potential
+(``potential_preset``) is marked time-independent, so it is sampled and the
+kernel run once in all. A user-supplied kernel runs once per time step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +36,13 @@ from .quantum import QBNet
 Potential = Callable[[float, float], float]
 
 
+def _time_independent(potential: Potential) -> Potential:
+    """Mark ``potential`` as V(x, t) = V(x, 0), so a build samples it once."""
+    potential._time_independent = True
+    return potential
+
+
+@_time_independent
 def zero_potential(x: float, t: float) -> float:
     return 0.0
 
@@ -60,6 +69,12 @@ class LatticeSpec:
     potential: Potential = zero_potential
 
     def __post_init__(self):
+        for name in ("n_x", "n_t"):  # a numpy integer is stored as an int
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
         if self.n_x < 1 or self.n_t < 1:
             raise InvalidParams("n_x and n_t must be at least 1")
         for name in ("dx", "dt", "mass", "hbar"):
@@ -122,10 +137,10 @@ def potential_preset(name: str, length: float, strength: float = 1.0) -> Potenti
         return zero_potential
     if name == "harmonic":
         center = length / 2.0
-        return lambda x, t: 0.5 * strength * (x - center) ** 2
+        return _time_independent(lambda x, t: 0.5 * strength * (x - center) ** 2)
     if name == "well":
         lo, hi = length / 3.0, 2.0 * length / 3.0
-        return lambda x, t: 0.0 if lo <= x < hi else strength
+        return _time_independent(lambda x, t: 0.0 if lo <= x < hi else strength)
     raise InvalidParams(f"unknown potential preset {name!r}")
 
 
@@ -213,13 +228,15 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     0 to; InvalidParams when those give non-finite site probabilities.
 
     A built-in kernel runs once per distinct potential vector, keyed by its
-    bytes; a user-supplied kernel runs once per step."""
-    step = _kernel_fn(kernel)
+    bytes (once in all, unsampled, for a time-independent one); a
+    user-supplied kernel runs once per step."""
+    step, user = _kernel_fn(kernel), callable(kernel)
+    once = not user and getattr(spec.potential, "_time_independent", False)
     matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
-    built = {0 if callable(kernel) else _potential_values(spec, 0.0).tobytes(): matrices[0]}
+    built = {0 if user or once else _potential_values(spec, 0.0).tobytes(): matrices[0]}
     for i in range(1, spec.n_t):
         t = i * spec.dt
-        key = i if callable(kernel) else _potential_values(spec, t).tobytes()
+        key = i if user else 0 if once else _potential_values(spec, t).tobytes()
         if key not in built:
             built[key] = step(spec, t).matrix
         matrices.append(built[key])
@@ -231,6 +248,10 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     if not np.isfinite(total):
         raise InvalidParams("site probabilities must be finite; the step amplitudes overflow them")
     return matrices, psi
+
+
+# the component names t{i}.x{s} of slice i, built once per (i, n_x)
+_slice = functools.lru_cache(maxsize=1024)(lambda i, n_x: tuple(f"t{i}.x{s}" for s in range(n_x)))
 
 
 def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
@@ -246,13 +267,12 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
             f"{spec.n_x}**{spec.n_t} single-particle configurations exceed the cap"
         )
     one_hots = [(0,) * s + (1,) + (0,) * (spec.n_x - s - 1) for s in range(spec.n_x)]
-    comps = lambda i: tuple(f"t{i}.x{s}" for s in range(spec.n_x))
-    blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=comps(0))]
+    blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=_slice(0, spec.n_x))]
     matrices, _ = _step_matrices(spec, kernel)
     matrices[0] = matrices[0][:, [0]]  # the root offers a single parent state
     for i, alpha in enumerate(matrices, start=1):
-        blocks.append(NodeBlock(f"t{i}", one_hots, alpha.astype(complex),
-                                parents=(f"t{i-1}",), components=comps(i)))
+        blocks.append(NodeBlock(f"t{i}", one_hots, alpha, parents=(f"t{i-1}",),
+                                components=_slice(i, spec.n_x)))
     meta = {
         "lattice_kernel": kernel if isinstance(kernel, str) else "custom",
         "n_x": str(spec.n_x),

@@ -29,7 +29,7 @@ from qbnet.core import (
     filter_mask,
     value_blocks,
 )
-from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
+from qbnet.errors import ContradictoryEvidence, CyclicGraph, InvalidState, StateSpaceTooLarge
 from qbnet.fuzzy import (
     DirectProductSet,
     classical_fuzzy_conditional,
@@ -127,10 +127,13 @@ def test_a_net_without_nodes_has_the_empty_product_as_mass():
 def test_nets_of_one_structure_share_plans():
     net = catalog.build("fig19-loop")
     parent = parent_cb_net(net)
+    assert parent._shape is net._shape is catalog.build("fig19-loop")._shape
     for open_nodes in ((), net.external_order):
         contract(net, open_nodes)
+        misses = net._shape.view.cache_info().misses
         contract(parent, open_nodes)
-        assert parent._plans[open_nodes] is net._plans[open_nodes]
+        assert parent._shape.view.cache_info().misses == misses
+        assert core._plan(parent, open_nodes) is core._plan(net, open_nodes)
 
 
 def test_sixty_node_binary_chain_matches_the_transition_product():
@@ -694,6 +697,90 @@ def test_the_parent_net_is_built_once(monkeypatch):
     validate_quantum(net)
     total_squared_amplitude(net)
     assert parent_cb_net(net) is parent and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Net structure: one shape per equal set of blocks
+
+
+def _harmonic_chain(dt=0.2, strength=1.0, n_x=8, n_t=3):
+    potential = potential_preset("harmonic", n_x, strength)
+    return LatticeSpec.make(n_x, 1.0, n_t, dt, potential=potential)
+
+
+def test_chains_of_one_shape_share_their_structure_and_not_their_tables():
+    a = build_lattice_net(_harmonic_chain())
+    b = build_lattice_net(LatticeSpec.make(8, 1.0, 3, 0.3, potential=potential_preset("well", 8.0)))
+    assert a._shape is b._shape
+    assert a.graph is b.graph and a.space is b.space and a.chronological is b.chronological
+    assert core._plan(a, a.external_order) is core._plan(b, b.external_order)
+    assert not np.array_equal(a.factor("t2"), b.factor("t2"))
+    assert build_lattice_net(_harmonic_chain(n_t=4))._shape is not a._shape
+    net = catalog.build("fig23")
+    assert parent_cb_net(net)._shape is net._shape is catalog.build("fig23")._shape
+
+
+def test_answers_do_not_change_when_the_shape_cache_evicts():
+    spec = _harmonic_chain()
+    queries = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1.x4": 1})]
+    net = build_lattice_net(spec)
+    want = [quantum_conditional(t, h, e) for t in (net, parent_cb_net(net)) for h, e in queries]
+    core._shape_of.cache_clear()
+    fresh = build_lattice_net(spec)
+    assert fresh._shape is not net._shape and parent_cb_net(fresh)._shape is fresh._shape
+    for new in (fresh, net):  # the net built before keeps its own shape
+        pair = (new, parent_cb_net(new))
+        assert [quantum_conditional(t, h, e) for t in pair for h, e in queries] == want
+
+
+def test_the_shape_cache_and_its_memos_are_bounded():
+    shape = build_lattice_net(_harmonic_chain())._shape
+    assert core._shape_of.cache_info().maxsize == 256
+    assert shape.view.cache_info().maxsize == 256
+    assert shape.space._combos.cache_info().maxsize == 256
+
+
+def _two_cycle(table=np.eye(2), components=None):
+    return [NodeBlock("u", [0, 1], table, parents=("w",)),
+            NodeBlock("w", [0, 1], np.eye(2), parents=("u",), components=components)]
+
+
+@pytest.mark.parametrize(
+    "blocks, error, message",
+    [
+        (_two_cycle(), CyclicGraph,
+         "net graph has a directed cycle (use a pre-net for diagnostics)"),
+        (_two_cycle(components=("u",)), ValueError, "component name 'u' is not globally unique"),
+        (_two_cycle(table=np.ones(3)), ValueError, "node 'u': table shape (3,), expected (2, 2)"),
+    ],
+    ids=["cyclic", "duplicate-component", "table-shape-before-cycle"],
+)
+def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
+    kept = core._shape_of.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            CBNet.from_blocks(blocks)
+        assert type(err.value) is error and str(err.value) == message
+    if error is CyclicGraph:  # a valid structure: its shape is kept, and serves a pre-net
+        assert total_mass(CBNet.from_blocks(blocks, pre_net=True)) == 2.0
+    elif "component" in message:  # a refused structure leaves nothing behind
+        assert core._shape_of.cache_info().currsize == kept
+
+
+def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(contract_calls):
+    seen = build_lattice_net(_harmonic_chain())
+    queries = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1.x4": 1})]
+    for h, e in queries:
+        quantum_conditional(seen, h, e)
+    compiles, views = core._compile.cache_info().misses, seen._shape.view.cache_info()
+    spec = _harmonic_chain(dt=0.3, strength=2.0)
+    fresh = build_lattice_net(spec)
+    got = [quantum_conditional(fresh, h, e) for h, e in queries[:8]]
+    np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
+    quantum_conditional(fresh, *queries[8])
+    assert core._compile.cache_info().misses == compiles
+    assert fresh._shape.view.cache_info()[1:] == views[1:]  # no miss, no new entry
+    assert len(contract_calls) == 2 * 2  # per net: the final slice, then past the evidence
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Lattice kernels and nets against closed forms and each other."""
 
+import functools
 import math
 import warnings
 
@@ -33,6 +34,26 @@ def test_spec_checks_its_products():
         LatticeSpec.make(n_x=0, dx=0.5, n_t=3, dt=0.1)
     with pytest.raises(InvalidParams):
         LatticeSpec.make(n_x=4, dx=-0.5, n_t=3, dt=0.1)
+
+
+@pytest.mark.parametrize(
+    "field, n_x, n_t",
+    [("n_x", 2.5, 2), ("n_t", 2, 2.0), ("n_x", np.float64(3.0), 2), ("n_t", 2, 1 + 0j)],
+    ids=["fractional-n_x", "float-n_t", "numpy-float-n_x", "complex-n_t"],
+)
+def test_spec_refuses_a_count_that_is_not_an_integer(field, n_x, n_t):
+    value = {"n_x": n_x, "n_t": n_t}[field]
+    with pytest.raises(InvalidParams) as err:
+        LatticeSpec.make(n_x, 1.0, n_t, 0.1)
+    assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_spec_stores_numpy_integer_counts_as_ints():
+    spec = LatticeSpec.make(np.int64(3), 1.0, np.int32(2), 0.1)
+    assert type(spec.n_x) is int and type(spec.n_t) is int
+    plain = LatticeSpec.make(3, 1.0, 2, 0.1)
+    assert spec == plain and build_lattice_net(spec).meta == build_lattice_net(plain).meta
+    np.testing.assert_array_equal(propagate(spec), propagate(plain))
 
 
 def test_exact_kernel_is_unitary():
@@ -313,6 +334,38 @@ def test_a_time_dependent_potential_runs_the_kernel_at_every_step(kernel_calls, 
     np.testing.assert_allclose(list(external_amplitude_map(net).values()), psi, atol=1e-12)
     tables = [net.table(f"t{i}") for i in range(2, 5)]
     assert not any(np.allclose(a, b) for a, b in zip(tables, tables[1:]))
+
+
+def _counted(potential, calls):
+    """``potential``, with its marks, noting the time of every call."""
+    @functools.wraps(potential)
+    def counted(x, t):
+        calls.append(t)
+        return potential(x, t)
+    return counted
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
+def test_a_preset_potential_is_sampled_once_per_site(kernel, preset):
+    calls = []
+    potential = _counted(potential_preset(preset, 5.0), calls)
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential)
+    for build in (build_lattice_net, propagate):
+        calls.clear()
+        build(spec, kernel)
+        assert calls == [0.0] * 5
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+@pytest.mark.parametrize("potential", [lambda x, t: t * x, lambda x, t: x],
+                         ids=["time-dependent", "unmarked-static"])
+def test_a_user_potential_is_sampled_at_every_step(kernel, potential):
+    calls = []
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=_counted(potential, calls))
+    build_lattice_net(spec, kernel)
+    assert sorted(set(calls)) == [i * 0.2 for i in range(4)]
+    assert all(calls.count(i * 0.2) >= 5 for i in range(4))
 
 
 def test_a_user_kernel_runs_once_per_step():
