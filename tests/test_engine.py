@@ -708,6 +708,10 @@ def _harmonic_chain(dt=0.2, strength=1.0, n_x=8, n_t=3):
     return LatticeSpec.make(n_x, 1.0, n_t, dt, potential=potential)
 
 
+# every final-site conditional of an 8 x 3 chain, then one past evidence on a middle slice
+CHAIN_QUERIES = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1.x4": 1})]
+
+
 def test_chains_of_one_shape_share_their_structure_and_not_their_tables():
     a = build_lattice_net(_harmonic_chain())
     b = build_lattice_net(LatticeSpec.make(8, 1.0, 3, 0.3, potential=potential_preset("well", 8.0)))
@@ -722,15 +726,15 @@ def test_chains_of_one_shape_share_their_structure_and_not_their_tables():
 
 def test_answers_do_not_change_when_the_shape_cache_evicts():
     spec = _harmonic_chain()
-    queries = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1.x4": 1})]
     net = build_lattice_net(spec)
-    want = [quantum_conditional(t, h, e) for t in (net, parent_cb_net(net)) for h, e in queries]
+    pair = (net, parent_cb_net(net))
+    want = [quantum_conditional(t, h, e) for t in pair for h, e in CHAIN_QUERIES]
     core._shape_of.cache_clear()
     fresh = build_lattice_net(spec)
     assert fresh._shape is not net._shape and parent_cb_net(fresh)._shape is fresh._shape
     for new in (fresh, net):  # the net built before keeps its own shape
         pair = (new, parent_cb_net(new))
-        assert [quantum_conditional(t, h, e) for t in pair for h, e in queries] == want
+        assert [quantum_conditional(t, h, e) for t in pair for h, e in CHAIN_QUERIES] == want
 
 
 def test_the_shape_cache_and_its_memos_are_bounded():
@@ -769,15 +773,15 @@ def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
 
 def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(contract_calls):
     seen = build_lattice_net(_harmonic_chain())
-    queries = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1.x4": 1})]
-    for h, e in queries:
+    for h, e in CHAIN_QUERIES:
         quantum_conditional(seen, h, e)
     compiles, views = core._compile.cache_info().misses, seen._shape.view.cache_info()
     spec = _harmonic_chain(dt=0.3, strength=2.0)
     fresh = build_lattice_net(spec)
-    got = [quantum_conditional(fresh, h, e) for h, e in queries[:8]]
+    assert fresh._shape is seen._shape
+    got = [quantum_conditional(fresh, h, e) for h, e in CHAIN_QUERIES[:8]]
     np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
-    quantum_conditional(fresh, *queries[8])
+    quantum_conditional(fresh, *CHAIN_QUERIES[8])
     assert core._compile.cache_info().misses == compiles
     assert fresh._shape.view.cache_info()[1:] == views[1:]  # no miss, no new entry
     assert len(contract_calls) == 2 * 2  # per net: the final slice, then past the evidence
