@@ -50,20 +50,22 @@ probabilities-only half; it skips chi(E), which can vanish on a quantum net
 while the combos do not. Every other route answers through ``Weights`` too;
 the path-sum route keeps one chi call per block, as the independent check.
 
-Nets never change after construction, so what does not depend on their
-tables is interned by value (Filliatre & Conchon's hash-consing). Equal state
-lists share one checked ``_StateList`` (256 kept), whose int array and stacked
-0/1 indicator every component column slices. Blocks of equal names, parents,
+Nets never change after construction, so what does not depend on their tables
+is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
+share one checked ``_StateList`` (256 kept), whose int array and stacked 0/1
+indicator every component column slices. Blocks of equal names, parents,
 components and state lists share one ``_Shape`` (256 kept), as does a quantum
-net's parent: the graph, the state space with the value combos of each
-component tuple (256), the labelling, the external order, a column per
-component and a view per tuple of open nodes (256): its plan and axis map.
-Each net keeps its factors and one read-only entry each for the last tensor a
-``Weights`` opened (keyed by open nodes and the evidence on summed-away
-nodes), the last selector it built (by open nodes and sets) and the last
-whole-node read of ``Weights.combos`` (by open nodes, that node and the
-evidence) -- at most the cap in entries, 16 MB at the default -- and, on a
-quantum net, its parent classical net (tables the size of its own).
+net's parent: the state space with the value combos of each component tuple
+(256), the factor dims, a column per component and a view per tuple of open
+nodes (256): its plan and axis map. The graph layer is not interned, so what a
+build calls does not depend on what the process built before: each net keeps
+its own ``LabelledGraph`` and external order, its factors and one read-only
+entry each for the last tensor a ``Weights`` opened (keyed by open nodes and
+the evidence on summed-away nodes), the last selector it built (by open nodes
+and sets) and the last whole-node read of ``Weights.combos`` (by open nodes,
+that node and the evidence) -- at most the cap in entries, 16 MB at the default
+-- and, on a quantum net, its parent classical net (tables the size of its
+own).
 """
 
 from __future__ import annotations
@@ -247,36 +249,34 @@ class NodeBlock:
 
 
 class _Shape:
-    """A net without its tables: graph, state space, chronological labelling
-    (None for a cycle), external nodes in node order, factor dims, one view
-    (plan, axis map) per tuple of open nodes (256 kept), one column per
-    component."""
+    """What nets of equal structure share whatever their tables: the state
+    space, the chronological labelling it was built with (None for a cycle),
+    factor dims, one view (plan, axis map) per tuple of open nodes (256 kept)
+    and one column per component."""
 
-    def __init__(self, graph: LabelledGraph, space: StateSpace):
-        self.graph, self.space, self.columns = graph, space, {}
-        try:
-            self.chron: tuple[str, ...] | None = chronological_labelling(graph)
-        except CyclicGraph:
-            self.chron = None
-        self.order = graph.nodes if self.chron is None else self.chron
-        ext = classify_nodes(graph).external
-        self.ext_order = tuple(n for n in self.order if n in ext)
-        self.dims = {n: tuple(len(space.states(v)) for v in (*graph.parents(n), n))
-                     for n in graph.nodes}
-        self.structure = (self.order, tuple(map(graph.parents, self.order)),
+    def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
+        self.space, self.chron, self.columns = space, chron, {}
+        self.order: tuple[str, ...] = tuple(parents) if chron is None else chron
+        self.dims = {n: tuple(len(space.states(v)) for v in (*ps, n)) for n, ps in parents.items()}
+        self.structure = (self.order, tuple(parents[n] for n in self.order),
                           tuple(self.dims[n][-1] for n in self.order))
         self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
             _compile(self.structure, open_nodes), {n: j for j, n in enumerate(open_nodes)}))
 
 
 @functools.lru_cache(maxsize=256)
-def _shape_of(nodes: tuple[tuple, ...]) -> _Shape:
+def _shape_of(nodes: tuple[tuple, ...], chron: tuple[str, ...] | None) -> _Shape:
     """The one shape of equal (name, parents, components, ``_StateList``)
-    nodes, 256 kept; a refused structure raises every time."""
-    names, with_children = [n[0] for n in nodes], {p for n in nodes for p in n[1]}
-    arrows = [Arrow(p, n[0]) for n in nodes for p in n[1]]
-    arrows += [Arrow(name) for name in names if name not in with_children]
-    return _Shape(LabelledGraph(names, arrows), StateSpace(nodes))
+    nodes and their labelling, 256 kept; a refused space raises every time."""
+    return _Shape(StateSpace(nodes), {n[0]: n[1] for n in nodes}, chron)
+
+
+def _labelling(graph: LabelledGraph) -> tuple[str, ...] | None:
+    """The chronological labelling, or None for a cyclic graph."""
+    try:
+        return chronological_labelling(graph)
+    except CyclicGraph:
+        return None
 
 
 class _Enumeration:
@@ -323,16 +323,19 @@ def as_table(factor: np.ndarray) -> np.ndarray:
 
 
 class BaseNet:
-    """One factor per node, over a shape (graph + state space) that nets of
-    equal structure share. Treat as immutable."""
+    """Graph + one factor per node, over a shape (state space, plans) that
+    nets of equal structure share. Treat as immutable."""
 
     dtype: type = np.float64
     kind = "classical"
 
     def __init__(self, graph: LabelledGraph, space: StateSpace, tables: Mapping[str, np.ndarray],
                  meta: Mapping[str, str] | None = None, pre_net: bool = False,
-                 _shape: _Shape | None = None):  # the shape of ``graph`` and ``space``, if known
-        self._shape = _shape or _Shape(graph, space)
+                 _shape: _Shape | None = None):  # the interned shape of ``graph`` and ``space``
+        self.graph = graph
+        self._shape = _shape or _Shape(space, {n: graph.parents(n) for n in graph.nodes},
+                                       _labelling(graph))
+        self.space = self._shape.space
         self.pre_net = bool(pre_net)
         self.meta: dict[str, str] = dict(meta or {})
         self._factors: dict[str, np.ndarray] = {}
@@ -353,6 +356,8 @@ class BaseNet:
             self._factors[node] = factor
         if self._shape.chron is None and not self.pre_net:
             raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
+        ext = set(classify_nodes(graph).external)
+        self.external_order = tuple(n for n in self._shape.order if n in ext)
         self._enum_cache: _Enumeration | None = None
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_selector: tuple = (None, None, None)  # Weights.rows
@@ -363,14 +368,18 @@ class BaseNet:
     @classmethod
     def from_blocks(cls, blocks: Iterable[NodeBlock], meta=None, pre_net=False):
         blocks = list(blocks)
+        names, with_children = [b.name for b in blocks], {p for b in blocks for p in b.parents}
+        arrows = [Arrow(p, b.name) for b in blocks for p in b.parents]
+        arrows += [Arrow(n) for n in names if n not in with_children]
+        graph = LabelledGraph(names, arrows)
         shape = _shape_of(tuple(
             (b.name, tuple(b.parents), tuple(b.components),
              b._list if b._list.states is b.states else _state_list(b.name, b.states))
-            for b in blocks))
+            for b in blocks), _labelling(graph))
         tables = {
             b.name: cls._tabulate(b, shape.space) if callable(b.table) else b.table for b in blocks
         }
-        return cls(shape.graph, shape.space, tables, meta=meta, pre_net=pre_net, _shape=shape)
+        return cls(graph, shape.space, tables, meta=meta, pre_net=pre_net, _shape=shape)
 
     @classmethod
     def _tabulate(cls, block: NodeBlock, space: StateSpace) -> np.ndarray:
@@ -381,9 +390,6 @@ class BaseNet:
 
     # -- structure ----------------------------------------------------------
 
-    graph = property(lambda self: self._shape.graph, doc="The shape's LabelledGraph.")
-    space = property(lambda self: self._shape.space, doc="The shape's StateSpace.")
-
     def node_order(self) -> tuple[str, ...]:
         """Chronological order for acyclic nets, declared order for cyclic pre-nets."""
         return self._shape.order
@@ -392,9 +398,6 @@ class BaseNet:
     def chronological(self) -> tuple[str, ...]:
         """The chronological labelling; a cyclic pre-net raises CyclicGraph."""
         return self._shape.chron or chronological_labelling(self.graph)
-
-    external_order = property(lambda self: self._shape.ext_order,
-                              doc="The external nodes in node order.")
 
     @property
     def external_components(self) -> tuple[str, ...]:

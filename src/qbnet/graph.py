@@ -22,6 +22,7 @@ makes the output deterministic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import CyclicGraph
@@ -95,8 +96,8 @@ def classify_nodes(graph: LabelledGraph) -> Classification:
     """Split nodes into internal / external / invalid by their out-arrows."""
     internal, external, invalid = [], [], []
     for n in graph.nodes:
-        out = graph.out_arrows(n)
-        n_ext = sum(1 for a in out if a.external)
+        out = graph._out[n]
+        n_ext = sum(a.target is None for a in out)
         n_int = len(out) - n_ext
         if n_ext == 1 and n_int == 0:
             external.append(n)
@@ -114,26 +115,23 @@ def chronological_labelling(graph: LabelledGraph) -> tuple[NodeId, ...]:
     Raises CyclicGraph when no strippable node exists before the graph is
     exhausted (which happens exactly when the internal arrows form a cycle).
     """
-    remaining = set(graph.nodes)
     # count of internal out-arrows into still-remaining nodes
-    live_out = {n: len(graph.children(n)) for n in graph.nodes}
+    live_out = dict.fromkeys(graph.nodes, 0)
+    for n in graph.nodes:
+        for p in graph._parents[n]:
+            live_out[p] += 1
     order: list[NodeId] = []
-    candidates = sorted(n for n in remaining if live_out[n] == 0)
-    while remaining:
-        if not candidates:
-            raise CyclicGraph(
-                f"no strippable node among {sorted(remaining)}; internal arrows form a cycle"
-            )
+    candidates = sorted(n for n, k in live_out.items() if k == 0)
+    while candidates:
         node = candidates.pop()  # lexicographically greatest
-        remaining.discard(node)
         order.append(node)
-        freed = []
-        for p in graph.parents(node):
+        for p in graph._parents[node]:
             live_out[p] -= 1
-            if live_out[p] == 0 and p in remaining:
-                freed.append(p)
-        if freed:
-            candidates = sorted(set(candidates) | set(freed))
+            if not live_out[p]:
+                bisect.insort(candidates, p)
+    if len(order) < len(graph.nodes):
+        remaining = sorted(set(graph.nodes).difference(order))
+        raise CyclicGraph(f"no strippable node among {remaining}; internal arrows form a cycle")
     order.reverse()
     return tuple(order)
 

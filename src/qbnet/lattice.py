@@ -15,8 +15,9 @@ by design - validation reports that honestly rather than renormalizing.
 
 Both built-in kernels read the time only through V(x, t), so a net or a
 propagation runs one once per distinct potential vector; a preset potential
-(``potential_preset``) is marked time-independent, so it is sampled and the
-kernel run once in all. A user-supplied kernel runs once per time step.
+(``potential_preset``, recognized by identity) is time-independent, so it is
+sampled and the kernel run once in all. A user-supplied kernel runs once per
+time step.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,15 +38,13 @@ from .quantum import QBNet
 Potential = Callable[[float, float], float]
 
 
-def _time_independent(potential: Potential) -> Potential:
-    """Mark ``potential`` as V(x, t) = V(x, 0), so a build samples it once."""
-    potential._time_independent = True
-    return potential
-
-
-@_time_independent
 def zero_potential(x: float, t: float) -> float:
     return 0.0
+
+
+# the potentials potential_preset returns, V(x, t) = V(x, 0), by identity: a
+# build samples them once; anything else, a wrapper of one too, at every step
+_PRESETS = weakref.WeakValueDictionary({id(zero_potential): zero_potential})
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,14 @@ def potential_preset(name: str, length: float, strength: float = 1.0) -> Potenti
         return zero_potential
     if name == "harmonic":
         center = length / 2.0
-        return _time_independent(lambda x, t: 0.5 * strength * (x - center) ** 2)
-    if name == "well":
+        potential = lambda x, t: 0.5 * strength * (x - center) ** 2
+    elif name == "well":
         lo, hi = length / 3.0, 2.0 * length / 3.0
-        return _time_independent(lambda x, t: 0.0 if lo <= x < hi else strength)
-    raise InvalidParams(f"unknown potential preset {name!r}")
+        potential = lambda x, t: 0.0 if lo <= x < hi else strength
+    else:
+        raise InvalidParams(f"unknown potential preset {name!r}")
+    _PRESETS[id(potential)] = potential
+    return potential
 
 
 @dataclass
@@ -231,7 +234,7 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     bytes (once in all, unsampled, for a time-independent one); a
     user-supplied kernel runs once per step."""
     step, user = _kernel_fn(kernel), callable(kernel)
-    once = not user and getattr(spec.potential, "_time_independent", False)
+    once = not user and _PRESETS.get(id(spec.potential)) is spec.potential
     matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
     built = {0 if user or once else _potential_values(spec, 0.0).tobytes(): matrices[0]}
     for i in range(1, spec.n_t):

@@ -1,5 +1,6 @@
 """The contraction engine against the dense reference and the path sums."""
 
+import collections
 import itertools
 import math
 import re
@@ -716,8 +717,9 @@ def test_chains_of_one_shape_share_their_structure_and_not_their_tables():
     a = build_lattice_net(_harmonic_chain())
     b = build_lattice_net(LatticeSpec.make(8, 1.0, 3, 0.3, potential=potential_preset("well", 8.0)))
     assert a._shape is b._shape
-    assert a.graph is b.graph and a.space is b.space and a.chronological is b.chronological
+    assert a.space is b.space and a.chronological is b.chronological
     assert core._plan(a, a.external_order) is core._plan(b, b.external_order)
+    assert a.graph is not b.graph and a.external_order == b.external_order  # one graph per net
     assert not np.array_equal(a.factor("t2"), b.factor("t2"))
     assert build_lattice_net(_harmonic_chain(n_t=4))._shape is not a._shape
     net = catalog.build("fig23")
@@ -735,6 +737,25 @@ def test_answers_do_not_change_when_the_shape_cache_evicts():
     for new in (fresh, net):  # the net built before keeps its own shape
         pair = (new, parent_cb_net(new))
         assert [quantum_conditional(t, h, e) for t in pair for h, e in CHAIN_QUERIES] == want
+
+
+def test_a_build_calls_the_graph_layer_alike_whatever_was_built_before(monkeypatch):
+    calls = collections.Counter()
+    for name in ("LabelledGraph", "chronological_labelling", "classify_nodes"):
+        monkeypatch.setattr(core, name, lambda *a, _f=getattr(core, name), _n=name:
+                            calls.update([_n]) or _f(*a))
+
+    def counted(build):
+        calls.clear()
+        build()
+        return dict(calls)
+
+    for build in (lambda: parent_cb_net(build_lattice_net(_harmonic_chain())),
+                  lambda: parent_cb_net(catalog.build("fig19-loop"))):
+        core._shape_of.cache_clear()
+        cold = counted(build)
+        assert counted(build) == cold  # a seen shape
+        assert cold == {"LabelledGraph": 1, "chronological_labelling": 1, "classify_nodes": 2}
 
 
 def test_the_shape_cache_and_its_memos_are_bounded():

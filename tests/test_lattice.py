@@ -336,36 +336,52 @@ def test_a_time_dependent_potential_runs_the_kernel_at_every_step(kernel_calls, 
     assert not any(np.allclose(a, b) for a, b in zip(tables, tables[1:]))
 
 
-def _counted(potential, calls):
-    """``potential``, with its marks, noting the time of every call."""
-    @functools.wraps(potential)
-    def counted(x, t):
-        calls.append(t)
-        return potential(x, t)
-    return counted
+@pytest.fixture
+def samples(monkeypatch):
+    """(t, number of sites) for every sampling of the potential."""
+    calls = []
+    def counted(spec, t, sample=lattice._potential_values):
+        v = sample(spec, t)
+        calls.append((t, len(v)))
+        return v
+    monkeypatch.setattr(lattice, "_potential_values", counted)
+    return calls
 
 
 @pytest.mark.parametrize("kernel", ["exact", "gaussian"])
 @pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
-def test_a_preset_potential_is_sampled_once_per_site(kernel, preset):
-    calls = []
-    potential = _counted(potential_preset(preset, 5.0), calls)
-    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential)
+def test_a_preset_potential_is_sampled_once_per_site(samples, kernel, preset):
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential_preset(preset, 5.0))
     for build in (build_lattice_net, propagate):
-        calls.clear()
+        samples.clear()
         build(spec, kernel)
-        assert calls == [0.0] * 5
+        assert samples == [(0.0, 5)]
 
 
 @pytest.mark.parametrize("kernel", ["exact", "gaussian"])
 @pytest.mark.parametrize("potential", [lambda x, t: t * x, lambda x, t: x],
                          ids=["time-dependent", "unmarked-static"])
-def test_a_user_potential_is_sampled_at_every_step(kernel, potential):
-    calls = []
-    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=_counted(potential, calls))
+def test_a_user_potential_is_sampled_at_every_step(samples, kernel, potential):
+    spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential)
     build_lattice_net(spec, kernel)
-    assert sorted(set(calls)) == [i * 0.2 for i in range(4)]
-    assert all(calls.count(i * 0.2) >= 5 for i in range(4))
+    assert sorted(set(samples)) == [(i * 0.2, 5) for i in range(4)]
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+def test_a_wrapped_preset_is_sampled_at_every_step(samples, kernel):
+    preset = potential_preset("harmonic", 5.0)
+
+    @functools.wraps(preset)
+    def drifting(x, t):
+        return preset(x, t) + t
+
+    net = build_lattice_net(LatticeSpec.make(5, 1.0, 4, 0.2, potential=drifting), kernel)
+    assert sorted(set(samples)) == [(i * 0.2, 5) for i in range(4)]
+    plain = LatticeSpec.make(5, 1.0, 4, 0.2, potential=lambda x, t: preset(x, t) + t)
+    want = build_lattice_net(plain, kernel)
+    for i in range(1, 5):
+        assert np.array_equal(net.table(f"t{i}"), want.table(f"t{i}"))
+    assert not np.allclose(net.table("t3"), net.table("t4"))
 
 
 def test_a_user_kernel_runs_once_per_step():
