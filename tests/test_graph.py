@@ -108,6 +108,25 @@ def test_chronological_is_topological_and_deterministic():
         assert chronological_labelling(g) == order
 
 
+def test_chronological_strips_the_greatest_strippable_node_first():
+    # z frees a and c at once; b was a candidate before them
+    g = LabelledGraph(
+        ["a", "b", "c", "z"], [Arrow("a", "z"), Arrow("c", "z"), Arrow("b"), Arrow("z")]
+    )
+    assert chronological_labelling(g) == ("a", "b", "c", "z")
+    for seed in range(60):
+        names, parents, _ = random_structure(np.random.default_rng(seed), max_nodes=7)
+        arrows = [Arrow(p, n) for n, ps in parents.items() for p in ps]
+        with_children = {a.source for a in arrows}
+        g = LabelledGraph(names, arrows + [Arrow(n) for n in names if n not in with_children])
+        stripped, left = [], set(names)
+        while left:
+            node = max(n for n in left if left.isdisjoint(g.children(n)))
+            stripped.append(node)
+            left.discard(node)
+        assert chronological_labelling(g) == tuple(reversed(stripped))
+
+
 def test_chronological_unique_when_every_pair_is_linked():
     import itertools
 
