@@ -49,8 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .classical import CBNet
-from .core import NodeBlock, Weights, expect_kind
-from .errors import ContradictoryEvidence, InvalidParams, UnknownEntry
+from .core import NodeBlock, Weights, expect_kind, max_states
+from .errors import InvalidParams, UnknownEntry
 from .netfile import EvidenceCase
 from .quantum import QBNet, chi, parent_cb_net  # noqa: F401  (perfbench traces catalog.chi)
 from .spin import (
@@ -458,12 +458,12 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     """Evaluate evidence cases against single and pair hypotheses.
 
     Returns one CaseResult per case. A case whose evidence is impossible
-    is marked no_output with no rows; errors inside individual rows are
-    recorded and the run continues. Each case reads every row with one
-    ``Weights.rows`` product on the quantum net and one on its parent, and
-    normalizes each through ``Weights.row``. Evidence on the query
-    components' nodes only masks each net's cached contraction, so the
-    cases contract again only for evidence on other nodes.
+    is marked no_output with no rows; a row of zero weight is recorded as
+    an error. Each case reads chi(E) and every row with one ``Weights.rows``
+    product on the quantum net and one on its parent, normalized in one
+    array pass (``Weights.table``). Evidence on the query components' nodes
+    only masks each net's cached contraction, so the cases contract again
+    only for evidence on other nodes.
     """
     expect_kind(net, "quantum", "run_evidence_cases")
     if hypotheses not in ("singles", "pairs", "both"):
@@ -471,14 +471,10 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     if cases is None:
         cases = default_cases(net)
     comps = query_components(net)
-    sets: list[tuple[str, ...]] = []
-    if hypotheses in ("singles", "both"):
-        sets += [(a,) for a in comps]
-    if hypotheses in ("pairs", "both"):
-        sets += [(comps[i], comps[j]) for i, j in itertools.combinations(range(len(comps)), 2)]
-
+    singles, pairs = [(a,) for a in comps], list(itertools.combinations(comps, 2))
+    sets = {"singles": singles, "pairs": pairs, "both": singles + pairs}[hypotheses]
     hyps = [(hyp, net.space.combos(hyp)) for hyp in sets]
-    parent = parent_cb_net(net)
+    parent, cap = parent_cb_net(net), max_states()
     results = []
     for case in cases:
         result = CaseResult(case)
@@ -488,21 +484,14 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
         if unknown:
             result.errors.append(f"unknown components {sorted(unknown)}")
             continue
-        qb_weights = Weights(net, comps, evidence)
-        cb_weights = Weights(parent, comps, evidence) if qb_weights.total() else None
-        if cb_weights is None or cb_weights.total() == 0.0:
+        qb = Weights(net, comps, evidence, cap).table(sets)
+        cb = None if qb is None else Weights(parent, comps, evidence, cap).table(sets)
+        if cb is None:  # chi(E) is zero
             result.no_output = True
             continue
-        for (hyp, combos), qb_w, cb_w in zip(hyps, qb_weights.rows(sets), cb_weights.rows(sets)):
-            try:
-                qb, qb_fqna = qb_weights.row(hyp, qb_w)
-                cb, cb_fqna = cb_weights.row(hyp, cb_w)
-                row = HypothesisRow(hyp, combos, tuple(cb), tuple(qb), cb_fqna, qb_fqna)
-            except ContradictoryEvidence:
+        for (hyp, combos), q, c in zip(hyps, qb, cb):
+            if q and c:
+                result.rows.append(HypothesisRow(hyp, combos, tuple(c[0]), tuple(q[0]), c[1], q[1]))
+            else:
                 result.errors.append(f"{hyp}: zero weight under this evidence")
-                continue
-            except Exception as exc:  # record and keep going
-                result.errors.append(f"{hyp}: {exc}")
-                continue
-            result.rows.append(row)
     return results

@@ -39,33 +39,35 @@ the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction, filtered by the evidence on the nodes it sums
 away; evidence on an open node is a 0/1 mask on a copy of the tensor
 (Darwiche's evidence indicators, J. ACM 50(3), 2003). It reads chi(E) and
-every combo or value-set block off it with 0/1 indicator einsums, or many
-sets' combos with one 0/1 selector product (``Weights.rows``). Past the cap
-each block is one ``chi`` call instead. ``chi`` is one function for both net
-kinds (the classical and quantum modules re-export it), and so is
-``external_map``. ``Weights.row`` is the one hypothesis-row recipe, used by
-the CLI query, ``quantum.f_qna`` and the case runner: each combo over the
-combos' total, and f_qna, that total over chi(E). ``conditional`` is its
-probabilities-only half; it skips chi(E), which can vanish on a quantum net
-while the combos do not. Every other route answers through ``Weights`` too;
-the path-sum route keeps one chi call per block, as the independent check.
+every combo or value-set block off it with 0/1 indicator einsums, or chi(E)
+and many sets' combos with one 0/1 selector product (``Weights.rows``; the
+empty set's row, all ones, is chi(E)). Past the cap each block is one
+``chi`` call instead. ``chi`` is one function for both net kinds, and so is
+``external_map``. ``Weights.table`` is the one hypothesis-row recipe, one
+array pass over a case: each combo over its set's total, and f_qna, that
+total over chi(E). ``Weights.row`` is its one-set case (the CLI query and
+``quantum.f_qna``); ``conditional`` is the probabilities-only half, which
+skips chi(E), as it can vanish on a quantum net while the combos do not.
+The path-sum route keeps one chi call per block, as the independent check.
 
 Nets never change after construction, so what does not depend on their tables
 is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
 share one checked ``_StateList`` (256 kept), whose int array and stacked 0/1
 indicator every component column slices. Blocks of equal names, parents,
 components and state lists share one ``_Shape`` (256 kept), as does a quantum
-net's parent: the state space with the value combos of each component tuple
-(256), the factor dims, a column per component and a view per tuple of open
-nodes (256): its plan and axis map. The graph layer is not interned, so what a
+net's parent: the state space with the value combos of each component tuple,
+the factor dims, a column per component, a view per tuple of open nodes (its
+plan and each open component's axis) and a query's open nodes per external
+nodes and components, 256 of each. The graph layer is not interned, so what a
 build calls does not depend on what the process built before: each net keeps
-its own ``LabelledGraph`` and external order, its factors and one read-only
-entry each for the last tensor a ``Weights`` opened (keyed by open nodes and
-the evidence on summed-away nodes), the last selector it built (by open nodes
-and sets) and the last whole-node read of ``Weights.combos`` (by open nodes,
-that node and the evidence) -- at most the cap in entries, 16 MB at the default
--- and, on a quantum net, its parent classical net (tables the size of its
-own).
+its own ``LabelledGraph`` and external order, its factors, its read-only
+evidence masks (by open nodes, component and value set; past ``_MASKS``, 256,
+the oldest goes) and one read-only entry each for the last tensor a
+``Weights`` opened (by open nodes and the evidence on summed-away nodes), the
+last selector (by open nodes and sets) and the last whole-node read of
+``Weights.combos`` (by open nodes, node and evidence) -- at most the cap in
+entries, 16 MB at the default -- and, on a quantum net, its parent classical
+net (tables the size of its own).
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ from .errors import StateSpaceTooLarge
 from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
+_MASKS = 256  # evidence masks a net keeps
+_ZERO_WEIGHT = "evidence {} has zero weight"
 
 
 def max_states() -> int:
@@ -139,17 +143,20 @@ class _StateList:
 
 
 _shared = functools.lru_cache(maxsize=256)(_StateList)  # one per equal list, by value
+_last_list: list = [_shared(())]  # found by identity: each lattice slice passes the last's states
 
 
 def _state_list(node: str, states) -> _StateList:
     """The shared ``_StateList`` equal to ``states``; InvalidState names the node."""
-    try:
+    if states is not _last_list[0].states:
         try:
-            return _shared(tuple(states))
-        except TypeError:  # states given as lists or arrays: key by their tuples
-            return _shared(tuple(map(_as_state, states)))
-    except InvalidState as exc:
-        raise InvalidState(f"node {node!r}: {exc}") from None
+            try:
+                _last_list[0] = _shared(tuple(states))
+            except TypeError:  # states given as lists or arrays: key by their tuples
+                _last_list[0] = _shared(tuple(map(_as_state, states)))
+        except InvalidState as exc:
+            raise InvalidState(f"node {node!r}: {exc}") from None
+    return _last_list[0]
 
 
 class StateSpace:
@@ -251,8 +258,8 @@ class NodeBlock:
 class _Shape:
     """What nets of equal structure share whatever their tables: the state
     space, the chronological labelling it was built with (None for a cycle),
-    factor dims, one view (plan, axis map) per tuple of open nodes (256 kept)
-    and one column per component."""
+    factor dims, one column per component, one view (plan, axis map) per tuple
+    of open nodes and one query (open nodes, view) per (ext, comps), 256 each."""
 
     def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
         self.space, self.chron, self.columns = space, chron, {}
@@ -261,7 +268,11 @@ class _Shape:
         self.structure = (self.order, tuple(parents[n] for n in self.order),
                           tuple(self.dims[n][-1] for n in self.order))
         self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
-            _compile(self.structure, open_nodes), {n: j for j, n in enumerate(open_nodes)}))
+            _compile(self.structure, open_nodes),
+            {a: j for j, n in enumerate(open_nodes) for a in space.components(n)}))
+        self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: (
+            nodes := tuple(dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])),
+            *self.view(nodes)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -362,6 +373,7 @@ class BaseNet:
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_selector: tuple = (None, None, None)  # Weights.rows
         self._last_node_read: tuple = (None, None)  # Weights.combos
+        self._masks: dict = {}  # Weights._opened, at most _MASKS entries
 
     # -- construction -------------------------------------------------------
 
@@ -726,50 +738,68 @@ class Weights:
 
     _chi = staticmethod(chi)
 
-    def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping):
-        self.net, self.square, self.cap = net, net.kind == "quantum", max_states()
-        self.evidence = {alpha: value_set(v) for alpha, v in evidence.items()}
+    def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping,
+                 _cap: int | None = None):  # read once by a caller, whose evidence is value sets
+        self.net, self.square, self.cap = net, net.kind == "quantum", _cap or max_states()
+        self.evidence = evidence if _cap else {alpha: value_set(v) for alpha, v in evidence.items()}
         self._ext = net.external_order if self.square else ()
-        self._wide, self._total = self._opened(components), None
+        self._wide = self._opened(tuple(components))
 
     def _opened(self, comps):
         """(open nodes, tensor) for the nodes of ``comps``; None past the cap.
         Only evidence on a node the contraction sums away filters it and,
         with the open nodes, keys the net's memo of the last tensor (kept
         read-only). Evidence on an open node masks that axis of a copy, at
-        most the cap in entries, so it never contracts again."""
-        owner = self.net.space.owner
-        nodes = tuple(dict.fromkeys([*self._ext, *(owner(a)[0] for a in comps)]))
-        plan, axis = self.net._shape.view(nodes)
+        most the cap in entries, by a mask the net keeps, so it never contracts again."""
+        nodes, plan, axis = self.net._shape.query(self._ext, comps)
         if plan.peak > self.cap:
             return None
-        masks = [(axis[owner(a)[0]], a, v) for a, v in self.evidence.items() if owner(a)[0] in axis]
-        summed = {a: v for a, v in self.evidence.items() if owner(a)[0] not in axis}
+        summed = {a: v for a, v in self.evidence.items() if a not in axis}
         key = (nodes, frozenset(summed.items()))
         if self.net._last_opened[0] != key:
             tensor = np.asarray(contract(self.net, nodes, summed))
             tensor.flags.writeable = False
             self.net._last_opened = (key, tensor)
-        tensor = self.net._last_opened[1]
-        for j, alpha, allowed in masks:
-            mask = _allowed(_column(self.net, alpha)[1], allowed)
-            tensor = tensor * mask.reshape([-1 if i == j else 1 for i in range(len(nodes))])
+        tensor, memo = self.net._last_opened[1], self.net._masks
+        for alpha, allowed in self.evidence.items():
+            if alpha in axis:
+                if (key := (nodes, alpha, allowed)) not in memo:
+                    if len(memo) >= _MASKS:
+                        del memo[next(iter(memo))]  # the oldest
+                    memo[key] = _allowed(_column(self.net, alpha)[1], allowed).reshape(
+                        [-1 if j == axis[alpha] else 1 for j in range(len(nodes))])
+                    memo[key].flags.writeable = False
+                tensor = tensor * memo[key]
         return nodes, tensor
 
     def total(self) -> float:
-        """chi(E), read once per instance."""
-        if self._total is None:
-            self._total = self.combos(())[0]
-        return self._total
+        """chi(E)."""
+        return self.combos(())[0]
 
-    def row(self, comps: Iterable[str], weights=None) -> tuple[list[float], float]:
-        """(P(m | E) for every value combo m of ``comps``, f_qna), from ``weights``
-        if already read: the combos over their total, and that total over chi(E).
-        ContradictoryEvidence if chi(E), or else the combos' total, is zero."""
-        weights = self.combos(comps) if weights is None else weights
-        total = sum(weights)
-        f_qna = normalize([total], self.total(), self.evidence)[0]
-        return normalize(weights, total, self.evidence), f_qna
+    def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
+        """(P(m | E) for every value combo m of ``comps``, f_qna): the combos over their
+        total, and that total over chi(E); ContradictoryEvidence if either is zero.
+        ``table``'s one-set case, from a ``combos`` read."""
+        combos = self.combos(comps)
+        (row,) = self.table([comps], [[self.total()], combos]) or [None]
+        if row is None:
+            raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.evidence)))
+        return row
+
+    def table(self, sets, weights=None) -> list | None:
+        """``row`` of each set (None if its combos total zero), or None if chi(E)
+        is zero, in one array pass over ``weights``: chi(E), then each set's combos;
+        unless given, one ``rows`` read, whose first set, the empty one, is chi(E)'s."""
+        (chi_e,), *combos = self.rows(((), *sets)) if weights is None else weights
+        if chi_e == 0.0:
+            return None
+        totals = np.array([sum(w) for w in combos])  # left to right, as ``sum`` adds
+        counts, flat = [len(w) for w in combos], np.fromiter(itertools.chain(*combos), float)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero total's row is dropped
+            probs, f_qna = (flat / totals.repeat(counts)).tolist(), (totals / chi_e).tolist()
+        ends = list(itertools.accumulate(counts))
+        return [None if zero else (probs[a:b], f) for zero, f, a, b in
+                zip((totals == 0.0).tolist(), f_qna, [0, *ends], ends)]
 
     def combos(self, comps: Iterable[str]) -> list[float]:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``
@@ -812,7 +842,7 @@ class Weights:
         ones for the open nodes it does not own; none past the cap or off them."""
         space, axis, k = self.net.space, self.net._shape.view(nodes)[1], len(nodes)
         counts = [math.prod(len(space.component_values(a)) for a in s) for s in sets]
-        owned = [[axis.get(space.owner(a)[0]) for a in s] for s in sets]
+        owned = [[axis.get(a) for a in s] for s in sets]
         if sum(counts) * math.prod(shape) > self.cap or None in itertools.chain(*owned):
             return
         n_ext, blocks = math.prod(shape[:len(self._ext)]), []
@@ -867,7 +897,7 @@ def _read_subscripts(nodes, ext, reads) -> tuple[str, int]:
 def normalize(weights, total: float, evidence: Mapping) -> list[float]:
     """Each weight over the total; ContradictoryEvidence if the total is zero."""
     if total == 0.0:
-        raise ContradictoryEvidence(f"evidence {dict(evidence)} has zero weight")
+        raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(evidence)))
     return [w / total for w in weights]
 
 

@@ -276,6 +276,7 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
     for i, alpha in enumerate(matrices, start=1):
         blocks.append(NodeBlock(f"t{i}", one_hots, alpha, parents=(f"t{i-1}",),
                                 components=_slice(i, spec.n_x)))
+        one_hots = blocks[-1].states  # the shared list: the next slice finds it by identity
     meta = {
         "lattice_kernel": kernel if isinstance(kernel, str) else "custom",
         "n_x": str(spec.n_x),

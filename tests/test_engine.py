@@ -336,11 +336,12 @@ def _opened_peak(net, square):
 
 
 def _selector_size(net, square):
-    """The size of the runner's selector: every single and pair row of the
-    query components times the opened tensor's entries."""
+    """The size of the runner's selector: chi(E)'s row of ones and every
+    single and pair row of the query components, times the opened tensor's
+    entries."""
     comps = catalog.query_components(net)
     sets = [(a,) for a in comps] + list(itertools.combinations(comps, 2))
-    n_rows = sum(math.prod(len(net.space.component_values(a)) for a in s) for s in sets)
+    n_rows = 1 + sum(math.prod(len(net.space.component_values(a)) for a in s) for s in sets)
     nodes = {*(net.external_order if square else ()), *(net.space.owner(a)[0] for a in comps)}
     return n_rows * math.prod(len(net.space.states(n)) for n in nodes)
 
@@ -354,9 +355,8 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
     sizes = {kind: _selector_size(net, kind == "quantum") for kind in targets}
     read, per_set = Weights._read, set()
 
-    def counted(self, reads, blocks):
-        if reads:  # a per-set read, not chi(E)
-            per_set.add(self.net.kind)
+    def counted(self, reads, blocks):  # chi(E) or a set's combos, outside the selector
+        per_set.add(self.net.kind)
         return read(self, reads, blocks)
 
     monkeypatch.setattr(Weights, "_read", counted)
@@ -444,17 +444,18 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
         return read(self, reads_, blocks)
 
     def counted_rows(self, sets):
-        reads.append(("rows", self.net.kind))
+        reads.append(("rows", self.net.kind, tuple(sets)[0]))
         return rows(self, sets)
 
     monkeypatch.setattr(Weights, "_read", counted_read)
     monkeypatch.setattr(Weights, "rows", counted_rows)
     (result,) = catalog.run_evidence_cases(net, cases=[case])
     assert not result.errors and len(result.rows) == 21
-    # on the quantum net and its parent: chi(E) once, then every row in one product
-    assert sorted(reads) == sorted(
-        (name, kind) for name in ("chi(E)", "rows") for kind in ("quantum", "classical")
-    )
+    # on the quantum net, then its parent: one product, whose first row (the
+    # empty set's, a row of ones) is chi(E), and no other read
+    assert reads == [("rows", "quantum", ()), ("rows", "classical", ())]
+    for target in (net, parent_cb_net(net)):
+        assert (target._last_selector[1][:, 0] == 1).all()
 
 
 def test_a_conditional_costs_one_contraction(contract_calls):
@@ -463,6 +464,118 @@ def test_a_conditional_costs_one_contraction(contract_calls):
     contract_calls.clear()
     assert quantum_conditional(net, {"u.plus": 1}, {"z.minus": 0}) == pytest.approx(want, abs=1e-12)
     assert len(contract_calls) == 1
+
+
+@st.composite
+def runner_cases(draw):
+    """A catalog or random quantum net, evidence cases on its query
+    components (sharp values, value sets, now and then an empty set) and
+    the hypothesis sets to run."""
+    if draw(st.booleans()):
+        net = draw(st.sampled_from(QUANTUM_NETS))
+    else:
+        net = random_qbnet(draw(st.integers(0, 2**32 - 1)), max_nodes=draw(st.integers(2, 5)),
+                           zero_frac=draw(st.sampled_from([0.0, 0.3, 0.6])))
+    comps = catalog.query_components(net)
+    cases = []
+    for number in range(1, draw(st.integers(1, 4)) + 1):
+        constraints = []
+        for alpha in draw(st.lists(st.sampled_from(comps), max_size=3, unique=True)):
+            values = net.space.component_values(alpha)
+            sharp_or_set = st.one_of(
+                st.sampled_from(values), st.frozensets(st.sampled_from(values), min_size=1)
+            )
+            constraints.append((alpha, draw(st.just(frozenset()) if draw(st.integers(0, 7)) == 7
+                                            else sharp_or_set)))
+        cases.append(catalog.EvidenceCase(number, tuple(constraints)))
+    return net, cases, draw(st.sampled_from(["singles", "pairs", "both"]))
+
+
+def _loop_rows(weights, sets):
+    """The per-row recipe as a loop over one product's weights: each combo
+    over its set's total, that total over chi(E); None for a zero total."""
+    (chi_e,), *combos = weights.rows(((), *sets))
+    return [None if sum(w) == 0.0 else ([x / sum(w) for x in w], sum(w) / chi_e) for w in combos]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(runner_cases())
+def test_the_runner_normalizes_each_row_as_weights_row_does(query):
+    net, cases, hypotheses = query
+    comps = catalog.query_components(net)
+    pairs = list(itertools.combinations(comps, 2))
+    sets = {"singles": [(a,) for a in comps], "pairs": pairs,
+            "both": [(a,) for a in comps] + pairs}[hypotheses]
+    for case, result in zip(cases, catalog.run_evidence_cases(net, cases, hypotheses)):
+        weights = [Weights(target, comps, case.as_sets()) for target in (net, parent_cb_net(net))]
+        assert result.no_output == any(w.total() == 0.0 for w in weights)
+        if result.no_output:
+            assert not result.rows and not result.errors
+            continue
+        qb_loop, cb_loop = (_loop_rows(w, sets) for w in weights)
+        rows, errors = iter(result.rows), []
+        for s, qb_want, cb_want in zip(sets, qb_loop, cb_loop):
+            try:
+                qb, cb = (w.row(s) for w in weights)
+            except ContradictoryEvidence:
+                errors.append(f"{s}: zero weight under this evidence")
+                assert qb_want is None or cb_want is None
+                continue
+            row = next(rows)
+            assert row.components == s and row.combos == net.space.combos(s)
+            assert qb_want is not None and cb_want is not None
+            # bit for bit the per-row loop over the same product, and Weights.row up
+            # to the round-off of its own reads (einsums, not the selector product)
+            assert (list(row.qb), row.qb_fqna, list(row.cb), row.cb_fqna) == (*qb_want, *cb_want)
+            for got, want in ((row.qb, qb[0]), (row.cb, cb[0]), (row.qb_fqna, qb[1]),
+                              (row.cb_fqna, cb[1])):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert next(rows, None) is None and result.errors == errors
+
+
+def test_a_set_of_zero_weight_is_recorded_and_the_rest_of_the_case_runs(monkeypatch):
+    # with chi(E) nonzero, a set's combos vanish only through round-off, so zero them here
+    net = catalog.build("fig23")
+    case = catalog.default_cases(net)[5]
+    (want,) = catalog.run_evidence_cases(net, cases=[case])
+    dead, rows, combos = (catalog.query_components(net)[1],), Weights.rows, Weights.combos
+    zeros = [0.0] * len(net.space.combos(dead))
+    for target in (net, parent_cb_net(net)):
+        monkeypatch.setattr(Weights, "rows", lambda self, sets: [
+            zeros if s == dead and self.net is target else w for s, w in zip(sets, rows(self, sets))])
+        monkeypatch.setattr(Weights, "combos", lambda self, comps: (
+            zeros if tuple(comps) == dead and self.net is target else combos(self, comps)))
+        (got,) = catalog.run_evidence_cases(net, cases=[case])
+        assert not got.no_output and got.errors == [f"{dead}: zero weight under this evidence"]
+        assert got.rows == [row for row in want.rows if row.components != dead]
+        with pytest.raises(ContradictoryEvidence, match="has zero weight"):  # the one-set case
+            Weights(target, dead, case.as_sets()).row(dead)
+
+
+def test_a_lower_cap_between_two_runner_calls_takes_effect(monkeypatch):
+    net = catalog.build("fig26")
+    case = catalog.default_cases(net)[3]
+    caps, opened = [], Weights._opened
+
+    def spied(self, comps):
+        caps.append(self.cap)
+        return opened(self, comps)
+
+    monkeypatch.setattr(Weights, "_opened", spied)
+    (want,) = catalog.run_evidence_cases(net, cases=[case])
+    assert not want.no_output and want.rows and caps == [core.DEFAULT_MAX_STATES] * 2
+    monkeypatch.setenv("QBNET_MAX_STATES", str(_cap_floor(net)))
+    (got,) = catalog.run_evidence_cases(net, cases=[case])  # both nets' tensors are cached
+    assert caps[2:] == [_cap_floor(net)] * 2
+    assert (got.no_output, got.errors) == (want.no_output, want.errors)
+    assert len(got.rows) == len(want.rows)
+    for row, want_row in zip(got.rows, want.rows):
+        for a, b in zip((row.cb, row.qb, row.cb_fqna, row.qb_fqna),
+                        (want_row.cb, want_row.qb, want_row.cb_fqna, want_row.qb_fqna)):
+            assert a == pytest.approx(b, abs=1e-12)
+    monkeypatch.setenv("QBNET_MAX_STATES", "1")
+    with pytest.raises(StateSpaceTooLarge):
+        catalog.run_evidence_cases(net, cases=[case])
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +798,30 @@ def test_a_single_set_read_leaves_the_selector_alone():
     assert kept[0] is not None and not kept[1].flags.writeable
     quantum_conditional(net, {"t1.x3": 1}, {})
     assert net._last_selector is kept
+
+
+def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
+    net, fresh = build_lattice_net(LATTICE_SPEC), build_lattice_net(LATTICE_SPEC)
+    evidence = [{"t4.x1": {0, 1}}, {"t4.x1": 0}, {"t4.x2": 0}, {"t4.x3": 0, "t4.x4": 1}]
+    wants = [quantum_conditional(fresh, {"t4.x0": 1}, ev) for ev in evidence]
+    assert net._shape is fresh._shape and fresh._masks  # one shape, a memo per net
+    assert net._shape.query.cache_info().maxsize == 256
+    masked, allowed = [], core._allowed
+    monkeypatch.setattr(core, "_allowed", lambda *args: masked.append(args) or allowed(*args))
+    monkeypatch.setattr(core, "_MASKS", 3)
+    quantum_conditional(net, {"t4.x0": 1}, {})
+    cached = net._last_opened[1]
+    kept = cached.tobytes()
+    for ev, want in zip(evidence * 2, wants * 2):  # five masks: past the bound, the first ones go
+        assert quantum_conditional(net, {"t4.x0": 1}, ev) == pytest.approx(want, abs=1e-12)
+        assert 0 < len(net._masks) <= 3
+        assert not any(m.flags.writeable for m in net._masks.values())
+        assert net._last_opened[1] is cached and not cached.flags.writeable
+        assert cached.tobytes() == kept
+    assert len(masked) == 10  # each of the five masks made again on the second round
+    masked.clear()
+    quantum_conditional(net, {"t4.x0": 1}, {"t4.x3": 0, "t4.x4": 1})  # the last two are kept
+    assert masked == []
 
 
 def test_the_parent_net_is_built_once(monkeypatch):

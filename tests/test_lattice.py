@@ -434,3 +434,20 @@ def test_the_hamiltonian_is_bitwise_the_site_by_site_form(n_x, preset, dx, stren
     for t in spec.times():
         got, want = lattice._hamiltonian(spec, t), _loop_hamiltonian(spec, t)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_x, n_t", [(3, 1), (4, 3), (6, 5)])
+def test_a_build_hashes_the_one_hot_list_once(monkeypatch, n_x, n_t):
+    from qbnet import core
+
+    spec = LatticeSpec.make(n_x, 1.0, n_t, 0.2, potential=potential_preset("harmonic", n_x, 1.0))
+    build_lattice_net(LatticeSpec.make(2, 1.0, 2, 0.2))  # another list was looked up last
+    lookups, shared = [], core._shared
+    monkeypatch.setattr(core, "_shared", lambda states: lookups.append(states) or shared(states))
+    net = build_lattice_net(spec)
+    assert len(lookups) == 2  # the root's one state, then the slices' one-hot list
+    assert {id(net.space._lists[f"t{i}"]) for i in range(1, n_t + 1)} == {id(shared(lookups[1]))}
+    matrices, _ = lattice._step_matrices(spec, "exact")
+    for i, alpha in enumerate(matrices, start=1):  # bit for bit the step matrices
+        want = alpha[:, [0]] if i == 1 else alpha
+        assert net.table(f"t{i}").tobytes() == np.ascontiguousarray(want).tobytes()
