@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -257,16 +258,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    length = args.nx * args.dx
-    spec = LatticeSpec.make(
-        args.nx,
-        args.dx,
-        args.nt,
-        args.dt,
-        mass=args.mass,
-        hbar=args.hbar,
-        potential=potential_preset(args.potential, length, args.strength),
-    )
+    spec = LatticeSpec.make(args.nx, args.dx, args.nt, args.dt, mass=args.mass, hbar=args.hbar)
+    # the spec's checks speak before the preset's check of its length n_x * dx
+    potential = potential_preset(args.potential, spec.length, args.strength)
+    spec = dataclasses.replace(spec, potential=potential)
     probs = np.abs(propagate(spec, kernel=args.kernel)) ** 2  # finite: propagate checks
     total = probs.sum()
     print(

@@ -13,17 +13,22 @@ dtheta = m dx^2 / (2 hbar dt); it has uniform entry magnitude, is only
 approximately unitary, and a net built from it fails column normalization
 by design - validation reports that honestly rather than renormalizing.
 
-Both built-in kernels read the time only through V(x, t), so a net or a
-propagation runs one once per distinct potential vector; a preset potential
-(``potential_preset``, recognized by identity) is time-independent, so it is
-sampled and the kernel run once in all. A user-supplied kernel runs once per
-time step.
+Both built-in kernels read the time only through V(x, t). A preset potential
+(``potential_preset``, one function per equal arguments, recognized by
+identity) is time-independent, so with one a built-in kernel runs once per
+distinct Hamiltonian per process: its step matrix is kept across builds,
+read-only and keyed by value (kernel, n_x, dx, dt, mass, hbar and the preset
+itself), at most ``_STEP_MEMO_BYTES`` (2 MiB) of them, the oldest dropped
+first. Any other potential is sampled at every step, and a built-in kernel
+runs once per distinct potential vector in each build or propagation. A
+user-supplied kernel runs once per time step.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import weakref
 from dataclasses import dataclass
@@ -42,9 +47,11 @@ def zero_potential(x: float, t: float) -> float:
     return 0.0
 
 
-# the potentials potential_preset returns, V(x, t) = V(x, 0), by identity: a
-# build samples them once; anything else, a wrapper of one too, at every step
+# the potentials potential_preset returns, V(x, t) = V(x, 0), by identity: one
+# keys its step matrix itself; anything else, a wrapper of one too, is sampled
+# at every step
 _PRESETS = weakref.WeakValueDictionary({id(zero_potential): zero_potential})
+_FREE = zero_potential  # a tracer may wrap the module binding
 
 
 @dataclass(frozen=True)
@@ -130,19 +137,29 @@ def _finite_positive(name: str, value) -> float:
 
 
 def potential_preset(name: str, length: float, strength: float = 1.0) -> Potential:
-    """Standard potentials: free, harmonic (centered), square well walls."""
+    """Standard potentials: free, harmonic (centered), square well walls.
+
+    length and strength are read as floats; equal arguments give the same
+    function, so builds with it share their step matrices."""
     if not math.isfinite(strength):
         raise InvalidParams(f"potential strength must be finite, got {strength!r}")
+    if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):
+        raise InvalidParams(f"potential length must be finite and positive, got {length!r}")
     if name == "free":
-        return zero_potential
+        return _FREE
+    if name not in ("harmonic", "well"):
+        raise InvalidParams(f"unknown potential preset {name!r}")
+    return _preset(name, float(length), float(strength))
+
+
+@functools.lru_cache(maxsize=256)
+def _preset(name: str, length: float, strength: float) -> Potential:
     if name == "harmonic":
         center = length / 2.0
         potential = lambda x, t: 0.5 * strength * (x - center) ** 2
-    elif name == "well":
+    else:
         lo, hi = length / 3.0, 2.0 * length / 3.0
         potential = lambda x, t: 0.0 if lo <= x < hi else strength
-    else:
-        raise InvalidParams(f"unknown potential preset {name!r}")
     _PRESETS[id(potential)] = potential
     return potential
 
@@ -226,23 +243,61 @@ def _kernel_fn(kernel):
         raise InvalidParams(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
 
 
+# the step matrices kept across builds: 84 keys of lattice-cap take ~0.46 MB
+_STEP_MEMO_BYTES = 2 * 2**20
+
+
+class _StepMemo:
+    """Read-only step matrices by Hamiltonian, at most ``budget`` bytes of
+    them, the oldest dropped first; a matrix larger than that is not kept."""
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes, self.matrices = budget, 0, {}
+
+    def matrix(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        matrix = self.matrices.get(key)
+        if matrix is None:
+            matrix = build()
+            matrix.flags.writeable = False
+            if matrix.nbytes <= self.budget:
+                while self.nbytes + matrix.nbytes > self.budget:
+                    self.nbytes -= self.matrices.pop(next(iter(self.matrices))).nbytes
+                self.matrices[key] = matrix
+                self.nbytes += matrix.nbytes
+        return matrix
+
+    def clear(self) -> None:
+        self.matrices.clear()
+        self.nbytes = 0
+
+
+_STEPS = _StepMemo(_STEP_MEMO_BYTES)
+
+
 def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndarray]:
     """The n_t step matrices, and the final-slice amplitudes they carry site
     0 to; InvalidParams when those give non-finite site probabilities.
 
-    A built-in kernel runs once per distinct potential vector, keyed by its
-    bytes (once in all, unsampled, for a time-independent one); a
-    user-supplied kernel runs once per step."""
+    With a preset potential a built-in kernel runs once per distinct
+    Hamiltonian per process: its matrix comes from ``_STEPS``, keyed by the
+    kernel, n_x, dx, dt, mass, hbar and the preset itself (unsampled), up to
+    ``_STEP_MEMO_BYTES`` (2 MiB) of them. With any other potential it runs
+    once per distinct potential vector in the call, keyed by its bytes; a
+    user-supplied kernel runs once per step. The final amplitudes and their
+    check depend on n_t, so every call makes them."""
     step, user = _kernel_fn(kernel), callable(kernel)
-    once = not user and _PRESETS.get(id(spec.potential)) is spec.potential
-    matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
-    built = {0 if user or once else _potential_values(spec, 0.0).tobytes(): matrices[0]}
-    for i in range(1, spec.n_t):
-        t = i * spec.dt
-        key = i if user else 0 if once else _potential_values(spec, t).tobytes()
-        if key not in built:
-            built[key] = step(spec, t).matrix
-        matrices.append(built[key])
+    if not user and _PRESETS.get(id(spec.potential)) is spec.potential:
+        key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)
+        matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t
+    else:
+        matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
+        built = {0 if user else _potential_values(spec, 0.0).tobytes(): matrices[0]}
+        for i in range(1, spec.n_t):
+            t = i * spec.dt
+            key = i if user else _potential_values(spec, t).tobytes()
+            if key not in built:
+                built[key] = step(spec, t).matrix
+            matrices.append(built[key])
     psi = np.eye(spec.n_x, dtype=complex)[0]
     with np.errstate(all="ignore"):  # an overflow fails the check below
         for alpha in matrices:

@@ -1,8 +1,18 @@
 """Shared helpers: seeded random nets for property-style loops."""
 
 import numpy as np
+import pytest
 
+from qbnet import lattice
 from qbnet.core import NodeBlock
+
+
+@pytest.fixture(autouse=True)
+def cold_step_memo():
+    """Each test starts and ends with no lattice step matrix kept across builds."""
+    lattice._STEPS.clear()
+    yield
+    lattice._STEPS.clear()
 
 
 def random_structure(rng, max_nodes=5, max_values=3, edge_prob=0.5):

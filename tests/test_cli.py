@@ -441,6 +441,23 @@ def test_lattice_rejects_extreme_derived_quantities(capsys, args, needle):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the spec's checks speak before the preset's, so dx is named before strength
+        ("--nx 3 --nt 1 --dx inf --dt 1 --strength inf", "dx must be finite"),
+        # n_x * dx overflows: the preset refuses that length before a kernel runs
+        (
+            "--nx 3 --nt 1 --dx 1e308 --dt 1",
+            "potential length must be finite and positive, got inf",
+        ),
+    ],
+)
+def test_lattice_checks_the_spec_before_the_preset_length(capsys, args, message):
+    code, out, err = run(capsys, "lattice", *args.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_closed_pipe_exits_quietly(fig19_file):
     # piping into head must not leave a traceback behind
     script = f"{sys.executable} -m qbnet cases {fig19_file} --format csv | head -2"

@@ -224,6 +224,22 @@ def test_potential_presets_reject_a_non_finite_strength(preset, strength):
         potential_preset(preset, length=3.0, strength=strength)
 
 
+@pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, -3.0, 0.0, "3.0", [3.0], None])
+def test_potential_presets_refuse_a_length_that_is_not_finite_and_positive(preset, length):
+    with pytest.raises(InvalidParams) as err:
+        potential_preset(preset, length=length, strength=2.0)
+    assert str(err.value) == f"potential length must be finite and positive, got {length!r}"
+
+
+def test_equal_preset_arguments_give_one_function(monkeypatch):
+    assert potential_preset("harmonic", 3.0, 2.0) is potential_preset("harmonic", 3, 2)
+    assert potential_preset("well", 3.0, 2.0) is not potential_preset("well", 3.0, 2.5)
+    zero = lattice.zero_potential
+    monkeypatch.setattr(lattice, "zero_potential", lambda x, t: zero(x, t))  # as a tracer wraps it
+    assert potential_preset("free", 3.0) is potential_preset("free", 4.0) is zero
+
+
 @pytest.mark.parametrize("kernel", [step_amplitudes_exact, step_amplitudes_gaussian])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_step_kernels_reject_a_non_finite_potential(kernel, bad):
@@ -352,10 +368,11 @@ def samples(monkeypatch):
 @pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
 def test_a_preset_potential_is_sampled_once_per_site(samples, kernel, preset):
     spec = LatticeSpec.make(5, 1.0, 4, 0.2, potential=potential_preset(preset, 5.0))
-    for build in (build_lattice_net, propagate):
-        samples.clear()
-        build(spec, kernel)
-        assert samples == [(0.0, 5)]
+    build_lattice_net(spec, kernel)
+    assert samples == [(0.0, 5)]
+    samples.clear()
+    propagate(spec, kernel)  # the same Hamiltonian: its step matrix is kept
+    assert samples == []
 
 
 @pytest.mark.parametrize("kernel", ["exact", "gaussian"])
@@ -391,7 +408,9 @@ def test_a_user_kernel_runs_once_per_step():
         times.append(t)
         return step_amplitudes_exact(spec, t)
 
-    propagate(LatticeSpec.make(3, 1.0, 4, 0.5), kernel)
+    spec = LatticeSpec.make(3, 1.0, 4, 0.5)
+    propagate(spec, "exact")  # a kept built-in matrix of the same Hamiltonian changes nothing
+    propagate(spec, kernel)
     assert times == [0.0, 0.5, 1.0, 1.5]
 
 
@@ -403,13 +422,18 @@ def test_a_user_kernel_runs_once_per_step():
     ],
 )
 def test_the_kernel_checks_speak_before_the_potential(kernel, dx, message):
-    spec = LatticeSpec.make(3, dx, 3, 1.0, potential=potential_preset("harmonic", 3 * dx))
+    preset = potential_preset("harmonic", 3 * dx)
+    # the same values from a plain function, sampled at every step: (x - 1.5 dx)**2
+    # overflows a Python float at dx = 1e200
+    plain = lambda x, t, center=1.5 * dx: 0.5 * (x - center) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for build in (build_lattice_net, propagate):
-            with pytest.raises(InvalidParams) as err:
-                build(spec, kernel)
-            assert str(err.value) == message
+        for potential in (preset, plain):
+            spec = LatticeSpec.make(3, dx, 3, 1.0, potential=potential)
+            for build in (build_lattice_net, propagate):
+                with pytest.raises(InvalidParams) as err:
+                    build(spec, kernel)
+                assert str(err.value) == message
 
 
 def _loop_hamiltonian(spec, t):
@@ -451,3 +475,73 @@ def test_a_build_hashes_the_one_hot_list_once(monkeypatch, n_x, n_t):
     for i, alpha in enumerate(matrices, start=1):  # bit for bit the step matrices
         want = alpha[:, [0]] if i == 1 else alpha
         assert net.table(f"t{i}").tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+def test_a_built_in_kernel_runs_once_per_hamiltonian(kernel_calls, kernel):
+    step = {"exact": step_amplitudes_exact, "gaussian": step_amplitudes_gaussian}[kernel]
+    rng = np.random.default_rng(18)
+    for _ in range(12):
+        n_x, n_t = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        dx, dt = float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.05, 0.5))
+        mass, hbar = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+        preset, strength = str(rng.choice(["free", "harmonic", "well"])), float(rng.uniform(0, 3))
+
+        def make(n_t, plain=False):
+            potential = potential_preset(preset, n_x * dx, strength)
+            if plain:  # equal values from a function that is not a preset
+                potential = lambda x, t, v=potential: v(x, t)
+            return LatticeSpec.make(n_x, dx, n_t, dt, mass, hbar, potential)
+
+        want = step(make(1), 0.0).matrix  # the public kernel, cold
+        kernel_calls.clear()
+        nets = [build_lattice_net(make(n_t), kernel)]
+        assert kernel_calls == [0.0]
+        nets += [build_lattice_net(make(n_t), kernel), build_lattice_net(make(n_t + 2), kernel)]
+        np.testing.assert_array_equal(propagate(make(n_t + 3), kernel),
+                                      propagate(make(n_t + 3), step))
+        assert kernel_calls == [0.0]  # an equal spec, and other n_t, run no kernel
+        nets.append(build_lattice_net(make(n_t + 1, plain=True), kernel))
+        nets.append(build_lattice_net(make(n_t + 1, plain=True), kernel))
+        assert kernel_calls == [0.0] * 3  # another potential: one run per build, not kept
+        for net in nets:
+            assert net.table("t1").tobytes() == np.ascontiguousarray(want[:, [0]]).tobytes()
+            for i in range(2, int(net.meta["n_t"]) + 1):
+                assert net.table(f"t{i}").tobytes() == want.tobytes()
+    assert lattice._STEPS.matrices
+    for matrix in lattice._STEPS.matrices.values():
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+
+
+def test_each_part_of_the_hamiltonian_keys_its_step_matrix():
+    base = dict(n_x=4, dx=0.5, n_t=2, dt=0.2, mass=1.0, hbar=1.0, strength=1.0)
+    changes = [{}, {"n_x": 5}, {"dx": 0.6}, {"dt": 0.3}, {"mass": 1.5}, {"hbar": 0.8}, {"strength": 2.0}]
+    for kernel, step in (("exact", step_amplitudes_exact), ("gaussian", step_amplitudes_gaussian)):
+        for change in changes:  # one memo, warm from the specs before
+            args = {**base, **change}
+            potential = potential_preset("harmonic", 2.0, args.pop("strength"))
+            spec = LatticeSpec.make(**args, potential=potential)
+            assert propagate(spec, kernel).tobytes() == propagate(spec, step).tobytes()
+    assert len(lattice._STEPS.matrices) == 2 * len(changes)
+
+
+def test_the_step_memo_keeps_at_most_its_byte_budget():
+    memo, budget = lattice._STEPS, lattice._STEP_MEMO_BYTES
+    dxs = [0.1 + i / 64 for i in range(12)]
+    for dx in dxs:  # twelve 128 x 128 complex matrices, 256 KiB each, fill it past its budget
+        propagate(LatticeSpec.make(128, dx, 1, 0.2), "exact")
+        assert memo.nbytes == sum(m.nbytes for m in memo.matrices.values()) <= budget
+    assert [key[2] for key in memo.matrices] == dxs[4:]  # the oldest dropped first
+    kept = list(memo.matrices)
+    propagate(LatticeSpec.make(400, 0.1, 1, 0.2), "gaussian")  # 2.56 MB: not kept
+    assert list(memo.matrices) == kept and memo.nbytes == budget
+
+
+def test_a_kept_step_matrix_still_checks_the_site_probabilities(kernel_calls):
+    # |psi|^2 is finite after one step and overflows after two
+    assert np.isfinite(propagate(LatticeSpec.make(8, 1e100, 1, 1.0), "gaussian")).all()
+    for build in (propagate, build_lattice_net):
+        with pytest.raises(InvalidParams, match="site probabilities must be finite"):
+            build(LatticeSpec.make(8, 1e100, 2, 1.0), "gaussian")
+    assert kernel_calls == [0.0]
