@@ -434,7 +434,7 @@ def default_cases(net) -> list[EvidenceCase]:
     return cases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypothesisRow:
     """Distribution over one hypothesis set, classical and quantum."""
 
@@ -445,6 +445,11 @@ class HypothesisRow:
     cb_fqna: float
     qb_fqna: float
 
+    def __init__(self, components, combos, cb, qb, cb_fqna, qb_fqna):
+        # one dict update, not the six object.__setattr__ calls of a frozen init
+        vars(self).update(components=components, combos=combos, cb=cb, qb=qb,
+                          cb_fqna=cb_fqna, qb_fqna=qb_fqna)
+
 
 @dataclass
 class CaseResult:
@@ -454,14 +459,24 @@ class CaseResult:
     errors: list = field(default_factory=list)
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(space, comps, hypotheses) -> tuple[tuple, tuple]:
+    """The runner's hypothesis sets and (set, value combos) pairs, kept per
+    state space, query components and ``hypotheses`` (256 kept)."""
+    singles, pairs = [(a,) for a in comps], list(itertools.combinations(comps, 2))
+    sets = tuple({"singles": singles, "pairs": pairs, "both": singles + pairs}[hypotheses])
+    return sets, tuple((hyp, space.combos(hyp)) for hyp in sets)
+
+
 def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     """Evaluate evidence cases against single and pair hypotheses.
 
     Returns one CaseResult per case. A case whose evidence is impossible
     is marked no_output with no rows; a row of zero weight is recorded as
     an error. Each case reads chi(E) and every row with one ``Weights.rows``
-    product on the quantum net and one on its parent, normalized in one
-    array pass (``Weights.table``). Evidence on the query components' nodes
+    product on the quantum net and one on its parent, normalized by one loop
+    over the sets (``Weights.table``). The sets and their combos are kept per
+    state space (256 kept). Evidence on the query components' nodes
     only masks each net's cached contraction, so the cases contract again
     only for evidence on other nodes.
     """
@@ -471,9 +486,7 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     if cases is None:
         cases = default_cases(net)
     comps = query_components(net)
-    singles, pairs = [(a,) for a in comps], list(itertools.combinations(comps, 2))
-    sets = {"singles": singles, "pairs": pairs, "both": singles + pairs}[hypotheses]
-    hyps = [(hyp, net.space.combos(hyp)) for hyp in sets]
+    sets, hyps = _layout(net.space, comps, hypotheses)
     parent, cap = parent_cb_net(net), max_states()
     results = []
     for case in cases:

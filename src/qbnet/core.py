@@ -44,7 +44,7 @@ and many sets' combos with one 0/1 selector product (``Weights.rows``; the
 empty set's row, all ones, is chi(E)). Past the cap each block is one
 ``chi`` call instead. ``chi`` is one function for both net kinds, and so is
 ``external_map``. ``Weights.table`` is the one hypothesis-row recipe, one
-array pass over a case: each combo over its set's total, and f_qna, that
+loop over a case's sets: each combo over its set's total, and f_qna, that
 total over chi(E). ``Weights.row`` is its one-set case (the CLI query and
 ``quantum.f_qna``); ``conditional`` is the probabilities-only half, which
 skips chi(E), as it can vanish on a quantum net while the combos do not.
@@ -788,18 +788,14 @@ class Weights:
 
     def table(self, sets, weights=None) -> list | None:
         """``row`` of each set (None if its combos total zero), or None if chi(E)
-        is zero, in one array pass over ``weights``: chi(E), then each set's combos;
-        unless given, one ``rows`` read, whose first set, the empty one, is chi(E)'s."""
+        is zero, by one loop over ``weights``: chi(E), then each set's combos;
+        unless given, one ``rows`` read, whose first set, the empty one, is chi(E)'s.
+        A plain loop, as an array call costs more than a case's few short sets."""
         (chi_e,), *combos = self.rows(((), *sets)) if weights is None else weights
         if chi_e == 0.0:
             return None
-        totals = np.array([sum(w) for w in combos])  # left to right, as ``sum`` adds
-        counts, flat = [len(w) for w in combos], np.fromiter(itertools.chain(*combos), float)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero total's row is dropped
-            probs, f_qna = (flat / totals.repeat(counts)).tolist(), (totals / chi_e).tolist()
-        ends = list(itertools.accumulate(counts))
-        return [None if zero else (probs[a:b], f) for zero, f, a, b in
-                zip((totals == 0.0).tolist(), f_qna, [0, *ends], ends)]
+        return [None if (total := sum(w)) == 0.0 else ([x / total for x in w], total / chi_e)
+                for w in combos]  # each total left to right, as ``sum`` adds
 
     def combos(self, comps: Iterable[str]) -> list[float]:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``

@@ -239,7 +239,7 @@ def _kernel_fn(kernel):
         return kernel
     try:
         return _KERNELS[kernel]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kernel
         raise InvalidParams(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
 
 

@@ -1,14 +1,19 @@
 """Catalog nets against hand-worked amplitudes and probabilities."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qbnet import catalog
 from qbnet.catalog import (
     BEAM_LAYOUTS,
     EvidenceCase,
+    HypothesisRow,
     angle_string,
     build,
     default_cases,
@@ -397,6 +402,46 @@ def test_runner_trees_match_their_parent_nets():
                 for a, b in zip(row.cb, row.qb):
                     assert abs(a - b) < 1e-9, (fid, result.case.number)
                 assert abs(row.cb_fqna - row.qb_fqna) < 1e-9
+
+
+def test_hypothesis_rows_stay_frozen_hashable_dataclasses():
+    names = ["components", "combos", "cb", "qb", "cb_fqna", "qb_fqna"]
+    assert [f.name for f in dataclasses.fields(HypothesisRow)] == names
+    row = run_evidence_cases(build("fig19"))[3].rows[4]
+    values = [getattr(row, name) for name in names]
+    for other in (HypothesisRow(*values), HypothesisRow(**dict(zip(names, values))),
+                  pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+        assert other == row and hash(other) == hash(row) and other is not row
+        assert [getattr(other, name) for name in names] == values
+    changed = dataclasses.replace(row, qb_fqna=0.5)
+    assert changed.qb_fqna == 0.5 and changed != row and row.qb_fqna == values[-1]
+    assert dataclasses.replace(changed, qb_fqna=values[-1]) == row
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(row, name)
+    assert [getattr(row, name) for name in names] == values
+    with pytest.raises(TypeError):
+        HypothesisRow(*values[:-1])
+
+
+def test_fresh_builds_of_one_net_share_one_hypothesis_layout():
+    catalog._layout.cache_clear()
+    first, second = (run_evidence_cases(build("fig19")) for _ in range(2))
+    assert catalog._layout.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert [(r.no_output, r.rows, r.errors) for r in first] == [
+        (r.no_output, r.rows, r.errors) for r in second]
+    run_evidence_cases(build("fig19"), hypotheses="singles")
+    assert catalog._layout.cache_info()[:2] == (1, 2)
+
+
+@pytest.mark.parametrize("hypotheses", ["all", None, ("both",), ["both"], {"both": 1}])
+def test_the_runner_refuses_unknown_hypotheses_before_its_layout(hypotheses):
+    net, before = build("fig19"), catalog._layout.cache_info()
+    with pytest.raises(InvalidParams, match="^hypotheses must be singles/pairs/both"):
+        run_evidence_cases(net, hypotheses=hypotheses)
+    assert catalog._layout.cache_info() == before
 
 
 def test_build_rejects_unknown_entries_and_parameters():

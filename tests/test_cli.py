@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import re
 import subprocess
@@ -250,6 +251,62 @@ def test_cases_empty_file(capsys, tmp_path, fig19_file):
     code, out, _ = run(capsys, "cases", fig19_file, str(empty))
     assert code == 0
     assert out == ""
+
+
+# SHA-256 of ``qbnet cases`` stdout for each quantum catalog net at default
+# parameters, by (net, --format, --hypotheses)
+CASES_DIGESTS = {
+    ("fig18", "table", "both"): "9410ef8a539050ad0615d22812253b095c0c9975a484cff0510d82013e570454",
+    ("fig18", "table", "singles"): "0bb25264121900f11b84d3f4987fc091c40b81097d784ee611245b84fbcb11cf",
+    ("fig18", "csv", "both"): "f7a34efd780e7f1095f38b80347e21feae84c1b09fd83f764a93abbc799a66c0",
+    ("fig18", "csv", "singles"): "436f0feec6efa11c95b42b2eac654162c03c13405749755a6b9469fb4c3e9a65",
+    ("fig19-loop", "table", "both"): "610ac71c1b79555507d042064c3bbc20b1577343fa03e473bb8463511b03dcb7",
+    ("fig19-loop", "table", "singles"): "33eeeb7f439078ec4dc6034f20cb8875b7ad0cd75bc27cf2d1f2588bc87b4e03",
+    ("fig19-loop", "csv", "both"): "919637bc8ee2374d381ba4a5a0a4e95edb40533c0c54595c0ae9a222efe8a49f",
+    ("fig19-loop", "csv", "singles"): "9813082d667963af7f31946f0943a35ee76990eb8fc55f2209430c3606ddf851",
+    ("fig23", "table", "both"): "976c1d3b65c9b721b29ee3a7f647d6b00f0697d5e5e1cdc1d0fc553f2daa7a80",
+    ("fig23", "table", "singles"): "869616a2d36a98dd744054ff77c0dd60338c102ec39dd7a640e70638b0f46586",
+    ("fig23", "csv", "both"): "762b0ecd1366ce30722b35db2972353424b5bfd886ae96af13f5fd09ec014d76",
+    ("fig23", "csv", "singles"): "812feec97f66ebef77d334747a1dd32189e1f3bd952729db523cf88cc94d1950",
+    ("fig24", "table", "both"): "38cf3d2fd638047fb51e50d249f902ec1bacb302ea26a35cd17da1d2adac3a14",
+    ("fig24", "table", "singles"): "251fc52dd080f0bb5e1d391e5e0ddacc6149b06446f393c1b541fb2a3ccc39ef",
+    ("fig24", "csv", "both"): "42831d97f3d345e37522ccd72f94c2115e0b2d1f95ce630cbc9b4c8de23e4b55",
+    ("fig24", "csv", "singles"): "691d071e6756b3488206951078a7d3a8bea6f72e9adad60af561179bd303ef95",
+    ("fig25", "table", "both"): "c94b9101f2303e7bc70f804b14a55fcb61f9c11dea18dbddc9a47c95fb2ee836",
+    ("fig25", "table", "singles"): "a3c951128180c68b2a02ca925fc61069fda6348b150fb6dcaff2f9ee28ae4234",
+    ("fig25", "csv", "both"): "16caeb19d136b70079982f4b8cc9b9ea4d1b5ad66f055c6546a0dbf464ff255c",
+    ("fig25", "csv", "singles"): "08289f3966de75b281179f614e4250490127f07aa37dda12df3a5c6d1d2cbb83",
+    ("fig26", "table", "both"): "0087bb041774959a3be93b05857aebafa45239772feb1194322f1f74040766ea",
+    ("fig26", "table", "singles"): "d4941d34d1153b2304d7eb9f3dc677ec752c78df4de95e05024b176241293efe",
+    ("fig26", "csv", "both"): "7b2385bf66f60e4f221e76ece85406bef9a012025c62128b49ca7fb79a7e5625",
+    ("fig26", "csv", "singles"): "d9d334c1e8f206b2eca4a52e7904a5ceaccc1d6e5b772135575834e1efddeb47",
+    ("fig27", "table", "both"): "74c54e8cf8e8edb979464c88e7c34c0d3c2a09f39c4c01d15f31861bb06c8e7f",
+    ("fig27", "table", "singles"): "e53e0c3166917c43f0a81aa9e61b39c297b419850c3c904c1f725e9db6e7f3cd",
+    ("fig27", "csv", "both"): "e5e1b7be0e73f13856be816ab7171690628bce5eed21c3d9d9583858d245aef2",
+    ("fig27", "csv", "singles"): "95522e239306ef729cface584d25ffdb18479afa0638100d8180b02825c7aea8",
+    ("fig28", "table", "both"): "409fd7f9a0b6696825b292f0f6f5666cf08be05d943f92100a99d2ab82d3d125",
+    ("fig28", "table", "singles"): "f8f3484b2cf45ed0c8d90aceba2748a89d29b2c20b9365b3a9893f2720a25426",
+    ("fig28", "csv", "both"): "7b3f2f4562382f377256684fe8f9b6a2d7f3bf364142c007bc35bbe932d4a5b7",
+    ("fig28", "csv", "singles"): "60c224b216132e57ed0dc7a27ba0cdea3dd5428e0c66fd41db4e4b6a7bda4979",
+    ("fig29", "table", "both"): "206754a5144afe300c6b128029931b29e768a071b2b097b6485a7ad0c9413315",
+    ("fig29", "table", "singles"): "b9ccb0387dfa68c51cd2a788c5247e046293fc1eaff89e439c38211de531dc55",
+    ("fig29", "csv", "both"): "67b43eb2bff98303103a9f6568fd5644579aba7ee2612267facb1c3253341fd8",
+    ("fig29", "csv", "singles"): "7189dc067fa6416f9a5045c3452da0455b2ad6a97f7d77a4406f6675ed4650ad",
+}
+
+
+@pytest.mark.parametrize("entry_id, fmt, hypotheses", CASES_DIGESTS)
+def test_cases_stdout_is_byte_identical_to_its_digest(capsys, tmp_path, entry_id, fmt, hypotheses):
+    path = tmp_path / f"{entry_id}.qbn"
+    path.write_text(emit_net(catalog.build(entry_id)))
+    code, out, err = run(capsys, "cases", str(path), "--format", fmt, "--hypotheses", hypotheses)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CASES_DIGESTS[entry_id, fmt, hypotheses]
+
+
+def test_cases_digests_cover_every_quantum_catalog_net():
+    quantum = {e.id for e in catalog.list_entries() if e.kind == "quantum"}
+    assert {key[0] for key in CASES_DIGESTS} == quantum and len(CASES_DIGESTS) == 4 * len(quantum)
 
 
 def test_cases_on_classical_net_is_refused(capsys, tmp_path):

@@ -194,6 +194,16 @@ def test_build_refuses_oversized_state_spaces():
         build_lattice_net(LatticeSpec.make(n_x=3, dx=0.5, n_t=2, dt=0.1), "magic")
 
 
+@pytest.mark.parametrize("entry", [build_lattice_net, propagate])
+@pytest.mark.parametrize("kernel", ["magic", None, ["exact"], {"a": 1}, {"exact"}])
+def test_an_unknown_or_unhashable_kernel_is_refused(entry, kernel):
+    spec = LatticeSpec.make(n_x=3, dx=0.5, n_t=2, dt=0.1)
+    want = f"kernel must be one of ['exact', 'gaussian'], got {kernel!r}"
+    with pytest.raises(InvalidParams) as err:
+        entry(spec, kernel)
+    assert str(err.value) == want
+
+
 def test_potential_presets():
     v = potential_preset("free", length=2.0)
     assert v(0.7, 0.0) == 0.0
