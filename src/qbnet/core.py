@@ -38,17 +38,18 @@ over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction, filtered by the evidence on the nodes it sums
 away; evidence on an open node is a 0/1 mask on a copy of the tensor
-(Darwiche's evidence indicators, J. ACM 50(3), 2003). It reads chi(E) and
-every combo or value-set block off it with 0/1 indicator einsums, or chi(E)
-and many sets' combos with one 0/1 selector product (``Weights.rows``; the
-empty set's row, all ones, is chi(E)). Past the cap each block is one
-``chi`` call instead. ``chi`` is one function for both net kinds, and so is
-``external_map``. ``Weights.table`` is the one hypothesis-row recipe, one
-loop over a case's sets: each combo over its set's total, and f_qna, that
-total over chi(E). ``Weights.row`` is its one-set case (the CLI query and
-``quantum.f_qna``); ``conditional`` is the probabilities-only half, which
-skips chi(E), as it can vanish on a quantum net while the combos do not.
-The path-sum route keeps one chi call per block, as the independent check.
+(Darwiche's evidence indicators, J. ACM 50(3), 2003). Every read (chi(E),
+combos, many sets' combos, value-set blocks) is one einsum of the tensor and
+a 0/1 selector of the read's rows that sums each row on its own, so a row
+has the same bits in any read; chi(E) is the empty set's row of ones. Past
+the cap a read goes set by set, then one ``chi`` call per block. ``chi`` is
+one function for both net kinds, and so is ``external_map``.
+``Weights.table`` is the one hypothesis-row recipe, one loop over a case's
+sets: each combo over its set's total, and f_qna, that total over chi(E).
+``Weights.row`` is its one-set case (the CLI query and ``quantum.f_qna``);
+``conditional`` is the probabilities-only half, which skips chi(E), as it
+can vanish on a quantum net while the combos do not. The path-sum route
+keeps one chi call per block, as the independent check.
 
 Nets never change after construction, so what does not depend on their tables
 is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
@@ -60,14 +61,12 @@ the factor dims, a column per component, a view per tuple of open nodes (its
 plan and each open component's axis) and a query's open nodes per external
 nodes and components, 256 of each. The graph layer is not interned, so what a
 build calls does not depend on what the process built before: each net keeps
-its own ``LabelledGraph`` and external order, its factors, its read-only
-evidence masks (by open nodes, component and value set; past ``_MASKS``, 256,
-the oldest goes) and one read-only entry each for the last tensor a
-``Weights`` opened (by open nodes and the evidence on summed-away nodes), the
-last selector (by open nodes and sets) and the last whole-node read of
-``Weights.combos`` (by open nodes, node and evidence) -- at most the cap in
-entries, 16 MB at the default -- and, on a quantum net, its parent classical
-net (tables the size of its own).
+its own ``LabelledGraph`` and external order, its factors, three read-only
+query memos -- the last tensor a ``Weights`` opened (by open nodes and the
+evidence on summed-away nodes), its evidence masks (by open nodes, component
+and value set; ``_MASKS``, 256) and its reads (selector and last rows by open
+nodes and read; ``_READS``, 16, and the cap in entries, 16 MB at the default),
+the oldest dropped first -- and, on a quantum net, its parent classical net.
 """
 
 from __future__ import annotations
@@ -87,6 +86,7 @@ from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
 _MASKS = 256  # evidence masks a net keeps
+_READS = 16  # read specs a net keeps
 _ZERO_WEIGHT = "evidence {} has zero weight"
 
 
@@ -258,8 +258,9 @@ class NodeBlock:
 class _Shape:
     """What nets of equal structure share whatever their tables: the state
     space, the chronological labelling it was built with (None for a cycle),
-    factor dims, one column per component, one view (plan, axis map) per tuple
-    of open nodes and one query (open nodes, view) per (ext, comps), 256 each."""
+    factor dims, one column per component, each node's components as one-set
+    read specs (and back), one view (plan, axis map) per tuple of open nodes
+    and one query (open nodes, view) per (ext, comps), 256 each."""
 
     def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
         self.space, self.chron, self.columns = space, chron, {}
@@ -267,6 +268,8 @@ class _Shape:
         self.dims = {n: tuple(len(space.states(v)) for v in (*ps, n)) for n, ps in parents.items()}
         self.structure = (self.order, tuple(parents[n] for n in self.order),
                           tuple(self.dims[n][-1] for n in self.order))
+        self.singles = {n: tuple(zip(space.components(n))) for n in parents}
+        self.singled = {spec: n for n, spec in self.singles.items()}
         self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
             _compile(self.structure, open_nodes),
             {a: j for j, n in enumerate(open_nodes) for a in space.components(n)}))
@@ -371,8 +374,7 @@ class BaseNet:
         self.external_order = tuple(n for n in self._shape.order if n in ext)
         self._enum_cache: _Enumeration | None = None
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
-        self._last_selector: tuple = (None, None, None)  # Weights.rows
-        self._last_node_read: tuple = (None, None)  # Weights.combos
+        self._reads: dict = {}  # Weights._entry, at most _READS specs and the cap in entries
         self._masks: dict = {}  # Weights._opened, at most _MASKS entries
 
     # -- construction -------------------------------------------------------
@@ -728,12 +730,13 @@ class Weights:
     """chi(B and E) for blocks B, read off one contraction under evidence E.
 
     The contraction keeps open the nodes owning ``components``, plus the
-    external nodes on a quantum net. A read multiplies the tensor by 0/1
-    indicators of its blocks and sums the other open axes, coherently; on a
-    quantum net it then squares and sums the external axes. Past the cap
-    (the opened plan's peak, or the tensor size times the read's rows), or
-    for a component whose node the tensor does not keep open, each block is
-    one ``_chi`` call instead.
+    external nodes on a quantum net. Every read is a read spec, a tuple of
+    component sets (a row per value combo) or of value-set blocks (a row
+    each), that ``_weigh`` reads with one product of the tensor and the
+    spec's 0/1 selector. Past the cap (the opened plan's peak, or the
+    selector's size) a spec is read set by set, and a set still past it, or
+    one naming a node the tensor does not keep open, is one ``_chi`` call
+    per block.
     """
 
     _chi = staticmethod(chi)
@@ -773,15 +776,14 @@ class Weights:
         return nodes, tensor
 
     def total(self) -> float:
-        """chi(E)."""
-        return self.combos(())[0]
+        """chi(E), the empty set's one row."""
+        return self._weigh(((),), 0)[0]
 
     def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
         """(P(m | E) for every value combo m of ``comps``, f_qna): the combos over their
         total, and that total over chi(E); ContradictoryEvidence if either is zero.
-        ``table``'s one-set case, from a ``combos`` read."""
-        combos = self.combos(comps)
-        (row,) = self.table([comps], [[self.total()], combos]) or [None]
+        ``table``'s one-set case."""
+        (row,) = self.table([tuple(comps)]) or [None]
         if row is None:
             raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.evidence)))
         return row
@@ -799,95 +801,95 @@ class Weights:
 
     def combos(self, comps: Iterable[str]) -> list[float]:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``
-        order. One component of an open node is read with all of that node's,
-        by its stacked indicator, within the cap; the net keeps the last such
-        read (keyed by open nodes, node and evidence) for the node's others."""
+        order. One component is read in the spec of all of its node's, one set
+        each, so the node's others are memo hits."""
         comps = tuple(comps)
-        space, (nodes, tensor) = self.net.space, self._wide or ((), None)
-        node, k = space.owner(comps[0]) if len(comps) == 1 else (None, 0)
-        states = space._lists.get(node)
-        if node in nodes and tensor.size * len(states.indicator) <= self.cap:
-            key = (nodes, node, frozenset(self.evidence.items()))
-            if self.net._last_node_read[0] != key:  # fits the cap: never per block
-                self.net._last_node_read = (key, self._read([(0, node, states.indicator)], None))
-            return self.net._last_node_read[1][states.offsets[k]:states.offsets[k + 1]]
-        reads = [(i, space.owner(a)[0], _column(self.net, a)[2]) for i, a in enumerate(comps)]
-        return self._read(reads, lambda: value_blocks(self.net, comps))
+        if len(comps) == 1:
+            node, k = self.net.space.owner(comps[0])
+            return self._weigh(self.net._shape.singles[node], k)
+        return self._weigh((comps,), 0)
 
     def rows(self, sets) -> list[list[float]]:
-        """``combos(s)`` for each set s: for two or more, one product of the
-        tensor and the net's 0/1 selector (every combo row of every set x the
-        tensor's entries), batched over the external axes; past the cap (the
-        selector's size), or for a node not kept open, one read per set."""
-        sets = tuple(map(tuple, sets))
-        nodes, tensor = self._wide or ((), None)
-        if tensor is not None and len(sets) > 1 and self.net._last_selector[0] != (nodes, sets):
-            self._select(nodes, tensor.shape, sets)
-        key, selector, ends = self.net._last_selector
-        if tensor is None or key != (nodes, sets) or selector.size > self.cap:
-            return [self.combos(s) for s in sets]
-        amps = (selector @ tensor.reshape(selector.shape[0], -1, 1))[..., 0]
-        if self.square:
-            amps = amps.real * amps.real + amps.imag * amps.imag
-        flat = amps.sum(axis=0).tolist()
-        return [flat[a:b] for a, b in zip((0, *ends), ends)]
-
-    def _select(self, nodes, shape, sets) -> None:
-        """Keep the selector of ``rows`` on the net, (external configs, rows,
-        other entries): per set one einsum of its component indicators, with
-        ones for the open nodes it does not own; none past the cap or off them."""
-        space, axis, k = self.net.space, self.net._shape.view(nodes)[1], len(nodes)
-        counts = [math.prod(len(space.component_values(a)) for a in s) for s in sets]
-        owned = [[axis.get(a) for a in s] for s in sets]
-        if sum(counts) * math.prod(shape) > self.cap or None in itertools.chain(*owned):
-            return
-        n_ext, blocks = math.prod(shape[:len(self._ext)]), []
-        for s, own, count in zip(sets, owned, counts):
-            ops = [x for i, a in enumerate(s) for x in (_column(self.net, a)[2], [k + i, own[i]])]
-            free = [j for j in range(k) if j not in own]
-            ops += [np.ones([shape[j] for j in free]), free, [*range(k, k + len(s)), *range(k)]]
-            blocks.append(np.einsum(*ops).reshape(count, n_ext, -1))
-        selector = np.ascontiguousarray(np.concatenate(blocks).transpose(1, 0, 2), self.net.dtype)
-        selector.flags.writeable = False
-        self.net._last_selector = ((nodes, sets), selector, tuple(itertools.accumulate(counts)))
+        """``combos(s)`` for each set s, from one read of them all."""
+        return self._weigh(tuple(map(tuple, sets)))
 
     def blocks(self, blocks) -> list[float]:
         """chi(B and E) for each block B, a {component: value or value set}."""
-        blocks = list(blocks)
-        reads = [(0, None, np.ones(len(blocks)))]
-        for a in dict.fromkeys(alpha for b in blocks for alpha in b):
-            values = self.net.space.component_values(a)
-            picks = np.array([[a not in b or v in value_set(b[a]) for v in values] for b in blocks])
-            reads.append((0, self.net.space.owner(a)[0], picks @ _column(self.net, a)[2]))
-        return self._read(reads, lambda: blocks)
+        spec = tuple(tuple((a, value_set(v)) for a, v in b.items()) for b in blocks)
+        return [w for (w,) in self._weigh(spec)]
 
-    def _read(self, reads, blocks) -> list[float]:
-        """The weights of ``reads``, each (row axis, node, 0/1 rows x node
-        states); ``blocks()`` lists the same rows for the per-block route,
-        taken past the cap or for a node the tensor does not keep open."""
-        rows = math.prod({i: m.shape[0] for i, _, m in reads}.values())
+    def _weigh(self, spec, item=None) -> list:
+        """The rows of each item of ``spec``, or of item ``item`` alone: the
+        selector times the tensor, summed per row over the other open entries
+        and, squared, over the external configs, by kernels that sum a row
+        alike whatever rows share them. Without a selector, item by item, and
+        an item alone is one ``_chi`` call per block."""
         nodes, tensor = self._wide or ((), None)
-        if tensor is None or tensor.size * rows > self.cap or not (
-            {n for _, n, _ in reads} <= {None, *nodes}
-        ):
-            return distribution(self._chi, self.net, blocks(), self.evidence)
-        subscripts, n_rows = _read_subscripts(nodes, self._ext, tuple(r[:2] for r in reads))
-        amps = np.einsum(subscripts, tensor, *(m for _, _, m in reads))
-        flat = amps.reshape(math.prod(amps.shape[:n_rows]), -1)
-        if self.square:
-            flat = flat.real * flat.real + flat.imag * flat.imag
-        return flat.sum(axis=1).tolist()
+        entry = None if tensor is None or not spec else self._entry(nodes, tensor.shape, spec)
+        if entry is None and len(spec) != 1:
+            if item is not None:
+                return self._weigh((spec[item],), 0)
+            return [self._weigh((s,), 0) for s in spec]
+        if entry is None:
+            block = spec[0] and not isinstance(spec[0][0], str)
+            blocks = [dict(spec[0])] if block else value_blocks(self.net, spec[0])
+            rows = distribution(self._chi, self.net, blocks, self.evidence)
+            return rows if item is not None else [rows]
+        selector, ends, key, flat = entry
+        if key != (evidence := frozenset(self.evidence.items())):
+            # einsum sums each row's entries in one loop of its own; a BLAS
+            # matmul would round a row by how many rows share the product
+            amps = np.einsum("rek,ek->re", selector, tensor.reshape(selector.shape[1], -1),
+                             order="C")
+            if self.square:  # each row's squared real and imaginary parts
+                amps = np.einsum("ri,ri->r", amps.view(float), amps.view(float))
+            entry[2:] = evidence, (flat := amps.reshape(-1).tolist())
+        if item is not None:
+            return flat[ends[item]:ends[item + 1]]
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+    def _entry(self, nodes, shape, spec) -> list | None:
+        """The net's memo entry of ``spec``: [selector, row ends from 0, the
+        evidence of the last rows, those rows]. Per item, its selector rows
+        (rows, external configs, other open entries) are one einsum of its
+        entries' 0/1 indicators, each on its own axis of the item's rows, and
+        ones; all of an open node's components, one set each, read its stacked
+        indicator. None past the cap (the selector's size) or for a node not
+        kept open. The memo keeps ``_READS`` specs and the cap in entries."""
+        memo, k = self.net._reads, len(nodes)
+        if (entry := memo.get((nodes, spec))) is None:
+            node, axis = self.net._shape.singled.get(spec), self.net._shape.view(nodes)[1]
+            if node in nodes:
+                states = self.net.space._lists[node]
+                items, ends = [[(states.indicator, nodes.index(node))]], states.offsets
+            else:
+                items = [[_indicator(self.net, alpha, axis) for alpha in item] for item in spec]
+                counts = (math.prod(len(m) for m, _ in parts) for parts in items)
+                ends = (0, *itertools.accumulate(counts))
+            if ends[-1] * math.prod(shape) > self.cap or any(
+                    j is None for parts in items for _, j in parts):
+                return None
+            ones = np.ones(shape, self.net.dtype)
+            selector = np.concatenate([np.einsum(*itertools.chain(*(
+                (m, [k + g, j]) for g, (m, j) in enumerate(parts))), ones, [*range(k)],
+                [*range(k, k + len(parts)), *range(k)]).reshape(-1, *shape) for parts in items])
+            selector = selector.reshape(ends[-1], math.prod(shape[:len(self._ext)]), -1)
+            selector.flags.writeable = False
+            while memo and (len(memo) >= _READS
+                            or selector.size + sum(e[0].size for e in memo.values()) > self.cap):
+                del memo[next(iter(memo))]  # the oldest
+            memo[nodes, spec] = entry = [selector, ends, None, None]
+        return entry if entry[0].size <= self.cap else None
 
 
-@functools.lru_cache(maxsize=1024)
-def _read_subscripts(nodes, ext, reads) -> tuple[str, int]:
-    """einsum subscripts for a tensor over ``nodes`` times (row axis, node)
-    operands, onto the row axes then the ``ext`` axes; and the row count."""
-    label = dict(zip(nodes, _LABELS))
-    rows = "".join(dict.fromkeys(_LABELS[len(nodes) + i] for i, _ in reads))
-    ins = ["".join(label[n] for n in nodes)]
-    ins += [_LABELS[len(nodes) + i] + (label[n] if n else "") for i, n in reads]
-    return f"{','.join(ins)}->{rows}{''.join(label[n] for n in ext)}", len(rows)
+def _indicator(net: BaseNet, alpha, axis) -> tuple[np.ndarray, int | None]:
+    """A read item's entry as (0/1 rows x its node's states, open axis or
+    None): a component's value indicator, or a (component, value set)'s row."""
+    alpha, allowed = (alpha, None) if isinstance(alpha, str) else alpha
+    rows = _column(net, alpha)[2]
+    if allowed is not None:
+        rows = np.array([[v in allowed for v in net.space.component_values(alpha)]], float) @ rows
+    return rows, axis.get(alpha)
 
 
 def normalize(weights, total: float, evidence: Mapping) -> list[float]:

@@ -79,9 +79,6 @@ class LabelledGraph:
             if a.target is not None:
                 self._parents[a.target].append(a.source)
 
-    def out_arrows(self, node: NodeId) -> tuple[Arrow, ...]:
-        return tuple(self._out[node])
-
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
         return tuple(a.target for a in self._out[node] if a.target is not None)
 

@@ -353,35 +353,38 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
     anywhere = DirectProductSet.over(net, {})
     targets = {"quantum": net, "classical": parent_cb_net(net)}
     sizes = {kind: _selector_size(net, kind == "quantum") for kind in targets}
-    read, per_set = Weights._read, set()
+    weigh, per_set = Weights._weigh, set()
 
-    def counted(self, reads, blocks):  # chi(E) or a set's combos, outside the selector
-        per_set.add(self.net.kind)
-        return read(self, reads, blocks)
+    def counted(self, spec, item=None):  # chi(E) or a set's combos, outside the runner's spec
+        if len(spec) == 1:
+            per_set.add(self.net.kind)
+        return weigh(self, spec, item)
 
-    monkeypatch.setattr(Weights, "_read", counted)
+    monkeypatch.setattr(Weights, "_weigh", counted)
 
     def answers():
         per_set.clear()
         for target in targets.values():
-            target._last_selector = (None, None, None)
+            target._reads.clear()
         results = catalog.run_evidence_cases(net)
         rows = [(r.no_output, r.errors, [(row.cb, row.qb, row.cb_fqna, row.qb_fqna)
                                          for row in r.rows]) for r in results]
-        kept = {kind for kind, t in targets.items() if t._last_selector[1] is not None}
-        reads = (set(per_set), kept)
-        return rows, quantum_fuzzy_distribution(net, partition, anywhere), reads
+        kept = {kind: [e[0].size for (_, spec), e in t._reads.items() if len(spec) > 1]
+                for kind, t in targets.items()}  # the runner's selectors
+        reads = (set(per_set), {kind for kind, sizes in kept.items() if sizes})
+        return rows, quantum_fuzzy_distribution(net, partition, anywhere), reads, kept
 
     want = answers()
     assert want[2] == (set(), set(targets))
-    assert {kind: t._last_selector[1].size for kind, t in targets.items()} == sizes
+    assert want[3] == {kind: [size] for kind, size in sizes.items()}
     monkeypatch.setenv("QBNET_MAX_STATES", str(min(sizes.values()) - 1))
     per_set.clear()
     catalog.run_evidence_cases(net)  # the selectors kept above are past this cap
     assert per_set == set(targets)
     peaks = {_opened_peak(net, square) for square in (True, False)} | set(sizes.values())
-    caps = sorted({p - 1 for p in peaks if p - 1 >= _cap_floor(net)} | {_cap_floor(net)})
-    for cap in caps:  # just below a selector's size or an opened plan's peak, down to per-block chi
+    floor = _cap_floor(net)
+    caps = sorted({c for p in peaks for c in (p - 1, p) if c >= floor} | {floor})
+    for cap in caps:  # at or below a selector's size or an opened plan's peak, down to per-block chi
         monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
         got = answers()
         past = {kind for kind, size in sizes.items() if size > cap}
@@ -437,25 +440,28 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
     net = catalog.build("fig23")
     case = catalog.default_cases(net)[5]
     reads = []
-    read, rows = Weights._read, Weights.rows
+    weigh, rows = Weights._weigh, Weights.rows
 
-    def counted_read(self, reads_, blocks):
-        reads.append(("chi(E)" if not reads_ else "combos", self.net.kind))
-        return read(self, reads_, blocks)
+    def counted_weigh(self, spec, item=None):
+        reads.append(("weigh", self.net.kind, len(spec)))
+        return weigh(self, spec, item)
 
     def counted_rows(self, sets):
         reads.append(("rows", self.net.kind, tuple(sets)[0]))
         return rows(self, sets)
 
-    monkeypatch.setattr(Weights, "_read", counted_read)
+    monkeypatch.setattr(Weights, "_weigh", counted_weigh)
     monkeypatch.setattr(Weights, "rows", counted_rows)
     (result,) = catalog.run_evidence_cases(net, cases=[case])
     assert not result.errors and len(result.rows) == 21
-    # on the quantum net, then its parent: one product, whose first row (the
-    # empty set's, a row of ones) is chi(E), and no other read
-    assert reads == [("rows", "quantum", ()), ("rows", "classical", ())]
+    # on the quantum net, then its parent: one product of chi(E)'s set and the
+    # 21 others, whose first row (the empty set's, a row of ones) is chi(E),
+    # and no other read
+    assert reads == [("rows", "quantum", ()), ("weigh", "quantum", 22),
+                     ("rows", "classical", ()), ("weigh", "classical", 22)]
     for target in (net, parent_cb_net(net)):
-        assert (target._last_selector[1][:, 0] == 1).all()
+        (selector, *_), = target._reads.values()
+        assert (selector[0] == 1).all()
 
 
 def test_a_conditional_costs_one_contraction(contract_calls):
@@ -524,13 +530,26 @@ def test_the_runner_normalizes_each_row_as_weights_row_does(query):
             row = next(rows)
             assert row.components == s and row.combos == net.space.combos(s)
             assert qb_want is not None and cb_want is not None
-            # bit for bit the per-row loop over the same product, and Weights.row up
-            # to the round-off of its own reads (einsums, not the selector product)
+            # bit for bit the per-row loop over the same product, and Weights.row:
+            # a row reads alike whatever other rows share its product
             assert (list(row.qb), row.qb_fqna, list(row.cb), row.cb_fqna) == (*qb_want, *cb_want)
-            for got, want in ((row.qb, qb[0]), (row.cb, cb[0]), (row.qb_fqna, qb[1]),
-                              (row.cb_fqna, cb[1])):
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert (list(row.qb), row.qb_fqna, list(row.cb), row.cb_fqna) == (*qb, *cb)
         assert next(rows, None) is None and result.errors == errors
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(runner_cases())
+def test_every_read_form_gives_a_row_the_same_bits(query):
+    net, cases, _ = query
+    comps = catalog.query_components(net)
+    sets = [(a,) for a in comps] + list(itertools.combinations(comps, 2))
+    for case, target in itertools.product(cases, (net, parent_cb_net(net))):
+        evidence = case.as_sets()
+        (chi_e,), *rows = Weights(target, comps, evidence).rows(((), *sets))  # the runner's read
+        assert Weights(target, comps, evidence).total() == chi_e
+        for s, row in zip(sets, rows):
+            weights = Weights(target, comps, evidence)
+            assert weights.blocks(value_blocks(target, s)) == weights.combos(s) == row
 
 
 def test_a_set_of_zero_weight_is_recorded_and_the_rest_of_the_case_runs(monkeypatch):
@@ -643,11 +662,19 @@ def test_a_lattice_chain_shares_its_state_list_and_one_read_of_the_final_slice(
     spec = LatticeSpec.make(16, 1.0, 4, 0.2, potential=potential_preset("well", 16.0, 1.0))
     net = build_lattice_net(spec)
     assert net.space.states("t1") is net.space.states("t4")
-    reads, read = [], Weights._read
-    monkeypatch.setattr(Weights, "_read", lambda self, *args: reads.append(1) or read(self, *args))
+    products, weigh = [], Weights._weigh
+
+    def kept_rows(self, *args):  # the rows each read leaves in the net's memo, kept alive
+        got = weigh(self, *args)
+        products.extend(entry[3] for entry in self.net._reads.values())
+        return got
+
+    monkeypatch.setattr(Weights, "_weigh", kept_rows)
     got = [quantum_conditional(net, {f"t4.x{s}": 1}, {}) for s in range(16)]
     np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
-    assert len(contract_calls) == 1 and len(reads) <= 2
+    # one spec, every component of t4, read by one product
+    assert len(contract_calls) == 1 and len(net._reads) == 1
+    assert len(products) == 16 and len({id(rows) for rows in products}) == 1
 
 
 QUANTUM_NETS = [catalog.build(e.id) for e in catalog.list_entries() if e.kind == "quantum"]
@@ -697,7 +724,7 @@ def test_rows_are_the_combos_of_each_set(query):
     net, comps, evidence, sets = query
     weights = Weights(net, comps, evidence)
     got = weights.rows(sets)
-    assert len(got) == len(sets)
+    assert len(got) == len(sets) and weights.rows([]) == weights.blocks([]) == []
     for s, row in zip(sets, got):
         assert row == pytest.approx(weights.combos(s), abs=1e-12)
         want = distribution(path_chi, net, value_blocks(net, s), evidence)
@@ -794,10 +821,11 @@ def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, con
 def test_a_single_set_read_leaves_the_selector_alone():
     net = build_lattice_net(LatticeSpec.make(4, 1.0, 2, 0.2))
     Weights(net, ("t1.x0",), {}).rows([("t1.x0", "t1.x3"), ("t1.x2",)])
-    kept = net._last_selector
-    assert kept[0] is not None and not kept[1].flags.writeable
+    ((key, kept),) = net._reads.items()
+    selector = kept[0]
+    assert not selector.flags.writeable
     quantum_conditional(net, {"t1.x3": 1}, {})
-    assert net._last_selector is kept
+    assert net._reads[key] is kept and kept[0] is selector and len(net._reads) == 2
 
 
 def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
@@ -822,6 +850,25 @@ def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
     masked.clear()
     quantum_conditional(net, {"t4.x0": 1}, {"t4.x3": 0, "t4.x4": 1})  # the last two are kept
     assert masked == []
+
+
+def test_the_reads_a_net_keeps_are_bounded_and_read_only(monkeypatch):
+    net = catalog.build("fig23")
+    comps = catalog.query_components(net)  # six one-node components: 2 rows x 64 entries a set
+    wants = [distribution(path_chi, net, value_blocks(net, (a,)), {}) for a in comps]
+    monkeypatch.setattr(core, "_READS", 3)
+    for cap, kept in ((None, 3), (300, 2)):  # three specs; two selectors of 128 entries
+        if cap is not None:
+            monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
+        net._reads.clear()
+        for i, (alpha, want) in enumerate(zip(comps, wants)):
+            weights = Weights(net, comps, {})
+            assert weights.rows([(alpha,)]) == [pytest.approx(want, abs=1e-12)]
+            newest = [(weights._wide[0], ((a,),)) for a in comps[max(0, i + 1 - kept):i + 1]]
+            assert list(net._reads) == newest  # the oldest dropped first
+            selectors = [entry[0] for entry in net._reads.values()]
+            assert not any(s.flags.writeable for s in selectors)
+            assert sum(s.size for s in selectors) <= (cap or core.DEFAULT_MAX_STATES)
 
 
 def test_the_parent_net_is_built_once(monkeypatch):
