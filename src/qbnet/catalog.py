@@ -474,7 +474,7 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     Returns one CaseResult per case. A case whose evidence is impossible
     is marked no_output with no rows; a row of zero weight is recorded as
     an error. Each case reads chi(E) and every row with one ``Weights.rows``
-    product on the quantum net and one on its parent, normalized by one loop
+    read on the quantum net and one on its parent, normalized by one loop
     over the sets (``Weights.table``), so a row has the bits that
     ``Weights.row`` reads off the same open nodes. The sets and their combos
     are kept per state space (256 kept). Evidence on the query components' nodes

@@ -38,12 +38,11 @@ over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction, filtered by the evidence on the nodes it sums
 away; evidence on an open node is a 0/1 mask on a copy of the tensor
-(Darwiche's evidence indicators, J. ACM 50(3), 2003). Every read (chi(E),
-combos, many sets' combos, value-set blocks) is one einsum of the tensor and
-a 0/1 selector of the read's rows that sums each row on its own, so a row
-has the same bits in any read; chi(E) is the empty set's row of ones. Past
-the cap a read goes set by set, then one ``chi`` call per block. ``chi`` is
-one function for both net kinds, and so is ``external_map``.
+(Darwiche's evidence indicators, J. ACM 50(3), 2003). One reader takes
+every read off it (chi(E), combos, many sets' combos, value-set blocks),
+summing each row on its own, so a row has the same bits in any read.
+Past the cap a read goes set by set, then one ``chi`` call per block.
+``chi`` is one function for both net kinds, and so is ``external_map``.
 ``Weights.table`` is the one hypothesis-row recipe, one loop over a case's
 sets: each combo over its set's total, and f_qna, that total over chi(E).
 ``Weights.row`` is its one-set case (the CLI query and ``quantum.f_qna``);
@@ -53,20 +52,19 @@ keeps one chi call per block, as the independent check.
 
 Nets never change after construction, so what does not depend on their tables
 is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
-share one checked ``_StateList`` (256 kept), whose int array and stacked 0/1
-indicator every component column slices. Blocks of equal names, parents,
-components and state lists share one ``_Shape`` (256 kept), as does a quantum
-net's parent: the state space with the value combos of each component tuple,
-the factor dims, a column per component, a view per tuple of open nodes (its
-plan and each open component's axis) and a query's open nodes per external
-nodes and components, 256 of each. The graph layer is not interned, so what a
+share one checked ``_StateList`` (256 kept) and its int array. Blocks of
+equal names, parents, components and state lists share one ``_Shape`` (256
+kept), as does a quantum net's parent: the state space with the value combos
+of each component tuple, the factor dims, a column per component, a view per
+tuple of open nodes (its plan and each open component's axis) and a query's
+open nodes per external nodes and components, 256 of each, and the layouts
+of its last ``_READS`` reads. The graph layer is not interned, so what a
 build calls does not depend on what the process built before: each net keeps
 its own ``LabelledGraph`` and external order, its factors, three read-only
 query memos -- the last tensor a ``Weights`` opened (by open nodes and the
 evidence on summed-away nodes), its evidence masks (by open nodes, component
-and value set; ``_MASKS``, 256) and its reads (selector and last rows by open
-nodes and read; ``_READS``, 16, and the cap in entries, 16 MB at the default),
-the oldest dropped first -- and, on a quantum net, its parent classical net.
+and value set; ``_MASKS``, 256, the oldest dropped first) and the rows of its
+last read -- and, on a quantum net, its parent classical net.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
 _MASKS = 256  # evidence masks a net keeps
-_READS = 16  # read specs a net keeps
+_READS = 2  # read layouts a shape keeps: a quantum net's and its parent's
 _ZERO_WEIGHT = "evidence {} has zero weight"
 
 
@@ -125,21 +123,16 @@ def _as_state(state) -> tuple[int, ...]:
 class _StateList:
     """One state list as int tuples: each state's index, each position's sorted
     values and, if the widths agree, the read-only int array (states x
-    positions) and 0/1 indicator (every (position, value) row x the states;
-    position k's rows are ``offsets[k]:offsets[k + 1]``)."""
+    positions)."""
 
     def __init__(self, states: tuple):
         self.states = tuple(map(_as_state, states))
         self.index = {s: i for i, s in enumerate(self.states)}
         self.widths = frozenset(map(len, self.states))
         self.values = tuple(tuple(sorted(set(column))) for column in zip(*self.states))
-        self.offsets = (0, *itertools.accumulate(map(len, self.values)))
         if len(self.widths) == 1:  # StateSpace refuses the rest
             self.array = np.array(self.states, dtype=np.int64)
-            rows = np.repeat(np.arange(len(self.values)), np.diff(self.offsets))
-            values = np.fromiter(itertools.chain(*self.values), np.int64, self.offsets[-1])
-            self.indicator = (self.array[:, rows].T == values[:, None]).astype(float)
-            self.array.flags.writeable = self.indicator.flags.writeable = False
+            self.array.flags.writeable = False
 
 
 _shared = functools.lru_cache(maxsize=256)(_StateList)  # one per equal list, by value
@@ -258,9 +251,9 @@ class NodeBlock:
 class _Shape:
     """What nets of equal structure share whatever their tables: the state
     space, the chronological labelling it was built with (None for a cycle),
-    factor dims, one column per component, each node's components as one-set
-    read specs (and back), one view (plan, axis map) per tuple of open nodes
-    and one query (open nodes, view) per (ext, comps), 256 each."""
+    factor dims, one column per component, one view (plan, axis map) per tuple
+    of open nodes and one query (open nodes, view) per (ext, comps), 256 each,
+    and the ``_layout`` of ``_READS`` reads."""
 
     def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
         self.space, self.chron, self.columns = space, chron, {}
@@ -268,14 +261,13 @@ class _Shape:
         self.dims = {n: tuple(len(space.states(v)) for v in (*ps, n)) for n, ps in parents.items()}
         self.structure = (self.order, tuple(parents[n] for n in self.order),
                           tuple(self.dims[n][-1] for n in self.order))
-        self.singles = {n: tuple(zip(space.components(n))) for n in parents}
-        self.singled = {spec: n for n, spec in self.singles.items()}
         self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
             _compile(self.structure, open_nodes),
             {a: j for j, n in enumerate(open_nodes) for a in space.components(n)}))
         self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: (
             nodes := tuple(dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])),
             *self.view(nodes)))
+        self.read = functools.lru_cache(maxsize=_READS)(lambda *key: _layout(self, *key))
 
 
 @functools.lru_cache(maxsize=256)
@@ -374,7 +366,7 @@ class BaseNet:
         self.external_order = tuple(n for n in self._shape.order if n in ext)
         self._enum_cache: _Enumeration | None = None
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
-        self._reads: dict = {}  # Weights._entry, at most _READS specs and the cap in entries
+        self._last_read: tuple = (None, None, None)  # Weights._weigh
         self._masks: dict = {}  # Weights._opened, at most _MASKS entries
 
     # -- construction -------------------------------------------------------
@@ -601,16 +593,14 @@ def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
     return net._shape.view(open_nodes)[0]
 
 
-def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """Operand slot of alpha's node, alpha's value in each of its states, and
-    the 0/1 indicator (alpha's sorted values x the node's states): views into
-    the node's shared state list, kept per shape."""
+def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray]:
+    """Operand slot of alpha's node and alpha's value in each of its states,
+    a view into the node's shared state list, kept per shape."""
     col = net._shape.columns.get(alpha)
     if col is None:
         node, k = net.space.owner(alpha)
-        states = net.space._lists[node]
-        rows = states.indicator[states.offsets[k]:states.offsets[k + 1]]
-        col = net._shape.columns[alpha] = (net.node_order().index(node), states.array[:, k], rows)
+        col = (net.node_order().index(node), net.space._lists[node].array[:, k])
+        net._shape.columns[alpha] = col
     return col
 
 
@@ -631,7 +621,7 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
         )
     ops = [net.factor(n) for n in net.node_order()]
     for alpha, allowed in (fixed or {}).items():
-        slot, values, _ = _column(net, alpha)
+        slot, values = _column(net, alpha)
         ops[slot] = ops[slot] * _allowed(values, allowed)
     if not plan.steps:  # a net without nodes: the empty product
         return np.ones((), dtype=net.dtype)
@@ -730,13 +720,13 @@ class Weights:
     """chi(B and E) for blocks B, read off one contraction under evidence E.
 
     The contraction keeps open the nodes owning ``components``, plus the
-    external nodes on a quantum net. Every read is a read spec, a tuple of
-    component sets (a row per value combo) or of value-set blocks (a row
-    each), that ``_weigh`` reads with one product of the tensor and the
-    spec's 0/1 selector. Past the cap (the opened plan's peak, or the
-    selector's size) a spec is read set by set, and a set still past it, or
-    one naming a node the tensor does not keep open, is one ``_chi`` call
-    per block.
+    external nodes on a quantum net. Every read is a spec (``_layout``) that
+    ``_weigh`` sums off the tensor with one bincount of each (row, external
+    config) bin and, on a quantum net, one einsum of each row's squares;
+    both sum a row on its own, so a row has the same bits in any read. Past
+    the cap (the opened plan's peak, or rows x tensor entries) a spec is read
+    item by item, and an item still past it, or one naming a node the tensor
+    does not keep open, is one ``_chi`` call per block.
     """
 
     _chi = staticmethod(chi)
@@ -788,12 +778,12 @@ class Weights:
             raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.evidence)))
         return row
 
-    def table(self, sets, weights=None) -> list | None:
+    def table(self, sets) -> list | None:
         """``row`` of each set (None if its combos total zero), or None if chi(E)
-        is zero, by one loop over ``weights``: chi(E), then each set's combos;
-        unless given, one ``rows`` read, whose first set, the empty one, is chi(E)'s.
-        A plain loop, as an array call costs more than a case's few short sets."""
-        (chi_e,), *combos = self.rows(((), *sets)) if weights is None else weights
+        is zero, by one loop over one ``rows`` read whose first set, the empty
+        one, is chi(E)'s. A plain loop, as an array call costs more than a
+        case's few short sets."""
+        (chi_e,), *combos = self.rows(((), *sets))
         if chi_e == 0.0:
             return None
         return [None if (total := sum(w)) == 0.0 else ([x / total for x in w], total / chi_e)
@@ -801,12 +791,12 @@ class Weights:
 
     def combos(self, comps: Iterable[str]) -> list[float]:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``
-        order. One component is read in the spec of all of its node's, one set
-        each, so the node's others are memo hits."""
+        order. One component is read with all of its node's, one set each, so
+        the node's others are the net's last read."""
         comps = tuple(comps)
         if len(comps) == 1:
             node, k = self.net.space.owner(comps[0])
-            return self._weigh(self.net._shape.singles[node], k)
+            return self._weigh(self.net.space.components(node), k)
         return self._weigh((comps,), 0)
 
     def rows(self, sets) -> list[list[float]]:
@@ -819,77 +809,73 @@ class Weights:
         return [w for (w,) in self._weigh(spec)]
 
     def _weigh(self, spec, item=None) -> list:
-        """The rows of each item of ``spec``, or of item ``item`` alone: the
-        selector times the tensor, summed per row over the other open entries
-        and, squared, over the external configs, by kernels that sum a row
-        alike whatever rows share them. Without a selector, item by item, and
-        an item alone is one ``_chi`` call per block."""
+        """The rows of each item of ``spec``, or of item ``item`` alone; the
+        net keeps the last read."""
         nodes, tensor = self._wide or ((), None)
-        entry = None if tensor is None or not spec else self._entry(nodes, tensor.shape, spec)
-        if entry is None and len(spec) != 1:
-            if item is not None:
-                return self._weigh((spec[item],), 0)
-            return [self._weigh((s,), 0) for s in spec]
-        if entry is None:
-            block = spec[0] and not isinstance(spec[0][0], str)
-            blocks = [dict(spec[0])] if block else value_blocks(self.net, spec[0])
-            rows = distribution(self._chi, self.net, blocks, self.evidence)
-            return rows if item is not None else [rows]
-        selector, ends, key, flat = entry
-        if key != (evidence := frozenset(self.evidence.items())):
-            # einsum sums each row's entries in one loop of its own; a BLAS
-            # matmul would round a row by how many rows share the product
-            amps = np.einsum("rek,ek->re", selector, tensor.reshape(selector.shape[1], -1),
-                             order="C")
-            if self.square:  # each row's squared real and imaginary parts
-                amps = np.einsum("ri,ri->r", amps.view(float), amps.view(float))
-            entry[2:] = evidence, (flat := amps.reshape(-1).tolist())
+        key = (nodes, spec, frozenset(self.evidence.items()), self.cap)
+        if self.net._last_read[0] != key:
+            layout = spec and tensor is not None and self.net._shape.read(
+                nodes, len(self._ext), 1 + self.square, spec, self.cap)
+            if not layout and len(spec) == 1:  # one chi call per block
+                one = (spec[0],) if isinstance(spec[0], str) else spec[0]
+                block = one and isinstance(one[0], tuple)
+                blocks = [dict(one)] if block else value_blocks(self.net, one)
+                rows = distribution(self._chi, self.net, blocks, self.evidence)
+                return rows if item is not None else [rows]
+            if not layout:  # item by item
+                if item is not None:
+                    return self._weigh((spec[item],), 0)
+                return [self._weigh((s,), 0) for s in spec]
+            picks, bins, n_bins, ends = layout
+            amps = np.bincount(bins, tensor.reshape(-1)[picks].view(float), n_bins)
+            if self.square:
+                amps = np.einsum("ri,ri->r", *[amps.reshape(ends[-1], -1)] * 2)
+            self.net._last_read = (key, amps.tolist(), ends)
+        _, rows, ends = self.net._last_read
         if item is not None:
-            return flat[ends[item]:ends[item + 1]]
-        return [flat[a:b] for a, b in zip(ends, ends[1:])]
+            return rows[ends[item]:ends[item + 1]]
+        return [rows[a:b] for a, b in zip(ends, ends[1:])]
 
-    def _entry(self, nodes, shape, spec) -> list | None:
-        """The net's memo entry of ``spec``: [selector, row ends from 0, the
-        evidence of the last rows, those rows]. Per item, its selector rows
-        (rows, external configs, other open entries) are one einsum of its
-        entries' 0/1 indicators, each on its own axis of the item's rows, and
-        ones; all of an open node's components, one set each, read its stacked
-        indicator. None past the cap (the selector's size) or for a node not
-        kept open. The memo keeps ``_READS`` specs and the cap in entries."""
-        memo, k = self.net._reads, len(nodes)
-        if (entry := memo.get((nodes, spec))) is None:
-            node, axis = self.net._shape.singled.get(spec), self.net._shape.view(nodes)[1]
-            if node in nodes:
-                states = self.net.space._lists[node]
-                items, ends = [[(states.indicator, nodes.index(node))]], states.offsets
+
+def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
+    """A read of ``spec`` off a tensor over ``nodes`` (the first ``n_ext``
+    external) of ``width`` floats an entry: (picks, bins, bin count, row ends
+    from 0), picks indexing the tensor's entries and bins their floats' (row,
+    external config, float). An item of ``spec`` is a component, a tuple of components
+    (a row per value combo, in ``itertools.product`` order) or a tuple of
+    (component, value set) pairs (one row); a row picks the entries where its
+    components take its values and its value sets hold. None past the cap
+    (rows x entries) or for a node not open."""
+    space, axis = shape.space, shape.view(nodes)[1]
+    items = [[(a, None) if isinstance(a, str) else a for a in ((i,) if isinstance(i, str) else i)]
+             for i in spec]
+    if any(a not in axis for item in items for a, _ in item):
+        return None
+    ends = (0, *itertools.accumulate(math.prod(
+        1 if v is not None else len(space.component_values(a)) for a, v in item) for item in items))
+    dims = [len(space.states(n)) for n in nodes]
+    size, n_ext = math.prod(dims), math.prod(dims[:n_ext])
+    if ends[-1] * size > cap:
+        return None
+    picks, bins = [], []
+    for start, item in zip(ends, items):
+        row, keep = 0, True
+        for a, allowed in item:  # the last component fastest
+            node, k = space.owner(a)
+            values, at = space._lists[node].values[k], space._lists[node].array[:, k]
+            at = at.reshape([-1 if j == axis[a] else 1 for j in range(len(dims))])
+            if allowed is None:
+                row = row * len(values) + np.searchsorted(values, at)
             else:
-                items = [[_indicator(self.net, alpha, axis) for alpha in item] for item in spec]
-                counts = (math.prod(len(m) for m, _ in parts) for parts in items)
-                ends = (0, *itertools.accumulate(counts))
-            if ends[-1] * math.prod(shape) > self.cap or any(
-                    j is None for parts in items for _, j in parts):
-                return None
-            ones = np.ones(shape, self.net.dtype)
-            selector = np.concatenate([np.einsum(*itertools.chain(*(
-                (m, [k + g, j]) for g, (m, j) in enumerate(parts))), ones, [*range(k)],
-                [*range(k, k + len(parts)), *range(k)]).reshape(-1, *shape) for parts in items])
-            selector = selector.reshape(ends[-1], math.prod(shape[:len(self._ext)]), -1)
-            selector.flags.writeable = False
-            while memo and (len(memo) >= _READS
-                            or selector.size + sum(e[0].size for e in memo.values()) > self.cap):
-                del memo[next(iter(memo))]  # the oldest
-            memo[nodes, spec] = entry = [selector, ends, None, None]
-        return entry if entry[0].size <= self.cap else None
-
-
-def _indicator(net: BaseNet, alpha, axis) -> tuple[np.ndarray, int | None]:
-    """A read item's entry as (0/1 rows x its node's states, open axis or
-    None): a component's value indicator, or a (component, value set)'s row."""
-    alpha, allowed = (alpha, None) if isinstance(alpha, str) else alpha
-    rows = _column(net, alpha)[2]
-    if allowed is not None:
-        rows = np.array([[v in allowed for v in net.space.component_values(alpha)]], float) @ rows
-    return rows, axis.get(alpha)
+                keep = keep & np.isin(at, list(allowed))
+        at = np.flatnonzero(np.broadcast_to(keep, dims))
+        picks.append(at)
+        row = np.broadcast_to(row, dims).reshape(-1)[at]
+        bins.append((start + row) * n_ext + at // (size // n_ext))
+    picks, bins = np.concatenate(picks), np.add.outer(np.concatenate(bins) * width, range(width))
+    bins = bins.reshape(-1)
+    picks.flags.writeable = bins.flags.writeable = False
+    return picks, bins, ends[-1] * n_ext * width, ends
 
 
 def normalize(weights, total: float, evidence: Mapping) -> list[float]:

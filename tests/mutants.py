@@ -35,27 +35,25 @@ DIGESTS = "tests/test_cli.py::test_cases_stdout_is_byte_identical_to_its_digest"
 # (name, file under src/qbnet, old text, new text, tests that must fail)
 MUTANTS = [
     # the one reader
-    ("reads ignore the evidence", "core.py",
-     "if key != (evidence := frozenset(self.evidence.items())):",
-     "if key != (evidence := frozenset()):",
+    ("the last read ignores the evidence", "core.py",
+     "key = (nodes, spec, frozenset(self.evidence.items()), self.cap)",
+     "key = (nodes, spec, frozenset(), self.cap)",
      [RUNNER_ROWS]),
-    ("reads ignore the spec", "core.py",
-     "if (entry := memo.get((nodes, spec))) is None:",
-     "if (entry := next((e for (n, _), e in memo.items() if n == nodes), None)) is None:",
+    ("the last read ignores the spec", "core.py",
+     "key = (nodes, spec, frozenset(self.evidence.items()), self.cap)",
+     "key = (nodes, frozenset(self.evidence.items()), self.cap)",
      [ENGINE + "test_weights_agree_with_per_block_chi_and_path_sums"]),
     ("a batch-dependent matmul kernel", "core.py",
-     'amps = np.einsum("rek,ek->re", selector, tensor.reshape(selector.shape[1], -1),\n'
-     '                             order="C")',
-     "amps = np.ascontiguousarray((selector.transpose(1, 0, 2) @ tensor.reshape(\n"
-     "                selector.shape[1], -1, 1))[..., 0].T)",
+     'amps = np.einsum("ri,ri->r", *[amps.reshape(ends[-1], -1)] * 2)',
+     "amps = (amps * amps).reshape(ends[-1], -1) @ np.ones(len(amps) // ends[-1])",
      [RUNNER_ROWS, SAME_BITS]),
-    ("a selector at the cap counts as past it", "core.py",
-     "return entry if entry[0].size <= self.cap else None",
-     "return entry if entry[0].size < self.cap else None",
+    ("a layout at the cap counts as past it", "core.py",
+     "if ends[-1] * size > cap:",
+     "if ends[-1] * size >= cap:",
      [CAP_FALLBACK]),
-    ("no set-by-set read past the cap", "core.py",
-     "if entry is None and len(spec) != 1:",
-     "if entry is None and not spec:",
+    ("no item-by-item read past the cap", "core.py",
+     "if not layout and len(spec) == 1:  # one chi call per block",
+     "if not layout and spec:  # one chi call per block",
      [CAP_FALLBACK]),
     # the case runner and the step kernels
     ("the layout ignores hypotheses", "catalog.py",

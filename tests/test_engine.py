@@ -346,8 +346,25 @@ def _selector_size(net, square):
     return n_rows * math.prod(len(net.space.states(n)) for n in nodes)
 
 
+@pytest.fixture
+def layouts(monkeypatch):
+    """Every read layout a shape builds, as (net kind, spec, rows x tensor
+    entries, the layout), the last two None past the cap or off the open nodes."""
+    built, layout = [], core._layout
+
+    def counted(shape, nodes, n_ext, width, spec, cap):
+        got = layout(shape, nodes, n_ext, width, spec, cap)
+        size = math.prod(len(shape.space.states(n)) for n in nodes)
+        built.append(("quantum" if width == 2 else "classical", spec,
+                      None if got is None else got[3][-1] * size, got))
+        return got
+
+    monkeypatch.setattr(core, "_layout", counted)
+    return built
+
+
 @pytest.mark.parametrize("fid", ["fig23", "fig26", "fig29"])
-def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
+def test_cap_fallback_gives_the_same_answers(monkeypatch, layouts, fid):
     net = catalog.build(fid)
     partition = singleton_partition(net, catalog.query_components(net)[:2])
     anywhere = DirectProductSet.over(net, {})
@@ -364,13 +381,15 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
 
     def answers():
         per_set.clear()
+        layouts.clear()
+        net._shape.read.cache_clear()  # the quantum net's and its parent's
         for target in targets.values():
-            target._reads.clear()
+            target._last_read = (None, None, None)
         results = catalog.run_evidence_cases(net)
         rows = [(r.no_output, r.errors, [(row.cb, row.qb, row.cb_fqna, row.qb_fqna)
                                          for row in r.rows]) for r in results]
-        kept = {kind: [e[0].size for (_, spec), e in t._reads.items() if len(spec) > 1]
-                for kind, t in targets.items()}  # the runner's selectors
+        kept = {kind: [size for k, spec, size, _ in layouts if k == kind and len(spec) > 1 and size]
+                for kind in targets}  # the runner's layouts, rows x entries
         reads = (set(per_set), {kind for kind, sizes in kept.items() if sizes})
         return rows, quantum_fuzzy_distribution(net, partition, anywhere), reads, kept
 
@@ -379,7 +398,7 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
     assert want[3] == {kind: [size] for kind, size in sizes.items()}
     monkeypatch.setenv("QBNET_MAX_STATES", str(min(sizes.values()) - 1))
     per_set.clear()
-    catalog.run_evidence_cases(net)  # the selectors kept above are past this cap
+    catalog.run_evidence_cases(net)  # the layouts kept above are past this cap
     assert per_set == set(targets)
     peaks = {_opened_peak(net, square) for square in (True, False)} | set(sizes.values())
     floor = _cap_floor(net)
@@ -388,7 +407,7 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, fid):
         monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
         got = answers()
         past = {kind for kind, size in sizes.items() if size > cap}
-        assert got[2] == (past, set(targets) - past)  # no selector past the cap, one read per set
+        assert got[2] == (past, set(targets) - past)  # no layout past the cap, one read per set
         assert got[1] == pytest.approx(want[1], abs=1e-12)
         assert len(got[0]) == len(want[0])
         for (no_out, errors, rows), (want_no_out, want_errors, want_rows) in zip(got[0], want[0]):
@@ -454,14 +473,15 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
     monkeypatch.setattr(Weights, "rows", counted_rows)
     (result,) = catalog.run_evidence_cases(net, cases=[case])
     assert not result.errors and len(result.rows) == 21
-    # on the quantum net, then its parent: one product of chi(E)'s set and the
-    # 21 others, whose first row (the empty set's, a row of ones) is chi(E),
+    # on the quantum net, then its parent: one read of chi(E)'s set and the
+    # 21 others, whose first row (the empty set's, every entry) is chi(E),
     # and no other read
     assert reads == [("rows", "quantum", ()), ("weigh", "quantum", 22),
                      ("rows", "classical", ()), ("weigh", "classical", 22)]
     for target in (net, parent_cb_net(net)):
-        (selector, *_), = target._reads.values()
-        assert (selector[0] == 1).all()
+        (_, spec, *_), rows, ends = target._last_read
+        assert len(spec) == 22 and spec[0] == () and ends[:2] == (0, 1)
+        assert rows[0] == Weights(target, spec[1], case.as_sets()).total()
 
 
 def test_a_conditional_costs_one_contraction(contract_calls):
@@ -657,24 +677,29 @@ def test_per_site_conditionals_match_a_fresh_net_and_propagation(monkeypatch, ca
 
 
 def test_a_lattice_chain_shares_its_state_list_and_one_read_of_the_final_slice(
-    monkeypatch, contract_calls
+    monkeypatch, contract_calls, layouts
 ):
     spec = LatticeSpec.make(16, 1.0, 4, 0.2, potential=potential_preset("well", 16.0, 1.0))
     net = build_lattice_net(spec)
     assert net.space.states("t1") is net.space.states("t4")
+    net._shape.read.cache_clear()
     products, weigh = [], Weights._weigh
 
-    def kept_rows(self, *args):  # the rows each read leaves in the net's memo, kept alive
+    def kept_rows(self, *args):  # the rows each read leaves as the net's last read
         got = weigh(self, *args)
-        products.extend(entry[3] for entry in self.net._reads.values())
+        products.append(self.net._last_read[1])
         return got
 
     monkeypatch.setattr(Weights, "_weigh", kept_rows)
     got = [quantum_conditional(net, {f"t4.x{s}": 1}, {}) for s in range(16)]
     np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
-    # one spec, every component of t4, read by one product
-    assert len(contract_calls) == 1 and len(net._reads) == 1
+    # one layout, every component of t4 one set each, read by one product
+    assert len(contract_calls) == 1
+    assert [(kind, spec) for kind, spec, *_ in layouts] == [("quantum", net.space.components("t4"))]
     assert len(products) == 16 and len({id(rows) for rows in products}) == 1
+    fresh = build_lattice_net(spec)  # a chain of the same shape builds no layout
+    quantum_conditional(fresh, {"t4.x3": 1}, {})
+    assert len(layouts) == 1
 
 
 QUANTUM_NETS = [catalog.build(e.id) for e in catalog.list_entries() if e.kind == "quantum"]
@@ -818,14 +843,15 @@ def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, con
     assert len(contract_calls) == 3  # one per value of z.plus, with the external nodes open
 
 
-def test_a_single_set_read_leaves_the_selector_alone():
+def test_a_single_set_read_leaves_the_selector_alone(layouts):
     net = build_lattice_net(LatticeSpec.make(4, 1.0, 2, 0.2))
-    Weights(net, ("t1.x0",), {}).rows([("t1.x0", "t1.x3"), ("t1.x2",)])
-    ((key, kept),) = net._reads.items()
-    selector = kept[0]
-    assert not selector.flags.writeable
+    net._shape.read.cache_clear()
+    sets = [("t1.x0", "t1.x3"), ("t1.x2",)]
+    want = Weights(net, ("t1.x0",), {}).rows(sets)
     quantum_conditional(net, {"t1.x3": 1}, {})
-    assert net._reads[key] is kept and kept[0] is selector and len(net._reads) == 2
+    assert Weights(net, ("t1.x0",), {}).rows(sets) == want
+    assert [spec for _, spec, *_ in layouts] == [tuple(sets), net.space.components("t1")]
+    assert net._shape.read.cache_info().hits == 1  # the two-set layout, kept
 
 
 def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
@@ -852,23 +878,22 @@ def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
     assert masked == []
 
 
-def test_the_reads_a_net_keeps_are_bounded_and_read_only(monkeypatch):
+def test_the_read_layouts_a_shape_keeps_are_bounded_and_read_only(monkeypatch, layouts):
     net = catalog.build("fig23")
-    comps = catalog.query_components(net)  # six one-node components: 2 rows x 64 entries a set
-    wants = [distribution(path_chi, net, value_blocks(net, (a,)), {}) for a in comps]
-    monkeypatch.setattr(core, "_READS", 3)
-    for cap, kept in ((None, 3), (300, 2)):  # three specs; two selectors of 128 entries
+    comps = catalog.query_components(net)  # six components, one node each: 2 rows x 64 entries a set
+    wants = [distribution(path_chi, net, value_blocks(net, (a,)), {}) for a in (*comps, comps[0])]
+    read = net._shape.read
+    for cap in (None, 127):  # at 127 each set is past the cap: one chi call per block
         if cap is not None:
             monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
-        net._reads.clear()
-        for i, (alpha, want) in enumerate(zip(comps, wants)):
-            weights = Weights(net, comps, {})
-            assert weights.rows([(alpha,)]) == [pytest.approx(want, abs=1e-12)]
-            newest = [(weights._wide[0], ((a,),)) for a in comps[max(0, i + 1 - kept):i + 1]]
-            assert list(net._reads) == newest  # the oldest dropped first
-            selectors = [entry[0] for entry in net._reads.values()]
-            assert not any(s.flags.writeable for s in selectors)
-            assert sum(s.size for s in selectors) <= (cap or core.DEFAULT_MAX_STATES)
+        read.cache_clear()
+        layouts.clear()
+        for alpha, want in zip((*comps, comps[0]), wants):
+            assert Weights(net, comps, {}).rows([(alpha,)]) == [pytest.approx(want, abs=1e-12)]
+            assert read.cache_info().currsize <= core._READS == 2
+        # a build per lookup: the oldest is dropped first, so the first set is built again
+        assert [size for *_, size, _ in layouts] == [None if cap else 128] * 7
+        assert all(not a.flags.writeable for *_, got in layouts if got for a in got[:2])
 
 
 def test_the_parent_net_is_built_once(monkeypatch):
