@@ -841,11 +841,11 @@ def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
     """A read of ``spec`` off a tensor over ``nodes`` (the first ``n_ext``
     external) of ``width`` floats an entry: (picks, bins, bin count, row ends
     from 0), picks indexing the tensor's entries and bins their floats' (row,
-    external config, float). An item of ``spec`` is a component, a tuple of components
-    (a row per value combo, in ``itertools.product`` order) or a tuple of
-    (component, value set) pairs (one row); a row picks the entries where its
-    components take its values and its value sets hold. None past the cap
-    (rows x entries) or for a node not open."""
+    external config, float). An item of ``spec`` is a component, a tuple of
+    components (a row per value combo, in ``itertools.product`` order) or a
+    tuple of (component, value set) pairs (one row); a row picks the entries
+    where its components take its values and its value sets hold. None past
+    the cap (rows x entries) or for a node not open."""
     space, axis = shape.space, shape.view(nodes)[1]
     items = [[(a, None) if isinstance(a, str) else a for a in ((i,) if isinstance(i, str) else i)]
              for i in spec]
