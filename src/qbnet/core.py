@@ -55,16 +55,16 @@ is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
 share one checked ``_StateList`` (256 kept) and its int array. Blocks of
 equal names, parents, components and state lists share one ``_Shape`` (256
 kept), as does a quantum net's parent: the state space with the value combos
-of each component tuple, the factor dims, a column per component, a view per
-tuple of open nodes (its plan and each open component's axis) and a query's
-open nodes per external nodes and components, 256 of each, and the layouts
+of each component tuple, the factor dims, each node's operand slot, a view
+per tuple of open nodes (its plan and each open component's axis), a query's
+open nodes per external nodes and components and the evidence indicators
+(by component, value set, axis and axis count), 256 of each, and the layouts
 of its last ``_READS`` reads. The graph layer is not interned, so what a
 build calls does not depend on what the process built before: each net keeps
-its own ``LabelledGraph`` and external order, its factors, three read-only
+its own ``LabelledGraph`` and external order, its factors, two read-only
 query memos -- the last tensor a ``Weights`` opened (by open nodes and the
-evidence on summed-away nodes), its evidence masks (by open nodes, component
-and value set; ``_MASKS``, 256, the oldest dropped first) and the rows of its
-last read -- and, on a quantum net, its parent classical net.
+evidence on summed-away nodes) and the rows of its last read -- and, on a
+quantum net, its parent classical net.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .errors import StateSpaceTooLarge
 from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
-_MASKS = 256  # evidence masks a net keeps
 _READS = 2  # read layouts a shape keeps: a quantum net's and its parent's
 _ZERO_WEIGHT = "evidence {} has zero weight"
 
@@ -251,13 +250,14 @@ class NodeBlock:
 class _Shape:
     """What nets of equal structure share whatever their tables: the state
     space, the chronological labelling it was built with (None for a cycle),
-    factor dims, one column per component, one view (plan, axis map) per tuple
-    of open nodes and one query (open nodes, view) per (ext, comps), 256 each,
-    and the ``_layout`` of ``_READS`` reads."""
+    factor dims, node slots, one view (plan, axis map) per tuple of open nodes,
+    one query (open nodes, view) per (ext, comps) and one evidence indicator per
+    (component, value set, axis, ndim), 256 each, and the ``_layout`` of ``_READS`` reads."""
 
     def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
-        self.space, self.chron, self.columns = space, chron, {}
+        self.space, self.chron = space, chron
         self.order: tuple[str, ...] = tuple(parents) if chron is None else chron
+        self.slot = {n: j for j, n in enumerate(self.order)}  # each node's operand in ``contract``
         self.dims = {n: tuple(len(space.states(v)) for v in (*ps, n)) for n, ps in parents.items()}
         self.structure = (self.order, tuple(parents[n] for n in self.order),
                           tuple(self.dims[n][-1] for n in self.order))
@@ -268,6 +268,17 @@ class _Shape:
             nodes := tuple(dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])),
             *self.view(nodes)))
         self.read = functools.lru_cache(maxsize=_READS)(lambda *key: _layout(self, *key))
+        self.indicator = functools.lru_cache(maxsize=256)(functools.partial(_indicator, space))
+
+
+def _indicator(space: StateSpace, alpha: str, values: frozenset, axis: int, ndim: int):
+    """Darwiche's evidence indicator of alpha in ``values``: a read-only 0/1
+    array over the owner node's states, on axis ``axis`` of ``ndim``."""
+    node, k = space.owner(alpha)
+    at = np.isin(space._lists[node].array[:, k], list(values))
+    at = at.reshape([-1 if j == axis else 1 for j in range(ndim)])
+    at.flags.writeable = False
+    return at
 
 
 @functools.lru_cache(maxsize=256)
@@ -318,9 +329,6 @@ class _Enumeration:
         states = [net.space.states(n) for n in self.external_order]
         return [sum(combo, ()) for combo in itertools.product(*states)]
 
-    def component_column(self, net: "BaseNet", alpha: str) -> np.ndarray:
-        return _column(net, alpha)[1][self.node_state_indices(net.space.owner(alpha)[0])]
-
 
 def as_table(factor: np.ndarray) -> np.ndarray:
     """A factor (parent axes, then the node's) as the 2-D table that
@@ -367,7 +375,6 @@ class BaseNet:
         self._enum_cache: _Enumeration | None = None
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_read: tuple = (None, None, None)  # Weights._weigh
-        self._masks: dict = {}  # Weights._opened, at most _MASKS entries
 
     # -- construction -------------------------------------------------------
 
@@ -485,20 +492,11 @@ def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray |
     """
     if not sets:
         return None
-    en = net.enumeration()
-    mask = None
+    en, mask = net.enumeration(), True
     for alpha, allowed in sets.items():
-        m = _allowed(en.component_column(net, alpha), allowed)
-        mask = m if mask is None else (mask & m)
+        at = en.node_state_indices(net.space.owner(alpha)[0])
+        mask = mask & net._shape.indicator(alpha, value_set(allowed), 0, 1)[at]
     return mask
-
-
-def _allowed(values: np.ndarray, allowed) -> np.ndarray:
-    """Where ``values`` lies in ``allowed`` (a value or a value set)."""
-    vals = value_set(allowed)
-    if len(vals) == 1:
-        return values == next(iter(vals))
-    return np.isin(values, sorted(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +591,6 @@ def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
     return net._shape.view(open_nodes)[0]
 
 
-def _column(net: BaseNet, alpha: str) -> tuple[int, np.ndarray]:
-    """Operand slot of alpha's node and alpha's value in each of its states,
-    a view into the node's shared state list, kept per shape."""
-    col = net._shape.columns.get(alpha)
-    if col is None:
-        node, k = net.space.owner(alpha)
-        col = (net.node_order().index(node), net.space._lists[node].array[:, k])
-        net._shape.columns[alpha] = col
-    return col
-
-
 def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None):
     """Sum the joint over every node outside ``open_nodes``.
 
@@ -619,10 +606,10 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
             f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
             f"{plan.peak} index states, over the cap of {cap}"
         )
-    ops = [net.factor(n) for n in net.node_order()]
-    for alpha, allowed in (fixed or {}).items():
-        slot, values = _column(net, alpha)
-        ops[slot] = ops[slot] * _allowed(values, allowed)
+    ops, shape = [net.factor(n) for n in net.node_order()], net._shape
+    for alpha, allowed in (fixed or {}).items():  # a 1-D indicator: the factor's last axis
+        slot = shape.slot[net.space.owner(alpha)[0]]
+        ops[slot] = ops[slot] * shape.indicator(alpha, value_set(allowed), 0, 1)
     if not plan.steps:  # a net without nodes: the empty product
         return np.ones((), dtype=net.dtype)
     for slots, subscripts in plan.steps:
@@ -695,7 +682,7 @@ def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mappin
         allowed = net.space.component_values(alpha)
         if v is not None and v not in allowed:
             raise InvalidState(
-                f"{alpha}={v} is outside the component's values {list(allowed)}"
+                f"{alpha}={v!r} is outside the component's values {list(allowed)}"
             )
 
 
@@ -743,7 +730,7 @@ class Weights:
         Only evidence on a node the contraction sums away filters it and,
         with the open nodes, keys the net's memo of the last tensor (kept
         read-only). Evidence on an open node masks that axis of a copy, at
-        most the cap in entries, by a mask the net keeps, so it never contracts again."""
+        most the cap in entries, by the shape's indicator, so it never contracts again."""
         nodes, plan, axis = self.net._shape.query(self._ext, comps)
         if plan.peak > self.cap:
             return None
@@ -753,16 +740,10 @@ class Weights:
             tensor = np.asarray(contract(self.net, nodes, summed))
             tensor.flags.writeable = False
             self.net._last_opened = (key, tensor)
-        tensor, memo = self.net._last_opened[1], self.net._masks
+        tensor, indicator = self.net._last_opened[1], self.net._shape.indicator
         for alpha, allowed in self.evidence.items():
             if alpha in axis:
-                if (key := (nodes, alpha, allowed)) not in memo:
-                    if len(memo) >= _MASKS:
-                        del memo[next(iter(memo))]  # the oldest
-                    memo[key] = _allowed(_column(self.net, alpha)[1], allowed).reshape(
-                        [-1 if j == axis[alpha] else 1 for j in range(len(nodes))])
-                    memo[key].flags.writeable = False
-                tensor = tensor * memo[key]
+                tensor = tensor * indicator(alpha, allowed, axis[alpha], len(nodes))
         return nodes, tensor
 
     def total(self) -> float:
@@ -861,13 +842,13 @@ def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
     for start, item in zip(ends, items):
         row, keep = 0, True
         for a, allowed in item:  # the last component fastest
-            node, k = space.owner(a)
-            values, at = space._lists[node].values[k], space._lists[node].array[:, k]
-            at = at.reshape([-1 if j == axis[a] else 1 for j in range(len(dims))])
             if allowed is None:
+                node, k = space.owner(a)
+                values, at = space._lists[node].values[k], space._lists[node].array[:, k]
+                at = at.reshape([-1 if j == axis[a] else 1 for j in range(len(dims))])
                 row = row * len(values) + np.searchsorted(values, at)
             else:
-                keep = keep & np.isin(at, list(allowed))
+                keep = keep & shape.indicator(a, allowed, axis[a], len(dims))
         at = np.flatnonzero(np.broadcast_to(keep, dims))
         picks.append(at)
         row = np.broadcast_to(row, dims).reshape(-1)[at]
@@ -892,9 +873,12 @@ def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: M
     of the hypothesis components, both read from ``engine(net, components,
     evidence)``. On classical nets the combos partition the evidence, so the
     total is chi(E); on quantum nets it need not be (see quantum.f_qna).
+    A component left unpinned (None) is InvalidState.
     """
     check_query(net, hypothesis, evidence)
-    comps = tuple(hypothesis)
+    comps, combo = tuple(hypothesis), tuple(hypothesis.values())
+    if None in combo:
+        raise InvalidState(f"hypothesis component {comps[combo.index(None)]} is not pinned")
     weights = engine(net, comps, evidence).combos(comps)
-    index = net.space.combos(comps).index(tuple(hypothesis.values()))
+    index = net.space.combos(comps).index(combo)
     return normalize(weights, sum(weights), evidence)[index]

@@ -17,6 +17,7 @@ normalized across the partition's blocks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -138,6 +139,10 @@ def quantum_fuzzy_conditional(
     net: QBNet, partition: Partition, index: int, evidence: DirectProductSet, engine=Weights
 ) -> float:
     """Probability of partition block ``index`` given the evidence set."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise InvalidParams(f"block index must be an integer, got {index!r}") from None
     if not 0 <= index < len(partition.blocks):
         raise InvalidParams(
             f"block index {index} out of range for {len(partition.blocks)} blocks"

@@ -31,6 +31,13 @@ RUNNER_ROWS = ENGINE + "test_the_runner_normalizes_each_row_as_weights_row_does"
 SAME_BITS = ENGINE + "test_every_read_form_gives_a_row_the_same_bits"
 CAP_FALLBACK = ENGINE + "test_cap_fallback_gives_the_same_answers"
 DIGESTS = "tests/test_cli.py::test_cases_stdout_is_byte_identical_to_its_digest"
+INDICATORS = ENGINE + "test_the_evidence_indicators_a_shape_keeps_serve_every_net_of_it"
+OPEN_EVIDENCE = ENGINE + "test_evidence_on_open_nodes_masks_one_cached_contraction"
+LATTICE = "tests/test_lattice.py::"
+KEYED = LATTICE + "test_each_part_of_the_hamiltonian_keys_its_step_matrix"
+ONCE = LATTICE + "test_a_built_in_kernel_runs_once_per_hamiltonian"
+BUDGET = LATTICE + "test_the_step_memo_keeps_at_most_its_byte_budget"
+STEP_KEY = "key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)"
 
 # (name, file under src/qbnet, old text, new text, tests that must fail)
 MUTANTS = [
@@ -84,6 +91,59 @@ MUTANTS = [
      "@dataclass(frozen=True, init=False)\nclass HypothesisRow:",
      "@dataclass(init=False)\nclass HypothesisRow:",
      ["tests/test_catalog.py::test_hypothesis_rows_stay_frozen_hashable_dataclasses"]),
+    # the evidence indicators a shape keeps
+    ("a writeable indicator", "core.py",
+     "    at.flags.writeable = False\n",
+     "",
+     [INDICATORS]),
+    ("an indicator ignores its axis", "core.py",
+     "at = at.reshape([-1 if j == axis else 1 for j in range(ndim)])",
+     "at = at.reshape([1] * (ndim - 1) + [-1])",
+     [OPEN_EVIDENCE]),
+    ("an indicator holds the first value only", "core.py",
+     "at = np.isin(space._lists[node].array[:, k], list(values))",
+     "at = space._lists[node].array[:, k] == next(iter(values), None)",
+     [INDICATORS]),
+    ("contract passes a value uncoerced", "core.py",
+     "ops[slot] * shape.indicator(alpha, value_set(allowed), 0, 1)",
+     "ops[slot] * shape.indicator(alpha, allowed, 0, 1)",
+     [ENGINE + "test_a_value_that_is_not_an_integer_is_refused_on_every_route"]),
+    # the step kernel memo
+    *((f"{part} is not in the step key", "lattice.py", STEP_KEY,
+       STEP_KEY.replace(f" {part},", ""), [KEYED])
+      for part in ("spec.n_x", "spec.dx", "spec.dt", "spec.mass", "spec.hbar")),
+    ("the kernel is not in the step key", "lattice.py",
+     STEP_KEY, STEP_KEY.replace("(kernel, ", "("), [KEYED]),
+    ("the preset is not in the step key", "lattice.py",
+     STEP_KEY, STEP_KEY.replace(", spec.potential)", ")"), [KEYED]),
+    ("a step matrix kept for any potential", "lattice.py",
+     "if not user and _PRESETS.get(id(spec.potential)) is spec.potential:",
+     "if not user:",
+     [LATTICE + "test_a_time_dependent_potential_runs_the_kernel_at_every_step"]),
+    ("a writeable step matrix", "lattice.py",
+     "            matrix.flags.writeable = False\n",
+     "",
+     [ONCE]),
+    ("no step matrix dropped", "lattice.py",
+     "while self.nbytes + matrix.nbytes > self.budget:",
+     "while False:",
+     [BUDGET]),
+    ("a step matrix past the budget kept", "lattice.py",
+     "if matrix.nbytes <= self.budget:",
+     "if matrix.nbytes <= 2 * self.budget:",
+     [BUDGET]),
+    ("no step memo", "lattice.py",
+     "matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t",
+     "matrices = [step(spec, 0.0).matrix] * spec.n_t",
+     [ONCE]),
+    ("the free preset through its module binding", "lattice.py",
+     "        return _FREE\n",
+     "        return zero_potential\n",
+     [LATTICE + "test_equal_preset_arguments_give_one_function"]),
+    ("no preset length refusal", "lattice.py",
+     "if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):",
+     "if False:",
+     [LATTICE + "test_potential_presets_refuse_a_length_that_is_not_finite_and_positive"]),
 ]
 
 

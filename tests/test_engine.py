@@ -854,28 +854,38 @@ def test_a_single_set_read_leaves_the_selector_alone(layouts):
     assert net._shape.read.cache_info().hits == 1  # the two-set layout, kept
 
 
-def test_the_evidence_masks_a_net_keeps_are_bounded_and_read_only(monkeypatch):
+def test_the_evidence_indicators_a_shape_keeps_serve_every_net_of_it():
     net, fresh = build_lattice_net(LATTICE_SPEC), build_lattice_net(LATTICE_SPEC)
+    parent, indicator = parent_cb_net(net), net._shape.indicator
+    assert fresh._shape is parent._shape is net._shape
+    assert indicator.cache_info().maxsize == 256
+    indicator.cache_clear()
     evidence = [{"t4.x1": {0, 1}}, {"t4.x1": 0}, {"t4.x2": 0}, {"t4.x3": 0, "t4.x4": 1}]
-    wants = [quantum_conditional(fresh, {"t4.x0": 1}, ev) for ev in evidence]
-    assert net._shape is fresh._shape and fresh._masks  # one shape, a memo per net
-    assert net._shape.query.cache_info().maxsize == 256
-    masked, allowed = [], core._allowed
-    monkeypatch.setattr(core, "_allowed", lambda *args: masked.append(args) or allowed(*args))
-    monkeypatch.setattr(core, "_MASKS", 3)
     quantum_conditional(net, {"t4.x0": 1}, {})
     cached = net._last_opened[1]
     kept = cached.tobytes()
-    for ev, want in zip(evidence * 2, wants * 2):  # five masks: past the bound, the first ones go
-        assert quantum_conditional(net, {"t4.x0": 1}, ev) == pytest.approx(want, abs=1e-12)
-        assert 0 < len(net._masks) <= 3
-        assert not any(m.flags.writeable for m in net._masks.values())
+    wants = []
+    for ev in evidence:  # on the open final slice: one indicator each, on its one axis
+        wants.append(quantum_conditional(net, {"t4.x0": 1}, ev))
         assert net._last_opened[1] is cached and not cached.flags.writeable
         assert cached.tobytes() == kept
-    assert len(masked) == 10  # each of the five masks made again on the second round
-    masked.clear()
-    quantum_conditional(net, {"t4.x0": 1}, {"t4.x3": 0, "t4.x4": 1})  # the last two are kept
-    assert masked == []
+    evidence.append({"t2.x1": 0})  # on a summed-away slice: contract's indicator, on the same axis
+    wants.append(quantum_conditional(net, {"t4.x0": 1}, evidence[-1]))
+    assert cached.tobytes() == kept and indicator.cache_info().currsize == 6
+    built = indicator.cache_info().misses
+    assert [quantum_conditional(fresh, {"t4.x0": 1}, ev) for ev in evidence] == wants
+    for ev in evidence:
+        classical_conditional(parent, {"t4.x0": 1}, ev)
+    assert indicator.cache_info().misses == built  # nothing built for the fresh net or the parent
+    space = net.space
+    for ev in evidence:
+        for alpha, allowed in ev.items():
+            got = indicator(alpha, core.value_set(allowed), 0, 1)
+            column = space._lists[space.owner(alpha)[0]].array[:, space.owner(alpha)[1]]
+            assert got.tolist() == [v in core.value_set(allowed) for v in column.tolist()]
+            assert not got.flags.writeable
+    assert indicator.cache_info().misses == built
+    assert indicator("t4.x1", frozenset({0}), 1, 3).shape == (1, len(space.states("t4")), 1)
 
 
 def test_the_read_layouts_a_shape_keeps_are_bounded_and_read_only(monkeypatch, layouts):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qbnet.fuzzy import (
     singleton_partition,
     validate_partition,
 )
+from qbnet.pathsum import pathsum_fuzzy_quantum
 from qbnet.quantum import QBNet, quantum_conditional
 
 from conftest import random_cbnet, random_qbnet
@@ -178,6 +180,12 @@ def test_quantum_fuzzy_conditional_index_checks():
     anywhere = DirectProductSet.over(net, {})
     with pytest.raises(InvalidParams, match="out of range"):
         quantum_fuzzy_conditional(net, part, 5, anywhere)
+    for route in (quantum_fuzzy_conditional, pathsum_fuzzy_quantum):
+        for bad in (1.0, "1", None, [1]):
+            message = f"^block index must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(InvalidParams, match=message):
+                route(net, part, bad, anywhere)
+        assert route(net, part, np.int64(1), anywhere) == route(net, part, 1, anywhere)
     total = sum(
         quantum_fuzzy_conditional(net, part, i, anywhere)
         for i in range(len(part.blocks))

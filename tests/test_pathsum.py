@@ -5,7 +5,7 @@ import pytest
 
 from qbnet import catalog
 from qbnet.classical import chi_classical, classical_conditional, external_mass_map
-from qbnet.core import NodeBlock
+from qbnet.core import NodeBlock, Weights
 from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
 from qbnet.pathsum import (
     FinalState,
@@ -116,7 +116,7 @@ def test_conditionals_agree_including_contradictions():
 
 
 @pytest.mark.parametrize("route", ["classical", "quantum", "pathsum-quantum", "pathsum-parent"])
-def test_every_route_rejects_an_unrealizable_hypothesis_value(route):
+def test_every_route_rejects_an_unrealizable_hypothesis_value(route, monkeypatch):
     net = catalog.build("fig19-loop")
     parent = parent_cb_net(net)
     conditional, target = {
@@ -127,6 +127,11 @@ def test_every_route_rejects_an_unrealizable_hypothesis_value(route):
     }[route]
     with pytest.raises(InvalidState, match=r"u\.plus=7 .*\[0, 1\]"):
         conditional(target, {"u.plus": 7}, {})
+    with pytest.raises(InvalidState, match=r"^u\.plus='1' is outside the component's values"):
+        conditional(target, {"u.plus": "1"}, {})
+    monkeypatch.setattr(Weights, "__init__", lambda *args: pytest.fail("a weight was read"))
+    with pytest.raises(InvalidState, match=r"^hypothesis component z\.plus is not pinned$"):
+        conditional(target, {"u.plus": 1, "z.plus": None}, {})
 
 
 def test_pre_net_paths():
