@@ -38,17 +38,17 @@ over every value combo of the hypothesis components, so ``Weights`` keeps
 the nodes owning those components open (and, on quantum nets, the external
 nodes) in one contraction, filtered by the evidence on the nodes it sums
 away; evidence on an open node is a 0/1 mask on a copy of the tensor
-(Darwiche's evidence indicators, J. ACM 50(3), 2003). One reader takes
-every read off it (chi(E), combos, many sets' combos, value-set blocks),
-summing each row on its own, so a row has the same bits in any read.
-Past the cap a read goes set by set, then one ``chi`` call per block.
-``chi`` is one function for both net kinds, and so is ``external_map``.
-``Weights.table`` is the one hypothesis-row recipe, one loop over a case's
-sets: each combo over its set's total, and f_qna, that total over chi(E).
-``Weights.row`` is its one-set case (the CLI query and ``quantum.f_qna``);
-``conditional`` is the probabilities-only half, which skips chi(E), as it
-can vanish on a quantum net while the combos do not. The path-sum route
-keeps one chi call per block, as the independent check.
+(Darwiche's evidence indicators, J. ACM 50(3), 2003). The tensor is opened
+only when a read misses the net's last read, so a repeated query is its
+checks and one lookup. One reader takes every read off it (chi(E), combos,
+many sets' combos, value-set blocks), summing each row on its own, so a row
+has the same bits in any read. Past the cap a read goes set by set, then
+one ``chi`` call per block, as the path-sum route, the independent check,
+always does. ``chi`` and ``external_map`` each serve both net kinds.
+``Weights.table`` is the one hypothesis-row recipe: each combo over its
+set's total, and f_qna, that total over chi(E). ``Weights.row`` is its
+one-set case (the CLI query and ``quantum.f_qna``); ``conditional``, the
+probabilities-only half, skips chi(E), which can vanish on a quantum net.
 
 Nets never change after construction, so what does not depend on their tables
 is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
@@ -63,8 +63,8 @@ of its last ``_READS`` reads. The graph layer is not interned, so what a
 build calls does not depend on what the process built before: each net keeps
 its own ``LabelledGraph`` and external order, its factors, two read-only
 query memos -- the last tensor a ``Weights`` opened (by open nodes and the
-evidence on summed-away nodes) and the rows of its last read -- and, on a
-quantum net, its parent classical net.
+evidence on summed-away nodes) and its last read's rows (by reader, nodes,
+spec, evidence and cap) -- and, on a quantum net, its parent classical net.
 """
 
 from __future__ import annotations
@@ -135,20 +135,19 @@ class _StateList:
 
 
 _shared = functools.lru_cache(maxsize=256)(_StateList)  # one per equal list, by value
-_last_list: list = [_shared(())]  # found by identity: each lattice slice passes the last's states
 
 
 def _state_list(node: str, states) -> _StateList:
-    """The shared ``_StateList`` equal to ``states``; InvalidState names the node."""
-    if states is not _last_list[0].states:
+    """``states`` as its shared ``_StateList`` (as is, if one); InvalidState names the node."""
+    if isinstance(states, _StateList):
+        return states
+    try:
         try:
-            try:
-                _last_list[0] = _shared(tuple(states))
-            except TypeError:  # states given as lists or arrays: key by their tuples
-                _last_list[0] = _shared(tuple(map(_as_state, states)))
-        except InvalidState as exc:
-            raise InvalidState(f"node {node!r}: {exc}") from None
-    return _last_list[0]
+            return _shared(tuple(states))
+        except TypeError:  # states given as lists or arrays: key by their tuples
+            return _shared(tuple(map(_as_state, states)))
+    except InvalidState as exc:
+        raise InvalidState(f"node {node!r}: {exc}") from None
 
 
 class StateSpace:
@@ -251,7 +250,7 @@ class _Shape:
     """What nets of equal structure share whatever their tables: the state
     space, the chronological labelling it was built with (None for a cycle),
     factor dims, node slots, one view (plan, axis map) per tuple of open nodes,
-    one query (open nodes, view) per (ext, comps) and one evidence indicator per
+    a query's open nodes per (ext, comps) and one evidence indicator per
     (component, value set, axis, ndim), 256 each, and the ``_layout`` of ``_READS`` reads."""
 
     def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
@@ -264,9 +263,8 @@ class _Shape:
         self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
             _compile(self.structure, open_nodes),
             {a: j for j, n in enumerate(open_nodes) for a in space.components(n)}))
-        self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: (
-            nodes := tuple(dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])),
-            *self.view(nodes)))
+        self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: tuple(
+            dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])))
         self.read = functools.lru_cache(maxsize=_READS)(lambda *key: _layout(self, *key))
         self.indicator = functools.lru_cache(maxsize=256)(functools.partial(_indicator, space))
 
@@ -599,7 +597,11 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
     open nodes it is a scalar. Raises StateSpaceTooLarge when a step of the
     plan spans more index states than the cap.
     """
-    plan = _plan(net, tuple(open_nodes))
+    try:
+        plan = _plan(net, tuple(open_nodes))
+    except KeyError:  # a node the net lacks, worded as graph.node_order_relation words it
+        unknown = next(n for n in open_nodes if n not in net._shape.slot)
+        raise KeyError(f"unknown node {unknown!r}") from None
     cap = max_states()
     if plan.peak > cap:
         raise StateSpaceTooLarge(
@@ -649,6 +651,8 @@ def chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
 def value_set(v) -> frozenset[int]:
     """One value or an iterable of values as a frozenset of ints; InvalidState
     for a string or any value that is not a whole number."""
+    if type(v) is int:
+        return frozenset((v,))
     values = (v,) if isinstance(v, (str, bytes)) or not hasattr(v, "__iter__") else v
     try:
         return frozenset(map(_whole, values))
@@ -658,32 +662,45 @@ def value_set(v) -> frozenset[int]:
 
 def value_blocks(net: BaseNet, components: Iterable[str]) -> list[dict[str, int]]:
     """One {component: value} block per value combo of the components, in
-    ``itertools.product`` order (the last component varies fastest)."""
-    comps = tuple(components)
+    ``itertools.product`` order (the last fastest); ValueError for a repeat."""
+    comps = _named_once(tuple(components))
     return [dict(zip(comps, combo)) for combo in net.space.combos(comps)]
 
 
-def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> None:
-    """Reject a malformed query before any weight is computed.
+def _named_once(comps: tuple) -> tuple:
+    """``comps``; ValueError naming the first component it names twice."""
+    for twice in (a for i, a in enumerate(comps) if a in comps[:i]):
+        raise ValueError(f"component {twice!r} named twice")
+    return comps
+
+
+def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> tuple:
+    """Reject a malformed query before any weight is computed; return the
+    hypothesis values as ints (None where unpinned).
 
     ``hypothesis`` maps components to pinned values; None leaves a component
     unpinned. An empty hypothesis or one overlapping the evidence raises
-    ValueError, an unknown component KeyError, and a pinned value the
-    component never takes InvalidState.
+    ValueError, an unknown component KeyError, and a pinned value that is not
+    one of the component's whole-number values InvalidState.
     """
     if not hypothesis:
         raise ValueError("empty hypothesis")
-    overlap = set(hypothesis) & set(evidence)
+    overlap = hypothesis.keys() & evidence
     if overlap:
         raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
-    for alpha in itertools.chain(hypothesis, evidence):
-        net.space.owner(alpha)
+    space, combo = net.space, []
+    for alpha in itertools.chain(hypothesis, evidence):  # every unknown component first
+        space.owner(alpha)
     for alpha, v in hypothesis.items():
-        allowed = net.space.component_values(alpha)
-        if v is not None and v not in allowed:
-            raise InvalidState(
-                f"{alpha}={v!r} is outside the component's values {list(allowed)}"
-            )
+        node, k = space._owner[alpha]
+        allowed = space._lists[node].values[k]
+        try:
+            combo.append(v if v is None or type(v) is int else _whole(v))
+        except InvalidState:
+            combo.append(None)  # in no component's values
+        if v is not None and combo[-1] not in allowed:
+            raise InvalidState(f"{alpha}={v!r} is outside the component's values {list(allowed)}")
+    return tuple(combo)
 
 
 def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> list[float]:
@@ -707,13 +724,13 @@ class Weights:
     """chi(B and E) for blocks B, read off one contraction under evidence E.
 
     The contraction keeps open the nodes owning ``components``, plus the
-    external nodes on a quantum net. Every read is a spec (``_layout``) that
-    ``_weigh`` sums off the tensor with one bincount of each (row, external
-    config) bin and, on a quantum net, one einsum of each row's squares;
-    both sum a row on its own, so a row has the same bits in any read. Past
-    the cap (the opened plan's peak, or rows x tensor entries) a spec is read
-    item by item, and an item still past it, or one naming a node the tensor
-    does not keep open, is one ``_chi`` call per block.
+    external nodes on a quantum net; it is opened only if a read misses the
+    net's last read. Every read is a spec (``_layout``) that ``_weigh`` sums
+    off the tensor with one bincount of each (row, external config) bin and,
+    on a quantum net, one einsum of each row's squares; both sum a row on its
+    own, so a row has the same bits in any read. Past the cap (the opened
+    plan's peak, or rows x tensor entries) a spec is read item by item, and an
+    item still past it, or one naming a node not kept open, is one ``_chi`` call per block.
     """
 
     _chi = staticmethod(chi)
@@ -722,20 +739,22 @@ class Weights:
                  _cap: int | None = None):  # read once by a caller, whose evidence is value sets
         self.net, self.square, self.cap = net, net.kind == "quantum", _cap or max_states()
         self.evidence = evidence if _cap else {alpha: value_set(v) for alpha, v in evidence.items()}
+        self._given = frozenset(self.evidence.items())  # keys the last read and the last tensor
         self._ext = net.external_order if self.square else ()
-        self._wide = self._opened(tuple(components))
+        self._nodes = net._shape.query(self._ext, tuple(components))  # the nodes kept open
+        self._wide = False  # (open nodes, tensor) once a read misses; None past the cap
 
-    def _opened(self, comps):
-        """(open nodes, tensor) for the nodes of ``comps``; None past the cap.
-        Only evidence on a node the contraction sums away filters it and,
-        with the open nodes, keys the net's memo of the last tensor (kept
-        read-only). Evidence on an open node masks that axis of a copy, at
-        most the cap in entries, by the shape's indicator, so it never contracts again."""
-        nodes, plan, axis = self.net._shape.query(self._ext, comps)
+    def _opened(self):
+        """(open nodes, tensor), at a read miss only; None past the cap. Only
+        evidence on a node the contraction sums away filters it and, with the
+        open nodes, keys the net's memo of the last tensor (kept read-only).
+        Evidence on an open node masks that axis of a copy, at most the cap in
+        entries, by the shape's indicator, so it never contracts again."""
+        nodes, (plan, axis) = self._nodes, self.net._shape.view(self._nodes)
         if plan.peak > self.cap:
             return None
         summed = {a: v for a, v in self.evidence.items() if a not in axis}
-        key = (nodes, frozenset(summed.items()))
+        key = (nodes, self._given if len(summed) == len(self._given) else frozenset(summed.items()))
         if self.net._last_opened[0] != key:
             tensor = np.asarray(contract(self.net, nodes, summed))
             tensor.flags.writeable = False
@@ -753,8 +772,8 @@ class Weights:
     def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
         """(P(m | E) for every value combo m of ``comps``, f_qna): the combos over their
         total, and that total over chi(E); ContradictoryEvidence if either is zero.
-        ``table``'s one-set case."""
-        (row,) = self.table([tuple(comps)]) or [None]
+        ``table``'s one-set case; ValueError for a component named twice."""
+        (row,) = self.table([_named_once(tuple(comps))]) or [None]
         if row is None:
             raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.evidence)))
         return row
@@ -790,11 +809,13 @@ class Weights:
         return [w for (w,) in self._weigh(spec)]
 
     def _weigh(self, spec, item=None) -> list:
-        """The rows of each item of ``spec``, or of item ``item`` alone; the
-        net keeps the last read."""
-        nodes, tensor = self._wide or ((), None)
-        key = (nodes, spec, frozenset(self.evidence.items()), self.cap)
+        """The rows of each item of ``spec``, or of item ``item`` alone; the net
+        keeps the last read, keyed by reader so path sums never read it."""
+        key = (self._nodes, spec, self._given, self.cap, type(self))
         if self.net._last_read[0] != key:
+            if self._wide is False:
+                self._wide = self._opened()
+            nodes, tensor = self._wide or ((), None)
             layout = spec and tensor is not None and self.net._shape.read(
                 nodes, len(self._ext), 1 + self.square, spec, self.cap)
             if not layout and len(spec) == 1:  # one chi call per block
@@ -830,6 +851,8 @@ def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
     space, axis = shape.space, shape.view(nodes)[1]
     items = [[(a, None) if isinstance(a, str) else a for a in ((i,) if isinstance(i, str) else i)]
              for i in spec]
+    for item in items:  # a set naming a component twice is refused
+        _named_once(tuple(a for a, _ in item))
     if any(a not in axis for item in items for a, _ in item):
         return None
     ends = (0, *itertools.accumulate(math.prod(
@@ -875,10 +898,8 @@ def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: M
     total is chi(E); on quantum nets it need not be (see quantum.f_qna).
     A component left unpinned (None) is InvalidState.
     """
-    check_query(net, hypothesis, evidence)
-    comps, combo = tuple(hypothesis), tuple(hypothesis.values())
+    comps, combo = tuple(hypothesis), check_query(net, hypothesis, evidence)
     if None in combo:
         raise InvalidState(f"hypothesis component {comps[combo.index(None)]} is not pinned")
     weights = engine(net, comps, evidence).combos(comps)
-    index = net.space.combos(comps).index(combo)
-    return normalize(weights, sum(weights), evidence)[index]
+    return normalize(weights, sum(weights), evidence)[net.space.combos(comps).index(combo)]

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NodeBlock, max_states
+from .core import NodeBlock, _state_list, max_states
 from .errors import InvalidParams, StateSpaceTooLarge
 from .quantum import QBNet
 
@@ -310,6 +310,10 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
 
 # the component names t{i}.x{s} of slice i, built once per (i, n_x)
 _slice = functools.lru_cache(maxsize=1024)(lambda i, n_x: tuple(f"t{i}.x{s}" for s in range(n_x)))
+# the root's one-hot state list and every later slice's, shared, built once per n_x (8 kept)
+_one_hots = functools.lru_cache(maxsize=8)(lambda n_x: (
+    _state_list("t0", [(1,) + (0,) * (n_x - 1)]),
+    _state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)])))
 
 
 def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
@@ -324,23 +328,16 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
         raise StateSpaceTooLarge(
             f"{spec.n_x}**{spec.n_t} single-particle configurations exceed the cap"
         )
-    one_hots = [(0,) * s + (1,) + (0,) * (spec.n_x - s - 1) for s in range(spec.n_x)]
-    blocks = [NodeBlock("t0", [one_hots[0]], [1.0 + 0.0j], components=_slice(0, spec.n_x))]
+    root, one_hots = _one_hots(spec.n_x)
+    blocks = [NodeBlock("t0", root, [1.0 + 0.0j], components=_slice(0, spec.n_x))]
     matrices, _ = _step_matrices(spec, kernel)
     matrices[0] = matrices[0][:, [0]]  # the root offers a single parent state
     for i, alpha in enumerate(matrices, start=1):
         blocks.append(NodeBlock(f"t{i}", one_hots, alpha, parents=(f"t{i-1}",),
                                 components=_slice(i, spec.n_x)))
-        one_hots = blocks[-1].states  # the shared list: the next slice finds it by identity
-    meta = {
-        "lattice_kernel": kernel if isinstance(kernel, str) else "custom",
-        "n_x": str(spec.n_x),
-        "dx": repr(spec.dx),
-        "n_t": str(spec.n_t),
-        "dt": repr(spec.dt),
-        "mass": repr(spec.mass),
-        "hbar": repr(spec.hbar),
-    }
+    meta = {"lattice_kernel": kernel if isinstance(kernel, str) else "custom",
+            "n_x": str(spec.n_x), "dx": repr(spec.dx), "n_t": str(spec.n_t), "dt": repr(spec.dt),
+            "mass": repr(spec.mass), "hbar": repr(spec.hbar)}
     return QBNet.from_blocks(blocks, meta=meta)
 
 

@@ -131,7 +131,7 @@ class PathWeights(Weights):
 
     _chi = staticmethod(path_chi)
 
-    def _opened(self, comps):
+    def _opened(self):
         return None
 
 

@@ -82,7 +82,7 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
     components: the hypothesis-summed weight over the plain evidence weight.
     One exactly when the components are all external; otherwise a measure of
     how much coherence the conditioning destroys. ContradictoryEvidence when
-    either weight is zero."""
+    either weight is zero, and ValueError for a component named twice."""
     comps = tuple(components)
     check_query(net, dict.fromkeys(comps), evidence)
     return Weights(net, comps, evidence).row(comps)[1]

@@ -33,6 +33,9 @@ CAP_FALLBACK = ENGINE + "test_cap_fallback_gives_the_same_answers"
 DIGESTS = "tests/test_cli.py::test_cases_stdout_is_byte_identical_to_its_digest"
 INDICATORS = ENGINE + "test_the_evidence_indicators_a_shape_keeps_serve_every_net_of_it"
 OPEN_EVIDENCE = ENGINE + "test_evidence_on_open_nodes_masks_one_cached_contraction"
+WARM_SITES = ENGINE + "test_warm_per_site_conditionals_are_read_memo_hits"
+TWICE = ENGINE + "test_a_set_naming_a_component_twice_is_refused"
+READ_KEY = "key = (self._nodes, spec, self._given, self.cap, type(self))"
 LATTICE = "tests/test_lattice.py::"
 KEYED = LATTICE + "test_each_part_of_the_hamiltonian_keys_its_step_matrix"
 ONCE = LATTICE + "test_a_built_in_kernel_runs_once_per_hamiltonian"
@@ -41,15 +44,30 @@ STEP_KEY = "key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spe
 
 # (name, file under src/qbnet, old text, new text, tests that must fail)
 MUTANTS = [
-    # the one reader
+    # the one reader and its read memo
     ("the last read ignores the evidence", "core.py",
-     "key = (nodes, spec, frozenset(self.evidence.items()), self.cap)",
-     "key = (nodes, spec, frozenset(), self.cap)",
-     [RUNNER_ROWS]),
+     READ_KEY, READ_KEY.replace("self._given", "frozenset()"), [RUNNER_ROWS]),
     ("the last read ignores the spec", "core.py",
-     "key = (nodes, spec, frozenset(self.evidence.items()), self.cap)",
-     "key = (nodes, frozenset(self.evidence.items()), self.cap)",
+     READ_KEY, READ_KEY.replace(" spec,", ""),
      [ENGINE + "test_weights_agree_with_per_block_chi_and_path_sums"]),
+    ("the last read ignores the cap", "core.py",
+     READ_KEY, READ_KEY.replace(" self.cap,", ""),
+     [ENGINE + "test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers"]),
+    ("the last read ignores the open nodes", "core.py",
+     READ_KEY, READ_KEY.replace("self._nodes, ", "(), "),
+     [ENGINE + "test_a_read_has_a_fresh_nets_bits_whatever_the_net_read_before"]),
+    ("weights open at construction", "core.py",
+     "self._wide = False  # (open nodes, tensor) once a read misses; None past the cap",
+     "self._wide = self._opened()",
+     [WARM_SITES]),
+    ("a repeated component reaches the layout", "core.py",
+     "        _named_once(tuple(a for a, _ in item))\n",
+     "        pass\n",
+     [TWICE]),
+    ("a hypothesis value kept uncoerced", "core.py",
+     "combo.append(v if v is None or type(v) is int else _whole(v))",
+     "combo.append(v)",
+     ["tests/test_pathsum.py::test_every_route_rejects_an_unrealizable_hypothesis_value"]),
     ("a batch-dependent matmul kernel", "core.py",
      'amps = np.einsum("ri,ri->r", *[amps.reshape(ends[-1], -1)] * 2)',
      "amps = (amps * amps).reshape(ends[-1], -1) @ np.ones(len(amps) // ends[-1])",
@@ -140,6 +158,10 @@ MUTANTS = [
      "        return _FREE\n",
      "        return zero_potential\n",
      [LATTICE + "test_equal_preset_arguments_give_one_function"]),
+    ("a one-hot memo that returns a list", "lattice.py",
+     '_state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)])',
+     "[(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)]",
+     [LATTICE + "test_a_build_hashes_the_one_hot_list_once"]),
     ("no preset length refusal", "lattice.py",
      "if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):",
      "if False:",

@@ -300,7 +300,9 @@ def test_a_row_is_the_conditionals_and_f_qna(query):
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setenv("QBNET_MAX_STATES", str(cap))
-            fallback = Weights(net, comps, evidence)._wide is None
+            weights = Weights(net, comps, evidence)
+            assert weights._wide is False  # nothing is opened before a read misses
+            fallback = weights._opened() is None
             assert fallback == (cap < _opened_plan_peak(net, comps))
         got = _row(Weights, net, comps, evidence)
     for want in (path_row, pieces):
@@ -484,6 +486,58 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
         assert rows[0] == Weights(target, spec[1], case.as_sets()).total()
 
 
+@pytest.mark.parametrize("evidence", [{}, {"t1.x2": 1}], ids=["no-evidence", "pinned"])
+def test_warm_per_site_conditionals_are_read_memo_hits(monkeypatch, contract_calls, evidence):
+    spec = LatticeSpec.make(8, 1.0, 3, 0.2, potential=potential_preset("harmonic", 8.0, 1.0))
+    net, opened, real = build_lattice_net(spec), [], Weights._opened
+    monkeypatch.setattr(Weights, "_opened", lambda self: opened.append(self.net) or real(self))
+    got = []
+    for s in range(spec.n_x):  # the first call opens the final slice; the rest are hits
+        got.append(quantum_conditional(net, {f"t3.x{s}": 1}, evidence))
+        assert len(contract_calls) == 1 and opened == [net]
+    for s, p in enumerate(got):  # each as a fresh net's first call gives it, bit for bit
+        fresh = quantum_conditional(build_lattice_net(spec), {f"t3.x{s}": 1}, evidence)
+        assert p.hex() == fresh.hex()
+
+
+def test_a_read_has_a_fresh_nets_bits_whatever_the_net_read_before():
+    def build():
+        return parent_cb_net(catalog.build("fig19-loop"))
+
+    net, comps = build(), build().all_components
+    want = {a: Weights(build(), (a,), {}).total().hex() for a in comps}
+    assert len(set(want.values())) > 1  # the open nodes move chi(E)'s last bits
+    for a, b in itertools.product(comps, repeat=2):
+        Weights(net, (a,), {}).total()
+        assert Weights(net, (b,), {}).total().hex() == want[b]
+
+
+def test_an_unknown_open_node_is_named():
+    net = catalog.build("fig19-loop")
+    for open_nodes in (["nope"], ["u", "nope"]):
+        with pytest.raises(KeyError) as err:
+            contract(net, open_nodes)
+        assert err.value.args == ("unknown node 'nope'",)
+
+
+@pytest.mark.parametrize("engine", [Weights, PathWeights])
+@pytest.mark.parametrize("past_cap", [False, True], ids=["opened", "block-by-block"])
+def test_a_set_naming_a_component_twice_is_refused(monkeypatch, engine, past_cap):
+    net = catalog.build("fig19-loop")
+    if past_cap:  # past the opened plan (24), not one chi call's (12)
+        monkeypatch.setenv("QBNET_MAX_STATES", str(_chi_floor(net)))
+    weights, twice = engine(net, ["z.plus"], {}), r"^component 'u\.plus' named twice$"
+    assert (weights._opened() is None) == (past_cap or engine is PathWeights)
+    reads = [lambda: weights.combos(["u.plus", "u.plus"]),
+             lambda: weights.rows([("u.plus", "z.plus", "u.plus")]),
+             lambda: f_qna(net, ["u.plus", "u.plus"], {}),
+             lambda: value_blocks(net, ["z.plus", "u.plus", "u.plus"])]
+    for read in reads:
+        with pytest.raises(ValueError, match=twice):
+            read()
+    assert net._last_read[0] is None  # nothing was read, so nothing is kept
+
+
 def test_a_conditional_costs_one_contraction(contract_calls):
     net = catalog.build("fig19-loop")
     want = chi(net, {"u.plus": 1, "z.minus": 0}) / chi(net, {"z.minus": 0})
@@ -596,9 +650,9 @@ def test_a_lower_cap_between_two_runner_calls_takes_effect(monkeypatch):
     case = catalog.default_cases(net)[3]
     caps, opened = [], Weights._opened
 
-    def spied(self, comps):
+    def spied(self):
         caps.append(self.cap)
-        return opened(self, comps)
+        return opened(self)
 
     monkeypatch.setattr(Weights, "_opened", spied)
     (want,) = catalog.run_evidence_cases(net, cases=[case])
@@ -789,7 +843,8 @@ def open_and_summed_evidence(draw):
 def test_evidence_on_open_nodes_masks_one_cached_contraction(query):
     net, comps, evidence, sets, blocks = query
     weights = Weights(net, comps, evidence)
-    nodes, _ = weights._wide
+    assert weights._wide is False  # nothing is opened before a read misses
+    nodes, _ = weights._opened()
     summed = {a: v for a, v in evidence.items() if net.space.owner(a)[0] not in nodes}
     bare = np.asarray(contract(net, nodes, summed))  # evidence-free when all of it is open
     cached = net._last_opened[1]

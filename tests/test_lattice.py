@@ -475,12 +475,15 @@ def test_a_build_hashes_the_one_hot_list_once(monkeypatch, n_x, n_t):
     from qbnet import core
 
     spec = LatticeSpec.make(n_x, 1.0, n_t, 0.2, potential=potential_preset("harmonic", n_x, 1.0))
+    lattice._one_hots.cache_clear()
     build_lattice_net(LatticeSpec.make(2, 1.0, 2, 0.2))  # another list was looked up last
     lookups, shared = [], core._shared
     monkeypatch.setattr(core, "_shared", lambda states: lookups.append(states) or shared(states))
     net = build_lattice_net(spec)
     assert len(lookups) == 2  # the root's one state, then the slices' one-hot list
     assert {id(net.space._lists[f"t{i}"]) for i in range(1, n_t + 1)} == {id(shared(lookups[1]))}
+    again = build_lattice_net(spec)  # a seen n_x looks nothing up
+    assert len(lookups) == 2 and again._shape is net._shape
     matrices, _ = lattice._step_matrices(spec, "exact")
     for i, alpha in enumerate(matrices, start=1):  # bit for bit the step matrices
         want = alpha[:, [0]] if i == 1 else alpha

@@ -129,6 +129,12 @@ def test_every_route_rejects_an_unrealizable_hypothesis_value(route, monkeypatch
         conditional(target, {"u.plus": 7}, {})
     with pytest.raises(InvalidState, match=r"^u\.plus='1' is outside the component's values"):
         conditional(target, {"u.plus": "1"}, {})
+    for array in (np.array([1]), np.array([0, 1])):  # not one number, whatever its entries
+        with pytest.raises(InvalidState, match=r"^u\.plus=array\(\[.*\]\) is outside the comp"):
+            conditional(target, {"u.plus": array}, {})
+    want = conditional(target, {"u.plus": 1}, {})
+    for whole in (np.int64(1), 1.0, True, np.array(1)):  # answered as the int it equals
+        assert conditional(target, {"u.plus": whole}, {}) == want
     monkeypatch.setattr(Weights, "__init__", lambda *args: pytest.fail("a weight was read"))
     with pytest.raises(InvalidState, match=r"^hypothesis component z\.plus is not pinned$"):
         conditional(target, {"u.plus": 1, "z.plus": None}, {})
