@@ -107,8 +107,8 @@ def validate(net: CBNet) -> ValidationReport:
 # Coarsening
 
 
-def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
-    """Marginalize the net onto ``keep``, returning a net over those nodes.
+def coarsen(net: CBNet, keep: Iterable[str] | str) -> CBNet:
+    """Marginalize the net onto ``keep``, node names or one name, as a net over them.
 
     The kept nodes appear in their original chronological order and the
     result is fully connected: each kept node conditions on every earlier
@@ -118,7 +118,7 @@ def coarsen(net: CBNet, keep: Iterable[str]) -> CBNet:
     summed out.
     """
     expect_kind(net, "classical", "coarsen")
-    keep_set = set(keep)
+    keep_set = {keep} if isinstance(keep, str) else set(keep)
     unknown = keep_set - set(net.graph.nodes)
     if unknown:
         raise KeyError(f"unknown nodes in keep: {sorted(unknown)}")

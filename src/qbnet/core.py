@@ -21,15 +21,15 @@ joint, and the contraction engine computes every one of them without
 materializing it. A greedy planner sums the nodes that are not kept open
 out one at a time, multiplying only the factors that mention the node
 (variable elimination), and compiles the eliminations into einsum steps once
-per net. A filter multiplies a node's factor by a 0/1 indicator of its
+per shape. A filter multiplies a node's factor by a 0/1 indicator of its
 allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
 environment variable) bounds each step's full index space: the product of
 the state counts of every node the step touches.
 
 The dense enumeration (``BaseNet.enumeration`` and ``filter_mask``)
 materializes the joint value vector over the full cartesian product of node
-states. No route computes with it; it stays as the plain reference that the
-engine is tested against. It refuses joints past the same cap through
+states. No route computes with it or keeps it; it stays as the plain reference
+that the engine is tested against. It refuses joints past the same cap through
 ``joint_states``, as the path-sum listing does.
 
 The query layer at the very bottom answers every query from one opened
@@ -59,12 +59,13 @@ of each component tuple, the factor dims, each node's operand slot, a view
 per tuple of open nodes (its plan and each open component's axis), a query's
 open nodes per external nodes and components and the evidence indicators
 (by component, value set, axis and axis count), 256 of each, and the layouts
-of its last ``_READS`` reads. The graph layer is not interned, so what a
-build calls does not depend on what the process built before: each net keeps
-its own ``LabelledGraph`` and external order, its factors, two read-only
-query memos -- the last tensor a ``Weights`` opened (by open nodes and the
-evidence on summed-away nodes) and its last read's rows (by reader, nodes,
-spec, evidence and cap) -- and, on a quantum net, its parent classical net.
+of its last ``_READS`` reads; the view is the one memo of plans. The graph
+layer is not interned, so what a build calls does not depend on what the
+process built before: each net keeps its own ``LabelledGraph`` and external
+order, its factors, two read-only query memos -- the last tensor a
+``Weights`` opened (by open nodes and the evidence on summed-away nodes) and
+its last read's rows (by reader, nodes, spec, evidence and cap) -- and, on a
+quantum net, its parent classical net. README's Memos table lists every memo.
 """
 
 from __future__ import annotations
@@ -370,7 +371,6 @@ class BaseNet:
             raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
         ext = set(classify_nodes(graph).external)
         self.external_order = tuple(n for n in self._shape.order if n in ext)
-        self._enum_cache: _Enumeration | None = None
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_read: tuple = (None, None, None)  # Weights._weigh
 
@@ -459,9 +459,7 @@ class BaseNet:
         return total
 
     def enumeration(self) -> _Enumeration:
-        if self._enum_cache is None:
-            self._enum_cache = _Enumeration(self)
-        return self._enum_cache
+        return _Enumeration(self)
 
     def __repr__(self):
         return f"{type(self).__name__}(nodes={list(self.graph.nodes)})"
@@ -522,7 +520,6 @@ class _Plan:
     peak_nodes: tuple[str, ...]
 
 
-@functools.lru_cache(maxsize=256)
 def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
     """Greedy elimination plan for ``structure`` = (order, parents, sizes).
 

@@ -14,14 +14,15 @@ approximately unitary, and a net built from it fails column normalization
 by design - validation reports that honestly rather than renormalizing.
 
 Both built-in kernels read the time only through V(x, t). A preset potential
-(``potential_preset``, one function per equal arguments, recognized by
-identity) is time-independent, so with one a built-in kernel runs once per
-distinct Hamiltonian per process: its step matrix is kept across builds,
-read-only and keyed by value (kernel, n_x, dx, dt, mass, hbar and the preset
-itself), at most ``_STEP_MEMO_BYTES`` (2 MiB) of them, the oldest dropped
-first. Any other potential is sampled at every step, and a built-in kernel
-runs once per distinct potential vector in each build or propagation. A
-user-supplied kernel runs once per time step.
+(``potential_preset``, an immutable value: name, length and strength) is
+time-independent, so with one a built-in kernel runs once per distinct
+Hamiltonian per process: its step matrix is kept across builds, read-only
+and keyed by value (kernel, n_x, dx, dt, mass, hbar and the preset itself),
+at most ``_STEP_MEMO_BYTES`` (2 MiB) of them, the oldest dropped first. The
+budget is in bytes because a matrix grows as n_x squared. Any other
+potential, a function wrapping a preset too, is sampled at every step, and a
+built-in kernel runs once per distinct potential vector in each build or
+propagation. A user-supplied kernel runs once per time step.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import functools
 import math
 import numbers
 import operator
-import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,15 +43,25 @@ from .quantum import QBNet
 Potential = Callable[[float, float], float]
 
 
-def zero_potential(x: float, t: float) -> float:
-    return 0.0
+class _Preset(NamedTuple):
+    """A built-in potential V(x, t) = V(x, 0) as a value, free by default:
+    equal arguments give equal presets, so a preset keys its step matrix. A
+    named tuple, as a dataclass would cost about 1 ms more at import."""
+
+    name: str = "free"
+    length: float = 0.0
+    strength: float = 0.0
+
+    def __call__(self, x: float, t: float) -> float:
+        if self.name == "harmonic":
+            return 0.5 * self.strength * (x - self.length / 2.0) ** 2
+        if self.name == "well":
+            lo, hi = self.length / 3.0, 2.0 * self.length / 3.0
+            return 0.0 if lo <= x < hi else self.strength
+        return 0.0
 
 
-# the potentials potential_preset returns, V(x, t) = V(x, 0), by identity: one
-# keys its step matrix itself; anything else, a wrapper of one too, is sampled
-# at every step
-_PRESETS = weakref.WeakValueDictionary({id(zero_potential): zero_potential})
-_FREE = zero_potential  # a tracer may wrap the module binding
+zero_potential = _Preset()
 
 
 @dataclass(frozen=True)
@@ -139,29 +149,17 @@ def _finite_positive(name: str, value) -> float:
 def potential_preset(name: str, length: float, strength: float = 1.0) -> Potential:
     """Standard potentials: free, harmonic (centered), square well walls.
 
-    length and strength are read as floats; equal arguments give the same
-    function, so builds with it share their step matrices."""
+    length and strength are read as floats. A preset is a value, equal for equal
+    arguments (a free one equals ``zero_potential``), so builds share its step matrices."""
     if not math.isfinite(strength):
         raise InvalidParams(f"potential strength must be finite, got {strength!r}")
     if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):
         raise InvalidParams(f"potential length must be finite and positive, got {length!r}")
     if name == "free":
-        return _FREE
+        return _Preset()
     if name not in ("harmonic", "well"):
         raise InvalidParams(f"unknown potential preset {name!r}")
-    return _preset(name, float(length), float(strength))
-
-
-@functools.lru_cache(maxsize=256)
-def _preset(name: str, length: float, strength: float) -> Potential:
-    if name == "harmonic":
-        center = length / 2.0
-        potential = lambda x, t: 0.5 * strength * (x - center) ** 2
-    else:
-        lo, hi = length / 3.0, 2.0 * length / 3.0
-        potential = lambda x, t: 0.0 if lo <= x < hi else strength
-    _PRESETS[id(potential)] = potential
-    return potential
+    return _Preset(name, float(length), float(strength))
 
 
 @dataclass
@@ -280,13 +278,13 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
 
     With a preset potential a built-in kernel runs once per distinct
     Hamiltonian per process: its matrix comes from ``_STEPS``, keyed by the
-    kernel, n_x, dx, dt, mass, hbar and the preset itself (unsampled), up to
-    ``_STEP_MEMO_BYTES`` (2 MiB) of them. With any other potential it runs
+    kernel, n_x, dx, dt, mass, hbar and the preset's value (unsampled), up
+    to ``_STEP_MEMO_BYTES`` (2 MiB) of them. With any other potential it runs
     once per distinct potential vector in the call, keyed by its bytes; a
     user-supplied kernel runs once per step. The final amplitudes and their
     check depend on n_t, so every call makes them."""
     step, user = _kernel_fn(kernel), callable(kernel)
-    if not user and _PRESETS.get(id(spec.potential)) is spec.potential:
+    if not user and isinstance(spec.potential, _Preset):
         key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)
         matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t
     else:
@@ -308,12 +306,13 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     return matrices, psi
 
 
-# the component names t{i}.x{s} of slice i, built once per (i, n_x)
-_slice = functools.lru_cache(maxsize=1024)(lambda i, n_x: tuple(f"t{i}.x{s}" for s in range(n_x)))
-# the root's one-hot state list and every later slice's, shared, built once per n_x (8 kept)
-_one_hots = functools.lru_cache(maxsize=8)(lambda n_x: (
-    _state_list("t0", [(1,) + (0,) * (n_x - 1)]),
-    _state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)])))
+@functools.lru_cache(maxsize=16)
+def _chain(n_x: int, n_t: int) -> tuple:
+    """A chain's root state list, the one-hot list its later slices share and
+    every slice's component names t{i}.x{s}, built once per (n_x, n_t)."""
+    return (_state_list("t0", [(1,) + (0,) * (n_x - 1)]),
+            _state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)]),
+            tuple(tuple(f"t{i}.x{s}" for s in range(n_x)) for i in range(n_t + 1)))
 
 
 def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
@@ -328,13 +327,13 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
         raise StateSpaceTooLarge(
             f"{spec.n_x}**{spec.n_t} single-particle configurations exceed the cap"
         )
-    root, one_hots = _one_hots(spec.n_x)
-    blocks = [NodeBlock("t0", root, [1.0 + 0.0j], components=_slice(0, spec.n_x))]
+    root, one_hots, names = _chain(spec.n_x, spec.n_t)
+    blocks = [NodeBlock("t0", root, [1.0 + 0.0j], components=names[0])]
     matrices, _ = _step_matrices(spec, kernel)
     matrices[0] = matrices[0][:, [0]]  # the root offers a single parent state
     for i, alpha in enumerate(matrices, start=1):
         blocks.append(NodeBlock(f"t{i}", one_hots, alpha, parents=(f"t{i-1}",),
-                                components=_slice(i, spec.n_x)))
+                                components=names[i]))
     meta = {"lattice_kernel": kernel if isinstance(kernel, str) else "custom",
             "n_x": str(spec.n_x), "dx": repr(spec.dx), "n_t": str(spec.n_t), "dt": repr(spec.dt),
             "mass": repr(spec.mass), "hbar": repr(spec.hbar)}

@@ -134,10 +134,16 @@ MUTANTS = [
      STEP_KEY, STEP_KEY.replace("(kernel, ", "("), [KEYED]),
     ("the preset is not in the step key", "lattice.py",
      STEP_KEY, STEP_KEY.replace(", spec.potential)", ")"), [KEYED]),
-    ("a step matrix kept for any potential", "lattice.py",
-     "if not user and _PRESETS.get(id(spec.potential)) is spec.potential:",
-     "if not user:",
-     [LATTICE + "test_a_time_dependent_potential_runs_the_kernel_at_every_step"]),
+    ("any callable treated as a preset", "lattice.py",
+     "if not user and isinstance(spec.potential, _Preset):",
+     "if not user and callable(spec.potential):",
+     [LATTICE + "test_a_time_dependent_potential_runs_the_kernel_at_every_step",
+      LATTICE + "test_a_wrapped_preset_is_sampled_at_every_step"]),
+    ("the strength is not in the preset's equality", "lattice.py",
+     "    strength: float = 0.0\n",
+     "    strength: float = 0.0\n    __eq__ = lambda a, b: a[:2] == b[:2]\n"
+     "    __hash__ = lambda a: hash(a[:2])\n",
+     [KEYED]),
     ("a writeable step matrix", "lattice.py",
      "            matrix.flags.writeable = False\n",
      "",
@@ -154,14 +160,14 @@ MUTANTS = [
      "matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t",
      "matrices = [step(spec, 0.0).matrix] * spec.n_t",
      [ONCE]),
-    ("the free preset through its module binding", "lattice.py",
-     "        return _FREE\n",
-     "        return zero_potential\n",
-     [LATTICE + "test_equal_preset_arguments_give_one_function"]),
-    ("a one-hot memo that returns a list", "lattice.py",
+    ("a chain memo that returns a plain list", "lattice.py",
      '_state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)])',
      "[(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)]",
      [LATTICE + "test_a_build_hashes_the_one_hot_list_once"]),
+    ("an unbounded memo", "lattice.py",
+     "@functools.lru_cache(maxsize=16)\ndef _chain(",
+     "@functools.lru_cache(maxsize=None)\ndef _chain(",
+     [ENGINE + "test_the_memos_table_names_every_memo"]),
     ("no preset length refusal", "lattice.py",
      "if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):",
      "if False:",

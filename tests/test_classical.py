@@ -249,6 +249,16 @@ def test_coarsen_deterministic_and_order_insensitive():
         )
 
 
+@pytest.mark.parametrize("net_id, name", [("fig9-and", "z"), ("fig12-clauser-horne", "x1")])
+def test_coarsen_reads_a_string_as_one_node_name(net_id, name):
+    from qbnet.catalog import build
+
+    net = build(net_id)
+    one, listed = coarsen(net, name), coarsen(net, [name])
+    assert one.graph.nodes == listed.graph.nodes == (name,)
+    assert one.table(name).tobytes() == listed.table(name).tobytes()
+
+
 def test_coarsen_argument_checks():
     net = and_gate_net()
     with pytest.raises(KeyError):

@@ -1,11 +1,14 @@
 """The contraction engine against the dense reference and the path sums."""
 
 import collections
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbnet
-from qbnet import catalog, core, quantum
+from qbnet import catalog, core, lattice, quantum
 from qbnet.classical import (
     CBNet,
     chi_classical,
@@ -1039,6 +1042,41 @@ def test_the_shape_cache_and_its_memos_are_bounded():
     assert shape.space._combos.cache_info().maxsize == 256
 
 
+def _memo_rows():
+    """{name: (kind, bound)} of each row of README's Memos table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Memos\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| `")]
+    return {name.strip("`"): (kind, bound) for name, kind, _, _, bound, _ in rows}
+
+
+def test_the_memos_table_names_every_memo():
+    rows = _memo_rows()
+    assert {kind for kind, _ in rows.values()} == {"lru_cache", "net attribute", "byte budget"}
+    net = catalog.build("fig19-loop")
+    parent_cb_net(net)
+    owners = {"_Shape": net._shape, "StateSpace": net.space, "BaseNet": net, "QBNet": net}
+    modules = {m.name: importlib.import_module(f"qbnet.{m.name}")
+               for m in pkgutil.iter_modules(qbnet.__path__) if m.name != "__main__"}
+    found = {}  # every lru_cache wrapper, by the name the table gives it
+    for owner, obj in {**owners, **modules}.items():
+        found.update((f"{owner}.{attr}", memo) for attr, memo in vars(obj).items()
+                     if hasattr(memo, "cache_parameters")
+                     and (owner in owners or memo.__module__ == obj.__name__))  # not an import
+    owners.update(modules)
+    for name, memo in found.items():
+        maxsize = memo.cache_parameters()["maxsize"]
+        assert maxsize is not None, f"{name} is unbounded"
+        assert rows.get(name, ("", ""))[0] == "lru_cache", f"{name} has no lru_cache row"
+        assert rows[name][1].split()[0] == str(maxsize), f"{name} keeps {maxsize}"
+    for name, (kind, _) in rows.items():
+        owner, attr = name.rsplit(".", 1)
+        assert attr in vars(owners[owner]), f"{name} names no memo"
+        assert (kind == "lru_cache") == (name in found), name
+    assert isinstance(lattice._STEPS, lattice._StepMemo) and rows["lattice._STEPS"][0] == "byte budget"
+
+
 def _two_cycle(table=np.eye(2), components=None):
     return [NodeBlock("u", [0, 1], table, parents=("w",)),
             NodeBlock("w", [0, 1], np.eye(2), parents=("u",), components=components)]
@@ -1066,18 +1104,20 @@ def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
         assert core._shape_of.cache_info().currsize == kept
 
 
-def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(contract_calls):
+def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(monkeypatch, contract_calls):
     seen = build_lattice_net(_harmonic_chain())
     for h, e in CHAIN_QUERIES:
         quantum_conditional(seen, h, e)
-    compiles, views = core._compile.cache_info().misses, seen._shape.view.cache_info()
+    compiles, real = [], core._compile
+    monkeypatch.setattr(core, "_compile", lambda *a: compiles.append(a) or real(*a))
+    views = seen._shape.view.cache_info()
     spec = _harmonic_chain(dt=0.3, strength=2.0)
     fresh = build_lattice_net(spec)
     assert fresh._shape is seen._shape
     got = [quantum_conditional(fresh, h, e) for h, e in CHAIN_QUERIES[:8]]
     np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
     quantum_conditional(fresh, *CHAIN_QUERIES[8])
-    assert core._compile.cache_info().misses == compiles
+    assert compiles == []
     assert fresh._shape.view.cache_info()[1:] == views[1:]  # no miss, no new entry
     assert len(contract_calls) == 2 * 2  # per net: the final slice, then past the evidence
 

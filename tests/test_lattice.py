@@ -242,12 +242,16 @@ def test_potential_presets_refuse_a_length_that_is_not_finite_and_positive(prese
     assert str(err.value) == f"potential length must be finite and positive, got {length!r}"
 
 
-def test_equal_preset_arguments_give_one_function(monkeypatch):
-    assert potential_preset("harmonic", 3.0, 2.0) is potential_preset("harmonic", 3, 2)
-    assert potential_preset("well", 3.0, 2.0) is not potential_preset("well", 3.0, 2.5)
+def test_equal_preset_arguments_give_one_function(monkeypatch, kernel_calls):
+    a, b = potential_preset("harmonic", 3.0, 2.0), potential_preset("harmonic", 3, 2)
+    assert a == b and hash(a) == hash(b)
+    assert potential_preset("well", 3.0, 2.0) != potential_preset("well", 3.0, 2.5)
     zero = lattice.zero_potential
     monkeypatch.setattr(lattice, "zero_potential", lambda x, t: zero(x, t))  # as a tracer wraps it
-    assert potential_preset("free", 3.0) is potential_preset("free", 4.0) is zero
+    assert potential_preset("free", 3.0) == potential_preset("free", 4.0) == zero
+    for length in (3.0, 4.0):
+        build_lattice_net(LatticeSpec.make(3, 1.0, 2, 0.2, potential=potential_preset("free", length)))
+    assert kernel_calls == [0.0]  # the second build's free preset keys the first one's matrix
 
 
 @pytest.mark.parametrize("kernel", [step_amplitudes_exact, step_amplitudes_gaussian])
@@ -475,7 +479,7 @@ def test_a_build_hashes_the_one_hot_list_once(monkeypatch, n_x, n_t):
     from qbnet import core
 
     spec = LatticeSpec.make(n_x, 1.0, n_t, 0.2, potential=potential_preset("harmonic", n_x, 1.0))
-    lattice._one_hots.cache_clear()
+    lattice._chain.cache_clear()
     build_lattice_net(LatticeSpec.make(2, 1.0, 2, 0.2))  # another list was looked up last
     lookups, shared = [], core._shared
     monkeypatch.setattr(core, "_shared", lambda states: lookups.append(states) or shared(states))
