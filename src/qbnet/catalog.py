@@ -472,9 +472,10 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     """Evaluate evidence cases against single and pair hypotheses.
 
     Returns one CaseResult per case. A case whose evidence is impossible
-    is marked no_output with no rows; a row of zero weight is recorded as
-    an error. Each case reads chi(E) and every row with one ``Weights.rows``
-    read on the quantum net and one on its parent, normalized by one loop
+    is marked no_output with no rows; a row of zero weight, an unknown
+    component or one constrained twice is recorded as an error. Each case
+    reads chi(E) and every row with one ``Weights.rows`` read on the
+    quantum net and one on its parent, normalized by one loop
     over the sets (``Weights.table``), so a row has the bits that
     ``Weights.row`` reads off the same open nodes. The sets and their combos
     are kept per state space (256 kept). Evidence on the query components' nodes
@@ -497,6 +498,10 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
         unknown = [a for a in evidence if not net.space.has_component(a)]
         if unknown:
             result.errors.append(f"unknown components {sorted(unknown)}")
+            continue
+        if len(evidence) != len(case.constraints):  # a component given twice keeps one cell
+            names = [a for a, _ in case.constraints]
+            result.errors.append(f"component {max(names, key=names.count)!r} constrained twice")
             continue
         qb = Weights(net, comps, evidence, cap).table(sets)
         cb = None if qb is None else Weights(parent, comps, evidence, cap).table(sets)

@@ -21,7 +21,7 @@ joint, and the contraction engine computes every one of them without
 materializing it. A greedy planner sums the nodes that are not kept open
 out one at a time, multiplying only the factors that mention the node
 (variable elimination), and compiles the eliminations into einsum steps once
-per shape. A filter multiplies a node's factor by a 0/1 indicator of its
+per state space. A filter multiplies a node's factor by a 0/1 indicator of its
 allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
 environment variable) bounds each step's full index space: the product of
 the state counts of every node the step touches.
@@ -53,13 +53,11 @@ probabilities-only half, skips chi(E), which can vanish on a quantum net.
 Nets never change after construction, so what does not depend on their tables
 is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
 share one checked ``_StateList`` (256 kept) and its int array. Blocks of
-equal names, parents, components and state lists share one ``_Shape`` (256
-kept), as does a quantum net's parent: the state space with the value combos
-of each component tuple, the factor dims, each node's operand slot, a view
-per tuple of open nodes (its plan and each open component's axis), a query's
-open nodes per external nodes and components and the evidence indicators
-(by component, value set, axis and axis count), 256 of each, and the layouts
-of its last ``_READS`` reads; the view is the one memo of plans. The graph
+equal names, parents, components and state lists share one ``StateSpace``
+(256 kept), the one object that holds what nets of that structure share,
+its plans and evidence indicators included. A net built on a graph and a
+space keeps the space if the graph's parents match it, as a quantum net's
+parent does, and else takes its graph's interned space. The graph
 layer is not interned, so what a build calls does not depend on what the
 process built before: each net keeps its own ``LabelledGraph`` and external
 order, its factors, two read-only query memos -- the last tensor a
@@ -84,7 +82,7 @@ from .errors import StateSpaceTooLarge
 from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 
 DEFAULT_MAX_STATES = 2 ** 20
-_READS = 2  # read layouts a shape keeps: a quantum net's and its parent's
+_READS = 2  # read layouts a state space keeps: a quantum net's and its parent's
 _ZERO_WEIGHT = "evidence {} has zero weight"
 
 
@@ -152,11 +150,14 @@ def _state_list(node: str, states) -> _StateList:
 
 
 class StateSpace:
-    """Per-node state lists plus the global component naming, from one
-    (name, parents, components, ``_StateList``) per node, as ``_shape_of``
-    reads them off the blocks. Nodes with equal state lists share one list."""
+    """What nets of one structure share whatever their tables, from one (name,
+    parents, components, ``_StateList``) per node and the labelling (None for
+    a cycle): state lists, component naming, factor dims, node slots and, 256
+    each, the value combos per component tuple, a view (plan, axis map) per
+    tuple of open nodes, a query's open nodes per (ext, comps), an evidence
+    indicator per (component, value set, axis, ndim); and ``_READS`` layouts."""
 
-    def __init__(self, nodes: Sequence[tuple]):
+    def __init__(self, nodes: Sequence[tuple], chron: tuple[str, ...] | None):
         self._components = {name: comps for name, _, comps, _ in nodes}
         self._lists: dict[str, _StateList] = {}
         for name, _, comps, states in nodes:
@@ -166,9 +167,7 @@ class StateSpace:
                 raise ValueError(f"node {name!r} has no states")
             if states.widths != {width}:
                 s = next(s for s in states.states if len(s) != width)
-                raise ValueError(
-                    f"node {name!r}: state {s} has {len(s)} entries, expected {width}"
-                )
+                raise ValueError(f"node {name!r}: state {s} has {len(s)} entries, expected {width}")
             if len(states.index) != len(states.states):
                 raise ValueError(f"node {name!r} has duplicate states")
         self._owner: dict[str, tuple[str, int]] = {}
@@ -177,8 +176,20 @@ class StateSpace:
                 if alpha in self._owner:
                     raise ValueError(f"component name {alpha!r} is not globally unique")
                 self._owner[alpha] = (node, k)
+        self.parents: dict[str, tuple[str, ...]] = {name: ps for name, ps, _, _ in nodes}
+        self.chron, self.order = chron, (tuple(self.parents) if chron is None else chron)
+        self.slot = {n: j for j, n in enumerate(self.order)}  # each node's operand in ``contract``
+        self.dims = {n: tuple(len(self._lists[v].states) for v in (*ps, n))
+                     for n, ps in self.parents.items()}
         self._combos = functools.lru_cache(maxsize=256)(
             lambda comps: tuple(itertools.product(*map(self.component_values, comps))))
+        self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
+            _compile(self, open_nodes),
+            {a: j for j, n in enumerate(open_nodes) for a in self._components[n]}))
+        self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: tuple(
+            dict.fromkeys([*ext, *(self.owner(a)[0] for a in comps)])))
+        self.read = functools.lru_cache(maxsize=_READS)(lambda *key: _layout(self, *key))
+        self.indicator = functools.lru_cache(maxsize=256)(self.indicator)  # the method, memoized
 
     def components(self, node: str) -> tuple[str, ...]:
         return self._components[node]
@@ -212,6 +223,15 @@ class StateSpace:
         except (KeyError, InvalidState):
             raise InvalidState(f"{state!r} is not a state of node {node!r}") from None
 
+    def indicator(self, alpha: str, values: frozenset, axis: int, ndim: int):
+        """Darwiche's evidence indicator of alpha in ``values``: a read-only 0/1
+        array over the owner node's states, on axis ``axis`` of ``ndim``."""
+        node, k = self.owner(alpha)
+        at = np.isin(self._lists[node].array[:, k], list(values))
+        at = at.reshape([-1 if j == axis else 1 for j in range(ndim)])
+        at.flags.writeable = False
+        return at
+
 
 @dataclass
 class NodeBlock:
@@ -240,51 +260,13 @@ class NodeBlock:
             if width == 1:
                 self.components = (self.name,)
             else:
-                raise ValueError(
-                    f"node {self.name!r} has {width} components; explicit names required"
-                )
+                raise ValueError(f"node {self.name!r} has {width} components; "
+                                 "explicit names required")
         else:
             self.components = tuple(self.components)
 
 
-class _Shape:
-    """What nets of equal structure share whatever their tables: the state
-    space, the chronological labelling it was built with (None for a cycle),
-    factor dims, node slots, one view (plan, axis map) per tuple of open nodes,
-    a query's open nodes per (ext, comps) and one evidence indicator per
-    (component, value set, axis, ndim), 256 each, and the ``_layout`` of ``_READS`` reads."""
-
-    def __init__(self, space: StateSpace, parents: Mapping[str, tuple], chron):
-        self.space, self.chron = space, chron
-        self.order: tuple[str, ...] = tuple(parents) if chron is None else chron
-        self.slot = {n: j for j, n in enumerate(self.order)}  # each node's operand in ``contract``
-        self.dims = {n: tuple(len(space.states(v)) for v in (*ps, n)) for n, ps in parents.items()}
-        self.structure = (self.order, tuple(parents[n] for n in self.order),
-                          tuple(self.dims[n][-1] for n in self.order))
-        self.view = functools.lru_cache(maxsize=256)(lambda open_nodes: (
-            _compile(self.structure, open_nodes),
-            {a: j for j, n in enumerate(open_nodes) for a in space.components(n)}))
-        self.query = functools.lru_cache(maxsize=256)(lambda ext, comps: tuple(
-            dict.fromkeys([*ext, *(space.owner(a)[0] for a in comps)])))
-        self.read = functools.lru_cache(maxsize=_READS)(lambda *key: _layout(self, *key))
-        self.indicator = functools.lru_cache(maxsize=256)(functools.partial(_indicator, space))
-
-
-def _indicator(space: StateSpace, alpha: str, values: frozenset, axis: int, ndim: int):
-    """Darwiche's evidence indicator of alpha in ``values``: a read-only 0/1
-    array over the owner node's states, on axis ``axis`` of ``ndim``."""
-    node, k = space.owner(alpha)
-    at = np.isin(space._lists[node].array[:, k], list(values))
-    at = at.reshape([-1 if j == axis else 1 for j in range(ndim)])
-    at.flags.writeable = False
-    return at
-
-
-@functools.lru_cache(maxsize=256)
-def _shape_of(nodes: tuple[tuple, ...], chron: tuple[str, ...] | None) -> _Shape:
-    """The one shape of equal (name, parents, components, ``_StateList``)
-    nodes and their labelling, 256 kept; a refused space raises every time."""
-    return _Shape(StateSpace(nodes), {n[0]: n[1] for n in nodes}, chron)
+_space_of = functools.lru_cache(maxsize=256)(StateSpace)  # one per equal structure, by value
 
 
 def _labelling(graph: LabelledGraph) -> tuple[str, ...] | None:
@@ -336,23 +318,24 @@ def as_table(factor: np.ndarray) -> np.ndarray:
 
 
 class BaseNet:
-    """Graph + one factor per node, over a shape (state space, plans) that
-    nets of equal structure share. Treat as immutable."""
+    """Graph + one factor per node, over a state space (lists, plans, memos)
+    that nets of equal structure share. Treat as immutable."""
 
     dtype: type = np.float64
     kind = "classical"
 
     def __init__(self, graph: LabelledGraph, space: StateSpace, tables: Mapping[str, np.ndarray],
-                 meta: Mapping[str, str] | None = None, pre_net: bool = False,
-                 _shape: _Shape | None = None):  # the interned shape of ``graph`` and ``space``
+                 meta: Mapping[str, str] | None = None, pre_net: bool = False):
         self.graph = graph
-        self._shape = _shape or _Shape(space, {n: graph.parents(n) for n in graph.nodes},
-                                       _labelling(graph))
-        self.space = self._shape.space
+        parents = list(map(graph.parents, graph.nodes))  # in declared order, a cycle's node order
+        if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:
+            space = _space_of(tuple((n, ps, space.components(n), space._lists[n])  # its own space
+                                    for n, ps in zip(graph.nodes, parents)), _labelling(graph))
+        self.space = space
         self.pre_net = bool(pre_net)
         self.meta: dict[str, str] = dict(meta or {})
         self._factors: dict[str, np.ndarray] = {}
-        for node, dims in self._shape.dims.items():
+        for node, dims in space.dims.items():
             if node not in tables:
                 raise ValueError(f"missing table for node {node!r}")
             arr = np.asarray(tables[node], dtype=self.dtype)
@@ -360,17 +343,16 @@ class BaseNet:
             if arr.ndim == 1 and n_cols == 1:
                 arr = arr.reshape(dims[-1], 1)
             if arr.shape != (dims[-1], n_cols):
-                raise ValueError(
-                    f"node {node!r}: table shape {arr.shape}, expected ({dims[-1]}, {n_cols})"
-                )
+                raise ValueError(f"node {node!r}: table shape {arr.shape}, "
+                                 f"expected ({dims[-1]}, {n_cols})")
             # column c holds the parent states whose C-order flat index is c
             factor = arr.T.reshape(dims).copy()
             factor.flags.writeable = False
             self._factors[node] = factor
-        if self._shape.chron is None and not self.pre_net:
+        if space.chron is None and not self.pre_net:
             raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
         ext = set(classify_nodes(graph).external)
-        self.external_order = tuple(n for n in self._shape.order if n in ext)
+        self.external_order = tuple(n for n in space.order if n in ext)
         self._last_opened: tuple[tuple | None, np.ndarray | None] = (None, None)  # Weights._opened
         self._last_read: tuple = (None, None, None)  # Weights._weigh
 
@@ -383,14 +365,12 @@ class BaseNet:
         arrows = [Arrow(p, b.name) for b in blocks for p in b.parents]
         arrows += [Arrow(n) for n in names if n not in with_children]
         graph = LabelledGraph(names, arrows)
-        shape = _shape_of(tuple(
+        space = _space_of(tuple(
             (b.name, tuple(b.parents), tuple(b.components),
              b._list if b._list.states is b.states else _state_list(b.name, b.states))
             for b in blocks), _labelling(graph))
-        tables = {
-            b.name: cls._tabulate(b, shape.space) if callable(b.table) else b.table for b in blocks
-        }
-        return cls(graph, shape.space, tables, meta=meta, pre_net=pre_net, _shape=shape)
+        tables = {b.name: cls._tabulate(b, space) if callable(b.table) else b.table for b in blocks}
+        return cls(graph, space, tables, meta=meta, pre_net=pre_net)
 
     @classmethod
     def _tabulate(cls, block: NodeBlock, space: StateSpace) -> np.ndarray:
@@ -403,12 +383,12 @@ class BaseNet:
 
     def node_order(self) -> tuple[str, ...]:
         """Chronological order for acyclic nets, declared order for cyclic pre-nets."""
-        return self._shape.order
+        return self.space.order
 
     @property
     def chronological(self) -> tuple[str, ...]:
         """The chronological labelling; a cyclic pre-net raises CyclicGraph."""
-        return self._shape.chron or chronological_labelling(self.graph)
+        return self.space.chron or chronological_labelling(self.graph)
 
     @property
     def external_components(self) -> tuple[str, ...]:
@@ -491,7 +471,7 @@ def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray |
     en, mask = net.enumeration(), True
     for alpha, allowed in sets.items():
         at = en.node_state_indices(net.space.owner(alpha)[0])
-        mask = mask & net._shape.indicator(alpha, value_set(allowed), 0, 1)[at]
+        mask = mask & net.space.indicator(alpha, value_set(allowed), 0, 1)[at]
     return mask
 
 
@@ -500,7 +480,7 @@ def filter_mask(net: BaseNet, sets: Mapping[str, Iterable[int]]) -> np.ndarray |
 #
 # A plan depends on the graph and the state counts alone, never on the table
 # values, so nets with the same structure (a quantum net and its parent
-# classical net, or two lattice chains of one shape) share it.
+# classical net, or two lattice chains of one shape) share it on their space.
 
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -520,18 +500,18 @@ class _Plan:
     peak_nodes: tuple[str, ...]
 
 
-def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
-    """Greedy elimination plan for ``structure`` = (order, parents, sizes).
+def _compile(space: StateSpace, open_nodes: tuple[str, ...]) -> _Plan:
+    """Greedy elimination plan over the space's nodes, parents and state counts.
 
     Each round sums out the pending node whose step spans the fewest index
     states (then the one leaving the smallest result, then the earliest), so
     the greedy choice keeps the cap-relevant peak low. Summing a node out of
     a lone intermediate result is folded into the step that made it.
     """
-    order, parents, sizes = structure
-    size = dict(zip(order, sizes))
+    order = space.order
+    size = {node: space.dims[node][-1] for node in order}
     n = len(order)
-    axes = [ps + (node,) for node, ps in zip(order, parents)]
+    axes = [space.parents[node] + (node,) for node in order]
     live = set(range(n))
     steps = []  # [operand slots, output axes]; step k writes slot n + k
 
@@ -582,10 +562,6 @@ def _compile(structure, open_nodes: tuple[str, ...]) -> _Plan:
     return _Plan(tuple(compiled), peak, peak_nodes)
 
 
-def _plan(net: BaseNet, open_nodes: tuple[str, ...]) -> _Plan:
-    return net._shape.view(open_nodes)[0]
-
-
 def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None = None):
     """Sum the joint over every node outside ``open_nodes``.
 
@@ -595,9 +571,9 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
     plan spans more index states than the cap.
     """
     try:
-        plan = _plan(net, tuple(open_nodes))
+        plan = net.space.view(tuple(open_nodes))[0]
     except KeyError:  # a node the net lacks, worded as graph.node_order_relation words it
-        unknown = next(n for n in open_nodes if n not in net._shape.slot)
+        unknown = next(n for n in open_nodes if n not in net.space.slot)
         raise KeyError(f"unknown node {unknown!r}") from None
     cap = max_states()
     if plan.peak > cap:
@@ -605,10 +581,10 @@ def contract(net: BaseNet, open_nodes: Sequence[str] = (), fixed: Mapping | None
             f"contraction step over nodes {', '.join(plan.peak_nodes)} spans "
             f"{plan.peak} index states, over the cap of {cap}"
         )
-    ops, shape = [net.factor(n) for n in net.node_order()], net._shape
+    ops, space = [net.factor(n) for n in net.node_order()], net.space
     for alpha, allowed in (fixed or {}).items():  # a 1-D indicator: the factor's last axis
-        slot = shape.slot[net.space.owner(alpha)[0]]
-        ops[slot] = ops[slot] * shape.indicator(alpha, value_set(allowed), 0, 1)
+        slot = space.slot[space.owner(alpha)[0]]
+        ops[slot] = ops[slot] * space.indicator(alpha, value_set(allowed), 0, 1)
     if not plan.steps:  # a net without nodes: the empty product
         return np.ones((), dtype=net.dtype)
     for slots, subscripts in plan.steps:
@@ -738,7 +714,7 @@ class Weights:
         self.evidence = evidence if _cap else {alpha: value_set(v) for alpha, v in evidence.items()}
         self._given = frozenset(self.evidence.items())  # keys the last read and the last tensor
         self._ext = net.external_order if self.square else ()
-        self._nodes = net._shape.query(self._ext, tuple(components))  # the nodes kept open
+        self._nodes = net.space.query(self._ext, tuple(components))  # the nodes kept open
         self._wide = False  # (open nodes, tensor) once a read misses; None past the cap
 
     def _opened(self):
@@ -746,8 +722,8 @@ class Weights:
         evidence on a node the contraction sums away filters it and, with the
         open nodes, keys the net's memo of the last tensor (kept read-only).
         Evidence on an open node masks that axis of a copy, at most the cap in
-        entries, by the shape's indicator, so it never contracts again."""
-        nodes, (plan, axis) = self._nodes, self.net._shape.view(self._nodes)
+        entries, by the space's indicator, so it never contracts again."""
+        nodes, (plan, axis) = self._nodes, self.net.space.view(self._nodes)
         if plan.peak > self.cap:
             return None
         summed = {a: v for a, v in self.evidence.items() if a not in axis}
@@ -756,7 +732,7 @@ class Weights:
             tensor = np.asarray(contract(self.net, nodes, summed))
             tensor.flags.writeable = False
             self.net._last_opened = (key, tensor)
-        tensor, indicator = self.net._last_opened[1], self.net._shape.indicator
+        tensor, indicator = self.net._last_opened[1], self.net.space.indicator
         for alpha, allowed in self.evidence.items():
             if alpha in axis:
                 tensor = tensor * indicator(alpha, allowed, axis[alpha], len(nodes))
@@ -813,7 +789,7 @@ class Weights:
             if self._wide is False:
                 self._wide = self._opened()
             nodes, tensor = self._wide or ((), None)
-            layout = spec and tensor is not None and self.net._shape.read(
+            layout = spec and tensor is not None and self.net.space.read(
                 nodes, len(self._ext), 1 + self.square, spec, self.cap)
             if not layout and len(spec) == 1:  # one chi call per block
                 one = (spec[0],) if isinstance(spec[0], str) else spec[0]
@@ -836,7 +812,7 @@ class Weights:
         return [rows[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
+def _layout(space: StateSpace, nodes, n_ext: int, width: int, spec, cap: int):
     """A read of ``spec`` off a tensor over ``nodes`` (the first ``n_ext``
     external) of ``width`` floats an entry: (picks, bins, bin count, row ends
     from 0), picks indexing the tensor's entries and bins their floats' (row,
@@ -845,7 +821,7 @@ def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
     tuple of (component, value set) pairs (one row); a row picks the entries
     where its components take its values and its value sets hold. None past
     the cap (rows x entries) or for a node not open."""
-    space, axis = shape.space, shape.view(nodes)[1]
+    axis = space.view(nodes)[1]
     items = [[(a, None) if isinstance(a, str) else a for a in ((i,) if isinstance(i, str) else i)]
              for i in spec]
     for item in items:  # a set naming a component twice is refused
@@ -868,7 +844,7 @@ def _layout(shape: _Shape, nodes, n_ext: int, width: int, spec, cap: int):
                 at = at.reshape([-1 if j == axis[a] else 1 for j in range(len(dims))])
                 row = row * len(values) + np.searchsorted(values, at)
             else:
-                keep = keep & shape.indicator(a, allowed, axis[a], len(dims))
+                keep = keep & space.indicator(a, allowed, axis[a], len(dims))
         at = np.flatnonzero(np.broadcast_to(keep, dims))
         picks.append(at)
         row = np.broadcast_to(row, dims).reshape(-1)[at]

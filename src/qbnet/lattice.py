@@ -69,10 +69,10 @@ class LatticeSpec:
     """Box, grid, particle, and potential for a lattice run.
 
     length = n_x * dx and total_time = n_t * dt must hold; use ``make`` to
-    fill the products in automatically. dx, dt, mass and hbar must be
-    positive and finite; the kernels also need the hop term and dtheta
-    derived from them to be. The potential is a callable V(x, t)
-    evaluated at site positions x_s = s * dx.
+    fill the products in automatically. Every float field must be a real
+    number, and dx, dt, mass and hbar positive and finite; the kernels also
+    need the hop term and dtheta derived from them to be. The potential is
+    a callable V(x, t) evaluated at site positions x_s = s * dx.
     """
 
     length: float
@@ -87,13 +87,11 @@ class LatticeSpec:
 
     def __post_init__(self):
         for name in ("n_x", "n_t"):  # a numpy integer is stored as an int
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.n_x < 1 or self.n_t < 1:
             raise InvalidParams("n_x and n_t must be at least 1")
+        for name in ("dx", "dt", "mass", "hbar", "length", "total_time"):
+            _real(name, getattr(self, name))
         for name in ("dx", "dt", "mass", "hbar"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be positive")
@@ -109,17 +107,11 @@ class LatticeSpec:
 
     @classmethod
     def make(cls, n_x, dx, n_t, dt, mass=1.0, hbar=1.0, potential=None):
-        return cls(
-            length=n_x * dx,
-            dx=dx,
-            n_x=n_x,
-            total_time=n_t * dt,
-            dt=dt,
-            n_t=n_t,
-            mass=mass,
-            hbar=hbar,
-            potential=potential if potential is not None else zero_potential,
-        )
+        n_x, n_t = _count("n_x", n_x), _count("n_t", n_t)  # checked before they multiply
+        dx, dt = _real("dx", dx), _real("dt", dt)
+        return cls(length=n_x * dx, dx=dx, n_x=n_x, total_time=n_t * dt, dt=dt, n_t=n_t,
+                   mass=mass, hbar=hbar,
+                   potential=potential if potential is not None else zero_potential)
 
     def sites(self) -> np.ndarray:
         return np.arange(self.n_x) * self.dx
@@ -139,6 +131,21 @@ class LatticeSpec:
         return _finite_positive("dtheta = m dx^2/(2 hbar dt)", dtheta)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; InvalidParams naming ``name`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value):
+    """``value``; InvalidParams naming ``name`` unless it is a real number (a bool is one)."""
+    if not isinstance(value, (float, int, numbers.Real)):  # builtins first: the ABC check is slow
+        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _finite_positive(name: str, value) -> float:
     """``value`` as a float; InvalidParams unless it is finite and positive."""
     if not 0.0 < value < math.inf:
@@ -151,6 +158,7 @@ def potential_preset(name: str, length: float, strength: float = 1.0) -> Potenti
 
     length and strength are read as floats. A preset is a value, equal for equal
     arguments (a free one equals ``zero_potential``), so builds share its step matrices."""
+    _real("potential strength", strength)
     if not math.isfinite(strength):
         raise InvalidParams(f"potential strength must be finite, got {strength!r}")
     if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):

@@ -439,6 +439,8 @@ def parse_cases(text: str) -> tuple[tuple[str, ...], list[EvidenceCase]]:
     components = tuple(c.strip() for c in header[1:])
     if any(not c for c in components):
         raise ParseError("empty component name in header", header_line)
+    for twice in (c for i, c in enumerate(components) if c in components[:i]):
+        raise ParseError(f"component {twice!r} named twice in header", header_line)
     cases = []
     for lineno, row in rows[1:]:
         if len(row) > len(components) + 1:

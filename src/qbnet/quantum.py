@@ -58,10 +58,10 @@ class QBNet(BaseNet):
     dtype = np.complex128
     kind = "quantum"
 
-    def __init__(self, graph, space, tables, meta=None, pre_net=False, _shape=None):
+    def __init__(self, graph, space, tables, meta=None, pre_net=False):
         if pre_net:
             raise ValueError("quantum nets must be acyclic; pre-nets are classical-only")
-        super().__init__(graph, space, tables, meta=meta, _shape=_shape)
+        super().__init__(graph, space, tables, meta=meta)
         self._parent: CBNet | None = None
 
 
@@ -89,12 +89,12 @@ def f_qna(net: QBNet, components: Iterable[str], evidence: Mapping[str, int]) ->
 
 
 def parent_cb_net(net: QBNet) -> CBNet:
-    """Classical net with tables |A|^2 on the same shape (graph and state
-    space), built once per net."""
+    """Classical net with tables |A|^2 on the same graph and state space,
+    built once per net."""
     expect_kind(net, "quantum", "parent_cb_net")
     if net._parent is None:
         tables = {n: np.abs(net.table(n)) ** 2 for n in net.graph.nodes}
-        net._parent = CBNet(net.graph, net.space, tables, meta=dict(net.meta), _shape=net._shape)
+        net._parent = CBNet(net.graph, net.space, tables, meta=dict(net.meta))
     return net._parent
 
 

@@ -80,7 +80,18 @@ MUTANTS = [
      "if not layout and len(spec) == 1:  # one chi call per block",
      "if not layout and spec:  # one chi call per block",
      [CAP_FALLBACK]),
+    # one state space per structure
+    ("a space reused whatever the graph's parents", "core.py",
+     "if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:",
+     "if False:",
+     [ENGINE + "test_a_graph_with_other_parents_gets_the_space_of_its_own_structure",
+      ENGINE + "test_a_cyclic_pre_net_built_directly_keeps_its_graphs_declared_order"]),
     # the case runner and the step kernels
+    ("a case constraining a component twice is answered", "catalog.py",
+     "if len(evidence) != len(case.constraints):",
+     "if False:",
+     ["tests/test_catalog.py::"
+      "test_runner_records_a_case_constraining_a_component_twice_and_carries_on"]),
     ("the layout ignores hypotheses", "catalog.py",
      'sets = tuple({"singles": singles, "pairs": pairs, "both": singles + pairs}[hypotheses])',
      "sets = tuple(singles + pairs)",
@@ -109,9 +120,9 @@ MUTANTS = [
      "@dataclass(frozen=True, init=False)\nclass HypothesisRow:",
      "@dataclass(init=False)\nclass HypothesisRow:",
      ["tests/test_catalog.py::test_hypothesis_rows_stay_frozen_hashable_dataclasses"]),
-    # the evidence indicators a shape keeps
+    # the evidence indicators a state space keeps
     ("a writeable indicator", "core.py",
-     "    at.flags.writeable = False\n",
+     "        at.flags.writeable = False\n",
      "",
      [INDICATORS]),
     ("an indicator ignores its axis", "core.py",
@@ -119,12 +130,12 @@ MUTANTS = [
      "at = at.reshape([1] * (ndim - 1) + [-1])",
      [OPEN_EVIDENCE]),
     ("an indicator holds the first value only", "core.py",
-     "at = np.isin(space._lists[node].array[:, k], list(values))",
-     "at = space._lists[node].array[:, k] == next(iter(values), None)",
+     "at = np.isin(self._lists[node].array[:, k], list(values))",
+     "at = self._lists[node].array[:, k] == next(iter(values), None)",
      [INDICATORS]),
     ("contract passes a value uncoerced", "core.py",
-     "ops[slot] * shape.indicator(alpha, value_set(allowed), 0, 1)",
-     "ops[slot] * shape.indicator(alpha, allowed, 0, 1)",
+     "ops[slot] * space.indicator(alpha, value_set(allowed), 0, 1)",
+     "ops[slot] * space.indicator(alpha, allowed, 0, 1)",
      [ENGINE + "test_a_value_that_is_not_an_integer_is_refused_on_every_route"]),
     # the step kernel memo
     *((f"{part} is not in the step key", "lattice.py", STEP_KEY,
@@ -172,6 +183,10 @@ MUTANTS = [
      "if not (isinstance(length, numbers.Real) and 0.0 < length < math.inf):",
      "if False:",
      [LATTICE + "test_potential_presets_refuse_a_length_that_is_not_finite_and_positive"]),
+    ("a number that is not real passes", "lattice.py",
+     "if not isinstance(value, (float, int, numbers.Real)):",
+     "if False:",
+     [LATTICE + "test_a_number_that_is_not_real_is_refused_naming_its_field"]),
 ]
 
 

@@ -375,6 +375,18 @@ def test_runner_flags_impossible_evidence_and_carries_on():
     assert 30 not in tree_marked
 
 
+def test_runner_records_a_case_constraining_a_component_twice_and_carries_on():
+    net = build("fig19")
+    cases = [EvidenceCase(1, (("z.plus", 1),)), EvidenceCase(2, (("z.plus", 1), ("z.plus", 0))),
+             EvidenceCase(3, (("nope", 1),)), EvidenceCase(4)]
+    results = run_evidence_cases(net, cases)
+    assert [r.errors for r in results] == [
+        [], ["component 'z.plus' constrained twice"], ["unknown components ['nope']"], []]
+    assert results[1].rows == [] and not results[1].no_output
+    want = run_evidence_cases(net, [cases[0], cases[3]])
+    assert [r.rows for r in results[::3]] == [r.rows for r in want]
+
+
 def test_runner_distributions_and_fqna():
     results = run_evidence_cases(build("fig19"))
     by_number = {r.case.number: r for r in results}

@@ -253,6 +253,14 @@ def test_cases_empty_file(capsys, tmp_path, fig19_file):
     assert out == ""
 
 
+def test_a_case_file_naming_a_component_twice_is_refused(capsys, tmp_path, fig19_file):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("case,z.plus,z.plus\n1,1,0\n")
+    code, out, err = run(capsys, "cases", fig19_file, str(dup))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1: component 'z.plus' named twice in header\n"
+
+
 # SHA-256 of ``qbnet cases`` stdout for each quantum catalog net at default
 # parameters, by (net, --format, --hypotheses)
 CASES_DIGESTS = {

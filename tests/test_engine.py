@@ -2,6 +2,7 @@
 
 import collections
 import importlib
+import inspect
 import itertools
 import math
 import pkgutil
@@ -25,6 +26,7 @@ from qbnet.classical import (
     total_mass,
 )
 from qbnet.core import (
+    BaseNet,
     NodeBlock,
     Weights,
     conditional,
@@ -34,6 +36,7 @@ from qbnet.core import (
     value_blocks,
 )
 from qbnet.errors import ContradictoryEvidence, CyclicGraph, InvalidState, StateSpaceTooLarge
+from qbnet.graph import LabelledGraph
 from qbnet.fuzzy import (
     DirectProductSet,
     classical_fuzzy_conditional,
@@ -131,13 +134,13 @@ def test_a_net_without_nodes_has_the_empty_product_as_mass():
 def test_nets_of_one_structure_share_plans():
     net = catalog.build("fig19-loop")
     parent = parent_cb_net(net)
-    assert parent._shape is net._shape is catalog.build("fig19-loop")._shape
+    assert parent.space is net.space is catalog.build("fig19-loop").space
     for open_nodes in ((), net.external_order):
         contract(net, open_nodes)
-        misses = net._shape.view.cache_info().misses
+        misses = net.space.view.cache_info().misses
         contract(parent, open_nodes)
-        assert parent._shape.view.cache_info().misses == misses
-        assert core._plan(parent, open_nodes) is core._plan(net, open_nodes)
+        assert parent.space.view.cache_info().misses == misses
+        assert parent.space.view(open_nodes)[0] is net.space.view(open_nodes)[0]
 
 
 def test_sixty_node_binary_chain_matches_the_transition_product():
@@ -255,7 +258,7 @@ ROW_NETS = BEAM_NETS + [catalog.build(fid) for fid in ("fig29", "fig13-clauser-h
 
 def _chi_floor(net):
     """The smallest cap under which one chi call per block still answers."""
-    return core._plan(net, net.external_order if net.kind == "quantum" else ()).peak
+    return net.space.view(net.external_order if net.kind == "quantum" else ())[0].peak
 
 
 @st.composite
@@ -280,7 +283,7 @@ def row_queries(draw):
 def _opened_plan_peak(net, comps):
     ext = net.external_order if net.kind == "quantum" else ()
     nodes = tuple(dict.fromkeys([*ext, *(net.space.owner(a)[0] for a in comps)]))
-    return core._plan(net, nodes).peak
+    return net.space.view(nodes)[0].peak
 
 
 def _row(engine, net, comps, evidence):
@@ -328,7 +331,7 @@ def test_a_read_outside_the_opened_nodes_goes_block_by_block():
 
 def _cap_floor(net):
     """The smallest cap under which one chi call per block still answers."""
-    return max(core._plan(net, net.external_order).peak, core._plan(parent_cb_net(net), ()).peak)
+    return max(net.space.view(net.external_order)[0].peak, parent_cb_net(net).space.view(())[0].peak)
 
 
 def _opened_peak(net, square):
@@ -337,7 +340,7 @@ def _opened_peak(net, square):
     nodes = tuple(dict.fromkeys([
         *(net.external_order if square else ()), *(net.space.owner(a)[0] for a in comps)
     ]))
-    return core._plan(target, nodes).peak
+    return target.space.view(nodes)[0].peak
 
 
 def _selector_size(net, square):
@@ -353,13 +356,13 @@ def _selector_size(net, square):
 
 @pytest.fixture
 def layouts(monkeypatch):
-    """Every read layout a shape builds, as (net kind, spec, rows x tensor
+    """Every read layout a space builds, as (net kind, spec, rows x tensor
     entries, the layout), the last two None past the cap or off the open nodes."""
     built, layout = [], core._layout
 
-    def counted(shape, nodes, n_ext, width, spec, cap):
-        got = layout(shape, nodes, n_ext, width, spec, cap)
-        size = math.prod(len(shape.space.states(n)) for n in nodes)
+    def counted(space, nodes, n_ext, width, spec, cap):
+        got = layout(space, nodes, n_ext, width, spec, cap)
+        size = math.prod(len(space.states(n)) for n in nodes)
         built.append(("quantum" if width == 2 else "classical", spec,
                       None if got is None else got[3][-1] * size, got))
         return got
@@ -387,7 +390,7 @@ def test_cap_fallback_gives_the_same_answers(monkeypatch, layouts, fid):
     def answers():
         per_set.clear()
         layouts.clear()
-        net._shape.read.cache_clear()  # the quantum net's and its parent's
+        net.space.read.cache_clear()  # the quantum net's and its parent's
         for target in targets.values():
             target._last_read = (None, None, None)
         results = catalog.run_evidence_cases(net)
@@ -739,7 +742,7 @@ def test_a_lattice_chain_shares_its_state_list_and_one_read_of_the_final_slice(
     spec = LatticeSpec.make(16, 1.0, 4, 0.2, potential=potential_preset("well", 16.0, 1.0))
     net = build_lattice_net(spec)
     assert net.space.states("t1") is net.space.states("t4")
-    net._shape.read.cache_clear()
+    net.space.read.cache_clear()
     products, weigh = [], Weights._weigh
 
     def kept_rows(self, *args):  # the rows each read leaves as the net's last read
@@ -895,7 +898,7 @@ def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, con
     want = quantum_conditional(net, hypothesis, evidence)
     assert quantum_conditional(net, hypothesis, evidence) == want
     assert len(contract_calls) == 1
-    assert core._plan(net, (*net.external_order, "z.plus")).peak == 24
+    assert net.space.view((*net.external_order, "z.plus"))[0].peak == 24
     monkeypatch.setenv("QBNET_MAX_STATES", "23")
     assert quantum_conditional(net, hypothesis, evidence) == pytest.approx(want, abs=1e-12)
     assert len(contract_calls) == 3  # one per value of z.plus, with the external nodes open
@@ -903,19 +906,19 @@ def test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers(monkeypatch, con
 
 def test_a_single_set_read_leaves_the_selector_alone(layouts):
     net = build_lattice_net(LatticeSpec.make(4, 1.0, 2, 0.2))
-    net._shape.read.cache_clear()
+    net.space.read.cache_clear()
     sets = [("t1.x0", "t1.x3"), ("t1.x2",)]
     want = Weights(net, ("t1.x0",), {}).rows(sets)
     quantum_conditional(net, {"t1.x3": 1}, {})
     assert Weights(net, ("t1.x0",), {}).rows(sets) == want
     assert [spec for _, spec, *_ in layouts] == [tuple(sets), net.space.components("t1")]
-    assert net._shape.read.cache_info().hits == 1  # the two-set layout, kept
+    assert net.space.read.cache_info().hits == 1  # the two-set layout, kept
 
 
 def test_the_evidence_indicators_a_shape_keeps_serve_every_net_of_it():
     net, fresh = build_lattice_net(LATTICE_SPEC), build_lattice_net(LATTICE_SPEC)
-    parent, indicator = parent_cb_net(net), net._shape.indicator
-    assert fresh._shape is parent._shape is net._shape
+    parent, indicator = parent_cb_net(net), net.space.indicator
+    assert fresh.space is parent.space is net.space
     assert indicator.cache_info().maxsize == 256
     indicator.cache_clear()
     evidence = [{"t4.x1": {0, 1}}, {"t4.x1": 0}, {"t4.x2": 0}, {"t4.x3": 0, "t4.x4": 1}]
@@ -950,7 +953,7 @@ def test_the_read_layouts_a_shape_keeps_are_bounded_and_read_only(monkeypatch, l
     net = catalog.build("fig23")
     comps = catalog.query_components(net)  # six components, one node each: 2 rows x 64 entries a set
     wants = [distribution(path_chi, net, value_blocks(net, (a,)), {}) for a in (*comps, comps[0])]
-    read = net._shape.read
+    read = net.space.read
     for cap in (None, 127):  # at 127 each set is past the cap: one chi call per block
         if cap is not None:
             monkeypatch.setenv("QBNET_MAX_STATES", str(cap))
@@ -978,7 +981,7 @@ def test_the_parent_net_is_built_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Net structure: one shape per equal set of blocks
+# Net structure: one state space per equal set of blocks
 
 
 def _harmonic_chain(dt=0.2, strength=1.0, n_x=8, n_t=3):
@@ -993,14 +996,14 @@ CHAIN_QUERIES = [({f"t3.x{s}": 1}, {}) for s in range(8)] + [({"t3.x1": 1}, {"t1
 def test_chains_of_one_shape_share_their_structure_and_not_their_tables():
     a = build_lattice_net(_harmonic_chain())
     b = build_lattice_net(LatticeSpec.make(8, 1.0, 3, 0.3, potential=potential_preset("well", 8.0)))
-    assert a._shape is b._shape
+    assert a.space is b.space
     assert a.space is b.space and a.chronological is b.chronological
-    assert core._plan(a, a.external_order) is core._plan(b, b.external_order)
+    assert a.space.view(a.external_order)[0] is b.space.view(b.external_order)[0]
     assert a.graph is not b.graph and a.external_order == b.external_order  # one graph per net
     assert not np.array_equal(a.factor("t2"), b.factor("t2"))
-    assert build_lattice_net(_harmonic_chain(n_t=4))._shape is not a._shape
+    assert build_lattice_net(_harmonic_chain(n_t=4)).space is not a.space
     net = catalog.build("fig23")
-    assert parent_cb_net(net)._shape is net._shape is catalog.build("fig23")._shape
+    assert parent_cb_net(net).space is net.space is catalog.build("fig23").space
 
 
 def test_answers_do_not_change_when_the_shape_cache_evicts():
@@ -1008,9 +1011,9 @@ def test_answers_do_not_change_when_the_shape_cache_evicts():
     net = build_lattice_net(spec)
     pair = (net, parent_cb_net(net))
     want = [quantum_conditional(t, h, e) for t in pair for h, e in CHAIN_QUERIES]
-    core._shape_of.cache_clear()
+    core._space_of.cache_clear()
     fresh = build_lattice_net(spec)
-    assert fresh._shape is not net._shape and parent_cb_net(fresh)._shape is fresh._shape
+    assert fresh.space is not net.space and parent_cb_net(fresh).space is fresh.space
     for new in (fresh, net):  # the net built before keeps its own shape
         pair = (new, parent_cb_net(new))
         assert [quantum_conditional(t, h, e) for t in pair for h, e in CHAIN_QUERIES] == want
@@ -1029,17 +1032,58 @@ def test_a_build_calls_the_graph_layer_alike_whatever_was_built_before(monkeypat
 
     for build in (lambda: parent_cb_net(build_lattice_net(_harmonic_chain())),
                   lambda: parent_cb_net(catalog.build("fig19-loop"))):
-        core._shape_of.cache_clear()
+        core._space_of.cache_clear()
         cold = counted(build)
         assert counted(build) == cold  # a seen shape
         assert cold == {"LabelledGraph": 1, "chronological_labelling": 1, "classify_nodes": 2}
 
 
+def test_a_net_built_on_another_nets_graph_and_space_shares_the_space():
+    net = catalog.build("fig19-loop")
+    tables = {n: np.abs(net.table(n)) ** 2 for n in net.graph.nodes}
+    direct = CBNet(net.graph, net.space, tables)
+    assert direct.space is net.space is parent_cb_net(net).space
+    assert total_mass(direct) == total_mass(parent_cb_net(net))
+
+
+def _three_nodes(c_parents):
+    """a (2 states), b (3) and c (2), c below ``c_parents``; b is a root."""
+    return [NodeBlock("a", [0, 1], [0.3, 0.7]),
+            NodeBlock("b", [0, 1, 2], [0.2, 0.3, 0.5]),
+            NodeBlock("c", [0, 1], lambda s, p: ((0.4, 0.6), (0.9, 0.1))[sum(map(sum, p)) % 2][s[0]],
+                      parents=c_parents)]
+
+
+def test_a_graph_with_other_parents_gets_the_space_of_its_own_structure():
+    chain = CBNet.from_blocks(_three_nodes(("b",)))
+    other = CBNet.from_blocks(_three_nodes(("a", "b")))
+    tables = {n: other.table(n) for n in other.graph.nodes}
+    direct = CBNet(other.graph, chain.space, tables)  # the chain's state lists, other parents
+    assert direct.space is other.space is not chain.space
+    assert direct.space.dims == {"a": (2,), "b": (3,), "c": (2, 3, 2)} != chain.space.dims
+    assert total_mass(direct) == total_mass(other) == pytest.approx(1.0)
+    for h, e in (({"a": 1}, {"c": 0}), ({"c": 1}, {"b": 2}), ({"b": 0}, {})):
+        assert classical_conditional(direct, h, e) == classical_conditional(other, h, e)
+
+
+def test_a_cyclic_pre_net_built_directly_keeps_its_graphs_declared_order():
+    net = CBNet.from_blocks(_two_cycle(), pre_net=True)
+    graph = LabelledGraph(("w", "u"), [("u", "w"), ("w", "u")])  # the same parents, other order
+    direct = CBNet(graph, net.space, {n: net.table(n) for n in graph.nodes}, pre_net=True)
+    assert (net.node_order(), direct.node_order()) == (("u", "w"), ("w", "u"))
+    assert total_mass(direct) == total_mass(net) == 2.0
+
+
+@pytest.mark.parametrize("cls", [BaseNet, QBNet])
+def test_a_net_takes_its_graph_space_tables_and_nothing_private(cls):
+    assert list(inspect.signature(cls).parameters) == ["graph", "space", "tables", "meta", "pre_net"]
+
+
 def test_the_shape_cache_and_its_memos_are_bounded():
-    shape = build_lattice_net(_harmonic_chain())._shape
-    assert core._shape_of.cache_info().maxsize == 256
-    assert shape.view.cache_info().maxsize == 256
-    assert shape.space._combos.cache_info().maxsize == 256
+    space = build_lattice_net(_harmonic_chain()).space
+    assert core._space_of.cache_info().maxsize == 256
+    assert space.view.cache_info().maxsize == 256
+    assert space._combos.cache_info().maxsize == 256
 
 
 def _memo_rows():
@@ -1056,7 +1100,7 @@ def test_the_memos_table_names_every_memo():
     assert {kind for kind, _ in rows.values()} == {"lru_cache", "net attribute", "byte budget"}
     net = catalog.build("fig19-loop")
     parent_cb_net(net)
-    owners = {"_Shape": net._shape, "StateSpace": net.space, "BaseNet": net, "QBNet": net}
+    owners = {"StateSpace": net.space, "BaseNet": net, "QBNet": net}
     modules = {m.name: importlib.import_module(f"qbnet.{m.name}")
                for m in pkgutil.iter_modules(qbnet.__path__) if m.name != "__main__"}
     found = {}  # every lru_cache wrapper, by the name the table gives it
@@ -1093,7 +1137,7 @@ def _two_cycle(table=np.eye(2), components=None):
     ids=["cyclic", "duplicate-component", "table-shape-before-cycle"],
 )
 def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
-    kept = core._shape_of.cache_info().currsize
+    kept = core._space_of.cache_info().currsize
     for _ in range(2):
         with pytest.raises(error) as err:
             CBNet.from_blocks(blocks)
@@ -1101,7 +1145,7 @@ def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
     if error is CyclicGraph:  # a valid structure: its shape is kept, and serves a pre-net
         assert total_mass(CBNet.from_blocks(blocks, pre_net=True)) == 2.0
     elif "component" in message:  # a refused structure leaves nothing behind
-        assert core._shape_of.cache_info().currsize == kept
+        assert core._space_of.cache_info().currsize == kept
 
 
 def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(monkeypatch, contract_calls):
@@ -1110,15 +1154,15 @@ def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(monkeypatc
         quantum_conditional(seen, h, e)
     compiles, real = [], core._compile
     monkeypatch.setattr(core, "_compile", lambda *a: compiles.append(a) or real(*a))
-    views = seen._shape.view.cache_info()
+    views = seen.space.view.cache_info()
     spec = _harmonic_chain(dt=0.3, strength=2.0)
     fresh = build_lattice_net(spec)
-    assert fresh._shape is seen._shape
+    assert fresh.space is seen.space
     got = [quantum_conditional(fresh, h, e) for h, e in CHAIN_QUERIES[:8]]
     np.testing.assert_allclose(got, np.abs(propagate(spec)) ** 2, atol=1e-12)
     quantum_conditional(fresh, *CHAIN_QUERIES[8])
     assert compiles == []
-    assert fresh._shape.view.cache_info()[1:] == views[1:]  # no miss, no new entry
+    assert fresh.space.view.cache_info()[1:] == views[1:]  # no miss, no new entry
     assert len(contract_calls) == 2 * 2  # per net: the final slice, then past the evidence
 
 

@@ -227,6 +227,26 @@ def test_spec_rejects_non_finite_inputs(name, value):
         LatticeSpec.make(**args)
 
 
+@pytest.mark.parametrize("value", ["1", None, [1.0]], ids=["str", "none", "list"])
+@pytest.mark.parametrize("field", ["dx", "dt", "mass", "hbar", "length", "total_time", "strength"])
+def test_a_number_that_is_not_real_is_refused_naming_its_field(field, value):
+    spec = dict(length=3.0, dx=1.0, n_x=3, total_time=1.0, dt=1.0, n_t=1)
+    with pytest.raises(InvalidParams) as err:
+        if field == "strength":
+            potential_preset("harmonic", 3.0, value)
+        elif field in ("length", "total_time"):
+            LatticeSpec(**{**spec, field: value})
+        else:  # make checks dx and dt before it multiplies them
+            LatticeSpec.make(**{**dict(n_x=3, dx=1.0, n_t=1, dt=1.0), field: value})
+    name = "potential strength" if field == "strength" else field
+    assert str(err.value) == f"{name} must be a real number, got {value!r}"
+
+
+def test_a_bool_is_a_real_number():
+    assert LatticeSpec.make(1, True, 1, True, mass=True, hbar=True).length == 1
+    assert potential_preset("harmonic", True, True) == potential_preset("harmonic", 1.0, 1.0)
+
+
 @pytest.mark.parametrize("preset", ["free", "harmonic", "well"])
 @pytest.mark.parametrize("strength", [math.inf, -math.inf, math.nan])
 def test_potential_presets_reject_a_non_finite_strength(preset, strength):
@@ -487,7 +507,7 @@ def test_a_build_hashes_the_one_hot_list_once(monkeypatch, n_x, n_t):
     assert len(lookups) == 2  # the root's one state, then the slices' one-hot list
     assert {id(net.space._lists[f"t{i}"]) for i in range(1, n_t + 1)} == {id(shared(lookups[1]))}
     again = build_lattice_net(spec)  # a seen n_x looks nothing up
-    assert len(lookups) == 2 and again._shape is net._shape
+    assert len(lookups) == 2 and again.space is net.space
     matrices, _ = lattice._step_matrices(spec, "exact")
     for i, alpha in enumerate(matrices, start=1):  # bit for bit the step matrices
         want = alpha[:, [0]] if i == 1 else alpha

@@ -524,3 +524,6 @@ def test_cases_errors():
         with pytest.raises(ParseError, match="value set") as err:
             parse_cases(f'case,a\n1,"{cell}"\n')
         assert err.value.line == 2
+    with pytest.raises(ParseError, match="component 'a' named twice in header") as err:
+        parse_cases("\ncase,a,b,a\n1,1,0,0\n")
+    assert err.value.line == 2
