@@ -494,14 +494,13 @@ def run_evidence_cases(net, cases=None, hypotheses="both") -> list[CaseResult]:
     for case in cases:
         result = CaseResult(case)
         results.append(result)
-        evidence = case.as_sets()
+        try:
+            evidence, twice = case.as_sets(), None
+        except ValueError as exc:  # a component constrained twice, recorded after unknown ones
+            evidence, twice = dict(case.constraints), str(exc)
         unknown = [a for a in evidence if not net.space.has_component(a)]
-        if unknown:
-            result.errors.append(f"unknown components {sorted(unknown)}")
-            continue
-        if len(evidence) != len(case.constraints):  # a component given twice keeps one cell
-            names = [a for a, _ in case.constraints]
-            result.errors.append(f"component {max(names, key=names.count)!r} constrained twice")
+        if unknown or twice:
+            result.errors.append(f"unknown components {sorted(unknown)}" if unknown else twice)
             continue
         qb = Weights(net, comps, evidence, cap).table(sets)
         cb = None if qb is None else Weights(parent, comps, evidence, cap).table(sets)

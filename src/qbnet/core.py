@@ -24,7 +24,8 @@ out one at a time, multiplying only the factors that mention the node
 per state space. A filter multiplies a node's factor by a 0/1 indicator of its
 allowed states. The cap (default 2**20, override with the QBNET_MAX_STATES
 environment variable) bounds each step's full index space: the product of
-the state counts of every node the step touches.
+the state counts of every node the step touches. It is read on every public
+call, at no exception cost when the variable is unset (``max_states``).
 
 The dense enumeration (``BaseNet.enumeration`` and ``filter_mask``)
 materializes the joint value vector over the full cartesian product of node
@@ -84,13 +85,18 @@ from .graph import Arrow, LabelledGraph, classify_nodes, chronological_labelling
 DEFAULT_MAX_STATES = 2 ** 20
 _READS = 2  # read layouts a state space keeps: a quantum net's and its parent's
 _ZERO_WEIGHT = "evidence {} has zero weight"
+_ENVIRON = os.environ._data  # the mapping behind os.environ: its sets and deletes update it
+_CAP_KEY = os.environ.encodekey("QBNET_MAX_STATES")  # the cap's key as stored there
 
 
 def max_states() -> int:
-    """The state cap, from QBNET_MAX_STATES or the default."""
-    raw = os.environ.get("QBNET_MAX_STATES")
+    """The state cap, from QBNET_MAX_STATES or the default, read at every call
+    by one lookup that, unlike ``os.environ.get``, raises and catches no
+    KeyError when the variable is unset."""
+    raw = _ENVIRON.get(_CAP_KEY)
     if raw is None:
         return DEFAULT_MAX_STATES
+    raw = os.environ.decodevalue(raw)
     try:
         value = int(raw)
     except ValueError:
@@ -329,6 +335,8 @@ class BaseNet:
         self.graph = graph
         parents = list(map(graph.parents, graph.nodes))  # in declared order, a cycle's node order
         if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:
+            for node in (n for n in graph.nodes if n not in space.parents):
+                raise ValueError(f"missing states for node {node!r}")
             space = _space_of(tuple((n, ps, space.components(n), space._lists[n])  # its own space
                                     for n, ps in zip(graph.nodes, parents)), _labelling(graph))
         self.space = space
@@ -875,4 +883,7 @@ def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: M
     if None in combo:
         raise InvalidState(f"hypothesis component {comps[combo.index(None)]} is not pinned")
     weights = engine(net, comps, evidence).combos(comps)
-    return normalize(weights, sum(weights), evidence)[net.space.combos(comps).index(combo)]
+    total = sum(weights)
+    if total == 0.0:
+        raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(evidence)))
+    return weights[net.space.combos(comps).index(combo)] / total

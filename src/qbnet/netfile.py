@@ -366,7 +366,12 @@ class EvidenceCase:
     constraints: tuple = ()
 
     def as_sets(self) -> dict[str, frozenset]:
-        return {alpha: value_set(v) for alpha, v in self.constraints}
+        """{component: allowed values}; ValueError for a component constrained twice."""
+        sets = {alpha: value_set(v) for alpha, v in self.constraints}
+        if len(sets) != len(self.constraints):
+            names = [alpha for alpha, _ in self.constraints]
+            raise ValueError(f"component {max(names, key=names.count)!r} constrained twice")
+        return sets
 
     def describe(self) -> str:
         return describe_constraints(self.constraints) or "(no evidence)"

@@ -80,6 +80,15 @@ MUTANTS = [
      "if not layout and len(spec) == 1:  # one chi call per block",
      "if not layout and spec:  # one chi call per block",
      [CAP_FALLBACK]),
+    # the public conditional and the cap it reads
+    ("the cap read once at import", "core.py",
+     "_ENVIRON = os.environ._data",
+     "_ENVIRON = dict(os.environ._data)",
+     [ENGINE + "test_a_lower_cap_between_two_runner_calls_takes_effect"]),
+    ("a conditional returns another combo's share", "core.py",
+     "return weights[net.space.combos(comps).index(combo)] / total",
+     "return weights[net.space.combos(comps).index(combo) - 1] / total",
+     [ENGINE + "test_a_conditional_is_its_combo_over_its_rows_total_bit_for_bit"]),
     # one state space per structure
     ("a space reused whatever the graph's parents", "core.py",
      "if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:",
@@ -87,11 +96,12 @@ MUTANTS = [
      [ENGINE + "test_a_graph_with_other_parents_gets_the_space_of_its_own_structure",
       ENGINE + "test_a_cyclic_pre_net_built_directly_keeps_its_graphs_declared_order"]),
     # the case runner and the step kernels
-    ("a case constraining a component twice is answered", "catalog.py",
-     "if len(evidence) != len(case.constraints):",
+    ("a case constraining a component twice is answered", "netfile.py",
+     "if len(sets) != len(self.constraints):",
      "if False:",
      ["tests/test_catalog.py::"
-      "test_runner_records_a_case_constraining_a_component_twice_and_carries_on"]),
+      "test_runner_records_a_case_constraining_a_component_twice_and_carries_on",
+      "tests/test_netfile.py::test_a_case_constraining_a_component_twice_is_refused"]),
     ("the layout ignores hypotheses", "catalog.py",
      'sets = tuple({"singles": singles, "pairs": pairs, "both": singles + pairs}[hypotheses])',
      "sets = tuple(singles + pairs)",

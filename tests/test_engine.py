@@ -5,6 +5,7 @@ import importlib
 import inspect
 import itertools
 import math
+import os
 import pkgutil
 import re
 import sys
@@ -504,6 +505,69 @@ def test_warm_per_site_conditionals_are_read_memo_hits(monkeypatch, contract_cal
     for s, p in enumerate(got):  # each as a fresh net's first call gives it, bit for bit
         fresh = quantum_conditional(build_lattice_net(spec), {f"t3.x{s}": 1}, evidence)
         assert p.hex() == fresh.hex()
+
+
+def test_a_cap_set_between_warm_per_site_calls_takes_effect(monkeypatch):
+    net, evidence = build_lattice_net(_harmonic_chain()), {"t1.x2": 1}
+    sites = [{f"t3.x{s}": 1} for s in range(8)]
+    want = [quantum_conditional(net, h, evidence).hex() for h in sites]  # warm from the second
+    below = min(_opened_plan_peak(net, ("t3.x0",)), _chi_floor(net)) - 1
+    monkeypatch.delenv("QBNET_MAX_STATES", raising=False)
+    try:  # set and deleted in os.environ itself, as a caller outside pytest would
+        os.environ["QBNET_MAX_STATES"] = str(below)
+        for h in sites[:2]:
+            with pytest.raises(StateSpaceTooLarge):
+                quantum_conditional(net, h, evidence)
+        del os.environ["QBNET_MAX_STATES"]
+        assert [quantum_conditional(net, h, evidence).hex() for h in sites] == want
+        os.environ["QBNET_MAX_STATES"] = "abc"
+        with pytest.raises(ValueError) as err:
+            quantum_conditional(net, sites[0], evidence)
+        assert str(err.value) == "QBNET_MAX_STATES must be a positive integer, got 'abc'"
+    finally:
+        os.environ.pop("QBNET_MAX_STATES", None)
+
+
+def _conditional_queries():
+    """(net, evidence) pairs: each catalog net that is not a pre-net, with no
+    evidence and with every fifth default case's, four random nets of up to
+    four values a node, and an 8 x 3 chain unpinned and pinned; a quantum
+    net's parent follows it."""
+    nets = [net for entry in catalog.list_entries()
+            if not (net := catalog.build(entry.id)).pre_net]
+    nets += [random_qbnet(seed, max_values=4) for seed in range(4)]
+    queries = []
+    for net in nets:
+        evidence, targets = [{}], (net,)
+        if net.kind == "quantum":
+            evidence += [case.as_sets() for case in catalog.default_cases(net)[1::5]]
+            targets += (parent_cb_net(net),)
+        queries += [(t, e) for t in targets for e in evidence]
+    chain = build_lattice_net(_harmonic_chain())
+    return queries + [(t, e) for e in ({}, {"t1.x2": 1}) for t in (chain, parent_cb_net(chain))]
+
+
+def test_a_conditional_is_its_combo_over_its_rows_total_bit_for_bit():
+    """Each conditional is its entry of ``Weights.row``: its combo over the
+    left-to-right sum of its component's combos, neither chi(E) (f_qna is not
+    one) nor an exactly rounded sum (``math.fsum`` differs) in its place."""
+    off_chi_e = off_fsum = 0
+    for net, evidence in _conditional_queries():
+        conditional_fn = quantum_conditional if net.kind == "quantum" else classical_conditional
+        for alpha in (a for a in net.all_components if a not in evidence):
+            weights = Weights(net, (alpha,), evidence)
+            combos = weights.combos((alpha,))
+            off_fsum += sum(combos) != math.fsum(combos)
+            try:
+                row, f = weights.row((alpha,))
+            except ContradictoryEvidence:
+                with pytest.raises(ContradictoryEvidence):
+                    conditional_fn(net, {alpha: net.space.component_values(alpha)[0]}, evidence)
+                continue
+            off_chi_e += f != 1.0
+            for v, want in zip(net.space.component_values(alpha), row):
+                assert conditional_fn(net, {alpha: v}, evidence) == want, (net, alpha, v, evidence)
+    assert off_chi_e > 100 and off_fsum > 5
 
 
 def test_a_read_has_a_fresh_nets_bits_whatever_the_net_read_before():
@@ -1064,6 +1128,16 @@ def test_a_graph_with_other_parents_gets_the_space_of_its_own_structure():
     assert total_mass(direct) == total_mass(other) == pytest.approx(1.0)
     for h, e in (({"a": 1}, {"c": 0}), ({"c": 1}, {"b": 2}), ({"b": 0}, {})):
         assert classical_conditional(direct, h, e) == classical_conditional(other, h, e)
+
+
+@pytest.mark.parametrize("cls", [CBNet, QBNet])
+def test_a_graph_with_a_node_its_space_lacks_is_refused_naming_it(cls):
+    net = parent_cb_net(catalog.build("fig19-loop"))
+    graph = LabelledGraph((*net.graph.nodes, "extra"), [*net.graph.arrows, ("extra",)])
+    tables = {n: net.table(n) for n in net.graph.nodes} | {"extra": [1.0]}
+    with pytest.raises(ValueError) as err:
+        cls(graph, net.space, tables)
+    assert str(err.value) == "missing states for node 'extra'"
 
 
 def test_a_cyclic_pre_net_built_directly_keeps_its_graphs_declared_order():

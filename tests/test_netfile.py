@@ -512,6 +512,15 @@ def test_cases_cells():
     assert parse_cases("") == ((), [])
 
 
+def test_a_case_constraining_a_component_twice_is_refused():
+    for cells in ((("z.plus", 1), ("z.plus", 0)), (("z.plus", 1), ("u.plus", 0), ("z.plus", 1))):
+        with pytest.raises(ValueError) as err:
+            EvidenceCase(1, cells).as_sets()
+        assert str(err.value) == "component 'z.plus' constrained twice"
+    with pytest.raises(InvalidState):  # a value that is not whole is refused first
+        EvidenceCase(1, (("z.plus", 0.5), ("z.plus", 0))).as_sets()
+
+
 def test_cases_errors():
     with pytest.raises(ParseError, match="start with 'case'"):
         parse_cases("number,a\n1,0\n")
