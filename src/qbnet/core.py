@@ -301,20 +301,14 @@ class _Enumeration:
         self.values = values
 
         # external configuration index of each joint state, the last external node fastest
-        self.external_order = net.external_order
         self.ext_group, self.n_ext = np.zeros(njoint, dtype=np.int64), 1
-        for n in reversed(self.external_order):
+        for n in reversed(net.external_order):
             self.ext_group += self.node_state_indices(n) * self.n_ext
             self.n_ext *= sizes[self.pos[n]]
 
     def node_state_indices(self, node: str) -> np.ndarray:
         j = self.pos[node]
         return (self._flat // self.strides[j]) % self.sizes[j]
-
-    def group_values(self, net: "BaseNet") -> list[tuple[int, ...]]:
-        """External component values for each group index, in group order."""
-        states = [net.space.states(n) for n in self.external_order]
-        return [sum(combo, ()) for combo in itertools.product(*states)]
 
 
 def as_table(factor: np.ndarray) -> np.ndarray:

@@ -15,14 +15,13 @@ by design - validation reports that honestly rather than renormalizing.
 
 Both built-in kernels read the time only through V(x, t). A preset potential
 (``potential_preset``, an immutable value: name, length and strength) is
-time-independent, so with one a built-in kernel runs once per distinct
-Hamiltonian per process: its step matrix is kept across builds, read-only
-and keyed by value (kernel, n_x, dx, dt, mass, hbar and the preset itself),
-at most ``_STEP_MEMO_BYTES`` (2 MiB) of them, the oldest dropped first. The
-budget is in bytes because a matrix grows as n_x squared. Any other
-potential, a function wrapping a preset too, is sampled at every step, and a
-built-in kernel runs once per distinct potential vector in each build or
-propagation. A user-supplied kernel runs once per time step.
+time-independent, so on at most 32 sites a built-in kernel runs once per
+distinct Hamiltonian per process: ``_step_matrix`` keeps its matrix across
+builds, read-only and keyed by value (kernel, n_x, dx, dt, mass, hbar and
+the preset itself), the 128 most recently used of them (2 MiB at 32 sites).
+Any other spec, a function wrapping a preset too, is sampled at every step,
+and a built-in kernel runs once per distinct potential vector in each build
+or propagation. A user-supplied kernel runs once per time step.
 """
 
 from __future__ import annotations
@@ -249,52 +248,28 @@ def _kernel_fn(kernel):
         raise InvalidParams(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
 
 
-# the step matrices kept across builds: 84 keys of lattice-cap take ~0.46 MB
-_STEP_MEMO_BYTES = 2 * 2**20
-
-
-class _StepMemo:
-    """Read-only step matrices by Hamiltonian, at most ``budget`` bytes of
-    them, the oldest dropped first; a matrix larger than that is not kept."""
-
-    def __init__(self, budget: int):
-        self.budget, self.nbytes, self.matrices = budget, 0, {}
-
-    def matrix(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-        matrix = self.matrices.get(key)
-        if matrix is None:
-            matrix = build()
-            matrix.flags.writeable = False
-            if matrix.nbytes <= self.budget:
-                while self.nbytes + matrix.nbytes > self.budget:
-                    self.nbytes -= self.matrices.pop(next(iter(self.matrices))).nbytes
-                self.matrices[key] = matrix
-                self.nbytes += matrix.nbytes
-        return matrix
-
-    def clear(self) -> None:
-        self.matrices.clear()
-        self.nbytes = 0
-
-
-_STEPS = _StepMemo(_STEP_MEMO_BYTES)
+@functools.lru_cache(maxsize=128)
+def _step_matrix(kernel: str, n_x: int, dx, dt, mass, hbar, preset: _Preset) -> np.ndarray:
+    """A built-in kernel's read-only step matrix for a preset potential; the
+    kernels read no other field of the spec. 128 kept, of at most 32 x 32."""
+    matrix = _KERNELS[kernel](LatticeSpec.make(n_x, dx, 1, dt, mass, hbar, preset), 0.0).matrix
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndarray]:
     """The n_t step matrices, and the final-slice amplitudes they carry site
     0 to; InvalidParams when those give non-finite site probabilities.
 
-    With a preset potential a built-in kernel runs once per distinct
-    Hamiltonian per process: its matrix comes from ``_STEPS``, keyed by the
-    kernel, n_x, dx, dt, mass, hbar and the preset's value (unsampled), up
-    to ``_STEP_MEMO_BYTES`` (2 MiB) of them. With any other potential it runs
-    once per distinct potential vector in the call, keyed by its bytes; a
-    user-supplied kernel runs once per step. The final amplitudes and their
-    check depend on n_t, so every call makes them."""
+    With a preset potential on at most 32 sites a built-in kernel runs once
+    per distinct Hamiltonian per process, through ``_step_matrix``. Otherwise
+    it runs once per distinct potential vector in the call, keyed by its
+    bytes; a user-supplied kernel runs once per step. The final amplitudes
+    and their check depend on n_t, so every call makes them."""
     step, user = _kernel_fn(kernel), callable(kernel)
-    if not user and isinstance(spec.potential, _Preset):
+    if not user and isinstance(spec.potential, _Preset) and spec.n_x <= 32:  # <= 16 KiB a matrix
         key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)
-        matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t
+        matrices = [_step_matrix(*key)] * spec.n_t
     else:
         matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
         built = {0 if user else _potential_values(spec, 0.0).tobytes(): matrices[0]}

@@ -366,11 +366,13 @@ class EvidenceCase:
     constraints: tuple = ()
 
     def as_sets(self) -> dict[str, frozenset]:
-        """{component: allowed values}; ValueError for a component constrained twice."""
+        """{component: allowed values}; ValueError naming the first component
+        constrained twice."""
         sets = {alpha: value_set(v) for alpha, v in self.constraints}
         if len(sets) != len(self.constraints):
             names = [alpha for alpha, _ in self.constraints]
-            raise ValueError(f"component {max(names, key=names.count)!r} constrained twice")
+            for twice in (a for i, a in enumerate(names) if a in names[:i]):
+                raise ValueError(f"component {twice!r} constrained twice")
         return sets
 
     def describe(self) -> str:

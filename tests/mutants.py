@@ -39,7 +39,9 @@ READ_KEY = "key = (self._nodes, spec, self._given, self.cap, type(self))"
 LATTICE = "tests/test_lattice.py::"
 KEYED = LATTICE + "test_each_part_of_the_hamiltonian_keys_its_step_matrix"
 ONCE = LATTICE + "test_a_built_in_kernel_runs_once_per_hamiltonian"
-BUDGET = LATTICE + "test_the_step_memo_keeps_at_most_its_byte_budget"
+LRU = LATTICE + "test_the_step_memo_keeps_its_128_most_recently_used_matrices"
+PAST_32 = LATTICE + "test_a_preset_chain_past_32_sites_is_not_kept"
+STEP_MEMO = "@functools.lru_cache(maxsize=128)\ndef _step_matrix("
 STEP_KEY = "key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)"
 
 # (name, file under src/qbnet, old text, new text, tests that must fail)
@@ -147,17 +149,19 @@ MUTANTS = [
      "ops[slot] * space.indicator(alpha, value_set(allowed), 0, 1)",
      "ops[slot] * space.indicator(alpha, allowed, 0, 1)",
      [ENGINE + "test_a_value_that_is_not_an_integer_is_refused_on_every_route"]),
-    # the step kernel memo
+    # the step kernel memo: its key is its arguments, so a part left out of
+    # the key is a part passed as a constant
     *((f"{part} is not in the step key", "lattice.py", STEP_KEY,
-       STEP_KEY.replace(f" {part},", ""), [KEYED])
-      for part in ("spec.n_x", "spec.dx", "spec.dt", "spec.mass", "spec.hbar")),
+       STEP_KEY.replace(f" {part},", f" {const},"), [KEYED])
+      for part, const in (("spec.n_x", "4"), ("spec.dx", "0.5"), ("spec.dt", "0.2"),
+                          ("spec.mass", "1.0"), ("spec.hbar", "1.0"))),
     ("the kernel is not in the step key", "lattice.py",
-     STEP_KEY, STEP_KEY.replace("(kernel, ", "("), [KEYED]),
+     STEP_KEY, STEP_KEY.replace("(kernel, ", '("exact", '), [KEYED]),
     ("the preset is not in the step key", "lattice.py",
-     STEP_KEY, STEP_KEY.replace(", spec.potential)", ")"), [KEYED]),
+     STEP_KEY, STEP_KEY.replace(", spec.potential)", ", zero_potential)"), [KEYED]),
     ("any callable treated as a preset", "lattice.py",
-     "if not user and isinstance(spec.potential, _Preset):",
-     "if not user and callable(spec.potential):",
+     "if not user and isinstance(spec.potential, _Preset) and",
+     "if not user and callable(spec.potential) and",
      [LATTICE + "test_a_time_dependent_potential_runs_the_kernel_at_every_step",
       LATTICE + "test_a_wrapped_preset_is_sampled_at_every_step"]),
     ("the strength is not in the preset's equality", "lattice.py",
@@ -166,20 +170,18 @@ MUTANTS = [
      "    __hash__ = lambda a: hash(a[:2])\n",
      [KEYED]),
     ("a writeable step matrix", "lattice.py",
-     "            matrix.flags.writeable = False\n",
+     "    matrix.flags.writeable = False\n",
      "",
      [ONCE]),
-    ("no step matrix dropped", "lattice.py",
-     "while self.nbytes + matrix.nbytes > self.budget:",
-     "while False:",
-     [BUDGET]),
-    ("a step matrix past the budget kept", "lattice.py",
-     "if matrix.nbytes <= self.budget:",
-     "if matrix.nbytes <= 2 * self.budget:",
-     [BUDGET]),
+    ("the 32-site gate lifted", "lattice.py",
+     "and spec.n_x <= 32:",
+     "and spec.n_x <= 2 * 32:",
+     [PAST_32]),
+    ("an unbounded step memo", "lattice.py",
+     STEP_MEMO, STEP_MEMO.replace("128", "None"),
+     [LRU, ENGINE + "test_the_memos_table_names_every_memo"]),
     ("no step memo", "lattice.py",
-     "matrices = [_STEPS.matrix(key, lambda: step(spec, 0.0).matrix)] * spec.n_t",
-     "matrices = [step(spec, 0.0).matrix] * spec.n_t",
+     STEP_MEMO, "def _step_matrix(",
      [ONCE]),
     ("a chain memo that returns a plain list", "lattice.py",
      '_state_list("t1", [(0,) * s + (1,) + (0,) * (n_x - s - 1) for s in range(n_x)])',

@@ -545,10 +545,10 @@ def test_a_built_in_kernel_runs_once_per_hamiltonian(kernel_calls, kernel):
             assert net.table("t1").tobytes() == np.ascontiguousarray(want[:, [0]]).tobytes()
             for i in range(2, int(net.meta["n_t"]) + 1):
                 assert net.table(f"t{i}").tobytes() == want.tobytes()
-    assert lattice._STEPS.matrices
-    for matrix in lattice._STEPS.matrices.values():
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 0.0
+        for matrix in lattice._step_matrices(make(n_t + 1), kernel)[0]:  # the kept matrix
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
+    assert kernel_calls == [0.0] * 3 and lattice._step_matrix.cache_info().currsize == 12
 
 
 def test_each_part_of_the_hamiltonian_keys_its_step_matrix():
@@ -560,19 +560,42 @@ def test_each_part_of_the_hamiltonian_keys_its_step_matrix():
             potential = potential_preset("harmonic", 2.0, args.pop("strength"))
             spec = LatticeSpec.make(**args, potential=potential)
             assert propagate(spec, kernel).tobytes() == propagate(spec, step).tobytes()
-    assert len(lattice._STEPS.matrices) == 2 * len(changes)
+    assert lattice._step_matrix.cache_info().currsize == 2 * len(changes)
 
 
-def test_the_step_memo_keeps_at_most_its_byte_budget():
-    memo, budget = lattice._STEPS, lattice._STEP_MEMO_BYTES
-    dxs = [0.1 + i / 64 for i in range(12)]
-    for dx in dxs:  # twelve 128 x 128 complex matrices, 256 KiB each, fill it past its budget
-        propagate(LatticeSpec.make(128, dx, 1, 0.2), "exact")
-        assert memo.nbytes == sum(m.nbytes for m in memo.matrices.values()) <= budget
-    assert [key[2] for key in memo.matrices] == dxs[4:]  # the oldest dropped first
-    kept = list(memo.matrices)
-    propagate(LatticeSpec.make(400, 0.1, 1, 0.2), "gaussian")  # 2.56 MB: not kept
-    assert list(memo.matrices) == kept and memo.nbytes == budget
+def test_the_step_memo_keeps_its_128_most_recently_used_matrices(kernel_calls):
+    memo = lattice._step_matrix
+    specs = [LatticeSpec.make(2, 0.1 + i / 256, 1, 0.2) for i in range(129)]
+    assert memo.cache_parameters()["maxsize"] == 128
+    for spec in specs[:128]:
+        propagate(spec, "exact")
+    propagate(specs[0], "exact")  # the first is now the most recently used
+    propagate(specs[128], "exact")  # one past the bound: the second goes
+    assert len(kernel_calls) == 129 and memo.cache_info().currsize == 128
+    propagate(specs[0], "exact")
+    assert len(kernel_calls) == 129
+    propagate(specs[1], "exact")
+    assert len(kernel_calls) == 130 and memo.cache_info().currsize == 128
+
+
+@pytest.mark.parametrize("kernel", ["exact", "gaussian"])
+def test_a_preset_chain_past_32_sites_is_not_kept(kernel_calls, kernel):
+    step = {"exact": step_amplitudes_exact, "gaussian": step_amplitudes_gaussian}[kernel]
+    potential = potential_preset("harmonic", 33 * 0.5, 2.0)
+    spec = LatticeSpec.make(33, 0.5, 3, 0.2, potential=potential)
+    nets = [build_lattice_net(spec, kernel) for _ in range(2)]
+    assert kernel_calls == [0.0, 0.0]  # once per build, not across them
+    assert lattice._step_matrix.cache_info().currsize == 0
+    want = step(spec, 0.0).matrix
+    for net in nets:
+        assert net.table("t1").tobytes() == np.ascontiguousarray(want[:, [0]]).tobytes()
+        for i in range(2, 4):
+            assert net.table(f"t{i}").tobytes() == step(spec, (i - 1) * spec.dt).matrix.tobytes()
+    assert propagate(spec, kernel).tobytes() == propagate(spec, step).tobytes()
+    kernel_calls.clear()
+    for _ in range(2):  # at 32 sites it is kept
+        build_lattice_net(LatticeSpec.make(32, 0.5, 3, 0.2, potential=potential), kernel)
+    assert kernel_calls == [0.0] and lattice._step_matrix.cache_info().currsize == 1
 
 
 def test_a_kept_step_matrix_still_checks_the_site_probabilities(kernel_calls):

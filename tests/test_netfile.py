@@ -521,6 +521,16 @@ def test_a_case_constraining_a_component_twice_is_refused():
         EvidenceCase(1, (("z.plus", 0.5), ("z.plus", 0))).as_sets()
 
 
+def test_both_constrained_twice_refusals_name_the_first_repeat():
+    cells = (("a", 1), ("b", 1), ("b", 0), ("a", 0))  # 'b' repeats first, 'a' no more often
+    with pytest.raises(ValueError) as err:
+        EvidenceCase(1, cells).as_sets()
+    assert str(err.value) == "component 'b' constrained twice"
+    with pytest.raises(ParseError) as err:
+        parse_constraints(",".join(f"{alpha}={v}" for alpha, v in cells))
+    assert str(err.value) == "component 'b' constrained twice"
+
+
 def test_cases_errors():
     with pytest.raises(ParseError, match="start with 'case'"):
         parse_cases("number,a\n1,0\n")
