@@ -122,16 +122,23 @@ def _parse_state(token: str, line) -> tuple[int, ...]:
 
 
 def emit_net(net) -> str:
-    """Serialize a net; parse_net(emit_net(net)) rebuilds identical tables."""
-    quantum = isinstance(net, QBNet)
-    lines = [FORMAT_HEADER, f"kind {'quantum' if quantum else 'classical'}"]
-    if getattr(net, "pre_net", False):
+    """Serialize a net; parse_net(emit_net(net)) rebuilds identical tables.
+    ValueError names the node, component or meta key that no file reads back."""
+    named = [("meta key", key) for key in net.meta] + [("node", n) for n in net.graph.nodes]
+    named += [("component", a) for n in net.graph.nodes for a in net.space.components(n)]
+    for what, name in named:
+        if str(name).split() != [str(name)]:
+            raise ValueError(f"{what} {name!r} is empty or holds whitespace")
+    quantum = net.kind == "quantum"
+    lines = [FORMAT_HEADER, f"kind {net.kind}"]
+    if net.pre_net:
         lines.append("pre-net true")
     for key in sorted(net.meta):
         value = str(net.meta[key])
+        if value != value.strip() or len(value.splitlines()) > 1:
+            raise ValueError(f"meta {key!r}: value {value!r} is not one line without outer spaces")
         lines.append(f"meta {key} {value}" if value else f"meta {key}")
-    order = net.chronological if not getattr(net, "pre_net", False) else tuple(net.graph.nodes)
-    for node in order:
+    for node in net.node_order():
         states = net.space.states(node)
         parents = net.parents(node)
         lines.append(f"node {node}")
@@ -148,32 +155,25 @@ def emit_net(net) -> str:
 
 
 def write_net(net, path) -> None:
+    text = emit_net(net)  # before the file opens, so a refused net leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_net(net))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 # Net parsing
 
 
-class _NodeDraft:
-    def __init__(self, name, line):
-        self.name = name
-        self.line = line
-        self.components = None
-        self.states = None
-        self.parents = None
-        self.entries = []  # (state, parent states, value, line)
+_NONEMPTY = {"components": "name", "states": "state"}  # sections refused empty: their noun
 
 
 def parse_net(text: str):
     """Build a net from file text; structural mistakes raise ParseError."""
-    drafts: list[_NodeDraft] = []
-    by_name: dict[str, _NodeDraft] = {}
+    nodes: dict[str, dict] = {}  # name -> {"line", "entries", and each section read}
     kind = None
     pre_net = False
     meta: dict[str, str] = {}
-    current: _NodeDraft | None = None
+    current: dict | None = None
     saw_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -202,94 +202,81 @@ def parse_net(text: str):
         elif word == "node":
             if len(tokens) != 2:
                 raise ParseError("node needs exactly one name", lineno)
-            if tokens[1] in by_name:
+            if tokens[1] in nodes:
                 raise ParseError(f"duplicate node {tokens[1]!r}", lineno)
-            current = _NodeDraft(tokens[1], lineno)
-            drafts.append(current)
-            by_name[tokens[1]] = current
+            current = nodes[tokens[1]] = {"line": lineno, "entries": []}
         elif word in ("components", "states", "parents", "entry"):
             if current is None:
                 raise ParseError(f"{word} before any node line", lineno)
-            if word == "components":
-                if current.components is not None:
-                    raise ParseError("duplicate components line", lineno)
-                if len(tokens) < 2:
-                    raise ParseError("components line needs at least one name", lineno)
-                current.components = tuple(tokens[1:])
-            elif word == "states":
-                if current.states is not None:
-                    raise ParseError("duplicate states line", lineno)
-                current.states = tuple(_parse_state(t, lineno) for t in tokens[1:])
-                if not current.states:
-                    raise ParseError("states line needs at least one state", lineno)
-            elif word == "parents":
-                if current.parents is not None:
-                    raise ParseError("duplicate parents line", lineno)
-                current.parents = tuple(tokens[1:])
-            else:
+            if word == "entry":
                 if len(tokens) < 3:
                     raise ParseError("entry needs a state and a value", lineno)
                 state = _parse_state(tokens[1], lineno)
                 combo = tuple(_parse_state(t, lineno) for t in tokens[2:-1])
                 value = _parse_value(tokens[-1], kind == "quantum", lineno)
-                current.entries.append((state, combo, value, lineno))
+                current["entries"].append((state, combo, value, lineno))
+            elif word in current:
+                raise ParseError(f"duplicate {word} line", lineno)
+            else:
+                items = tuple(_parse_state(t, lineno) if word == "states" else t for t in tokens[1:])
+                if not items and word in _NONEMPTY:
+                    raise ParseError(f"{word} line needs at least one {_NONEMPTY[word]}", lineno)
+                current[word] = items
         else:
             raise ParseError(f"unknown directive {word!r}", lineno)
 
     if kind is None:
         raise ParseError("missing kind line", len(text.splitlines()) or 1)
-    if not drafts:
+    if not nodes:
         raise ParseError("no nodes declared", len(text.splitlines()) or 1)
 
     seen_components: set[str] = set()
-    for draft in drafts:
-        if draft.states is None:
-            raise ParseError(f"node {draft.name!r} has no states line", draft.line)
-        if draft.parents is None:
-            raise ParseError(f"node {draft.name!r} has no parents line", draft.line)
-        width = {len(s) for s in draft.states}
+    for name, node in nodes.items():
+        for section in (s for s in ("states", "parents") if s not in node):
+            raise ParseError(f"node {name!r} has no {section} line", node["line"])
+        states, parents = node["states"], node["parents"]
+        width = {len(s) for s in states}
         if len(width) != 1:
-            raise ParseError(f"node {draft.name!r} mixes state widths", draft.line)
-        if len(set(draft.states)) != len(draft.states):
-            raise ParseError(f"node {draft.name!r} has duplicate states", draft.line)
+            raise ParseError(f"node {name!r} mixes state widths", node["line"])
+        if len(set(states)) != len(states):
+            raise ParseError(f"node {name!r} has duplicate states", node["line"])
         width = width.pop()
-        if draft.components is None:
-            if width != 1:
-                raise ParseError(
-                    f"node {draft.name!r} has {width} components but no components line",
-                    draft.line,
-                )
-            draft.components = (draft.name,)
-        if len(draft.components) != width:
+        if "components" not in node and width != 1:
             raise ParseError(
-                f"node {draft.name!r}: component count does not match state width",
-                draft.line,
+                f"node {name!r} has {width} components but no components line",
+                node["line"],
             )
-        for alpha in draft.components:
+        components = node.setdefault("components", (name,))
+        if len(components) != width:
+            raise ParseError(
+                f"node {name!r}: component count does not match state width",
+                node["line"],
+            )
+        for alpha in components:
             if alpha in seen_components:
                 raise ParseError(
-                    f"node {draft.name!r}: component name {alpha!r} is not globally unique",
-                    draft.line,
+                    f"node {name!r}: component name {alpha!r} is not globally unique",
+                    node["line"],
                 )
             seen_components.add(alpha)
-        for parent in draft.parents:
-            if parent not in by_name:
+        for parent in parents:
+            if parent not in nodes:
                 raise ParseError(
-                    f"node {draft.name!r} lists unknown parent {parent!r}", draft.line
+                    f"node {name!r} lists unknown parent {parent!r}", node["line"]
                 )
-        if draft.name in draft.parents:
-            raise ParseError(f"node {draft.name!r} lists itself as a parent", draft.line)
-        if len(set(draft.parents)) != len(draft.parents):
-            raise ParseError(f"node {draft.name!r} lists a parent twice", draft.line)
+        if name in parents:
+            raise ParseError(f"node {name!r} lists itself as a parent", node["line"])
+        if len(set(parents)) != len(parents):
+            raise ParseError(f"node {name!r} lists a parent twice", node["line"])
 
     blocks = []
-    for draft in drafts:
-        parent_states = [by_name[p].states for p in draft.parents]
+    for name, node in nodes.items():
+        parent_states = [nodes[p]["states"] for p in node["parents"]]
         values = {}  # (state, parent states) -> value
-        for state, combo, value, lineno in draft.entries:
+        for state, combo, value, lineno in node["entries"]:
             if isinstance(value, complex) and kind != "quantum":
                 raise ParseError("a [re,im] value needs kind quantum", lineno)
-            if state not in draft.states:
+            if state not in node["states"]:
                 raise ParseError(
                     f"entry state {format_state(state)} not in the states line", lineno
                 )
@@ -298,7 +285,7 @@ def parse_net(text: str):
                     f"entry needs {len(parent_states)} parent states, got {len(combo)}",
                     lineno,
                 )
-            for parent, states, s in zip(draft.parents, parent_states, combo):
+            for parent, states, s in zip(node["parents"], parent_states, combo):
                 if s not in states:
                     raise ParseError(
                         f"parent state {format_state(s)} not declared for {parent!r}", lineno
@@ -308,11 +295,11 @@ def parse_net(text: str):
             values[state, combo] = value
         blocks.append(
             NodeBlock(
-                draft.name,
-                list(draft.states),
+                name,
+                list(node["states"]),
                 lambda state, combo, values=values: values.get((state, combo), 0),
-                parents=draft.parents,
-                components=draft.components,
+                parents=node["parents"],
+                components=node["components"],
             )
         )
 

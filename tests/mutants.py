@@ -10,8 +10,8 @@ where they must pass. The run prints one line per mutant and exits 1
 unless every mutant is killed.
 
 Run it by hand from the root of a checkout; pytest does not collect it.
-A change to ``core``, ``lattice`` or ``catalog`` runs it and reports the
-count.
+A change to ``core``, ``lattice``, ``catalog`` or ``netfile`` runs it and
+reports the count.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ LRU = LATTICE + "test_the_step_memo_keeps_its_128_most_recently_used_matrices"
 PAST_32 = LATTICE + "test_a_preset_chain_past_32_sites_is_not_kept"
 STEP_MEMO = "@functools.lru_cache(maxsize=128)\ndef _step_matrix("
 STEP_KEY = "key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)"
+NETFILE = "tests/test_netfile.py::"
+BAD_INPUT = NETFILE + "test_parse_errors_carry_line_numbers"
 
 # (name, file under src/qbnet, old text, new text, tests that must fail)
 MUTANTS = [
@@ -199,6 +201,22 @@ MUTANTS = [
      "if not isinstance(value, (float, int, numbers.Real)):",
      "if False:",
      [LATTICE + "test_a_number_that_is_not_real_is_refused_naming_its_field"]),
+    # the net-file reader and writer
+    ("a section may repeat", "netfile.py",
+     "            elif word in current:\n", "            elif False:\n",
+     [BAD_INPUT]),
+    ("parents is no longer required", "netfile.py",
+     '("states", "parents")', '("states",)',
+     [NETFILE + "test_missing_sections_are_reported"]),
+    ("an entry state outside the states line is kept", "netfile.py",
+     'if state not in node["states"]:', "if False:",
+     [BAD_INPUT]),
+    ("emission in declared order", "netfile.py",
+     "for node in net.node_order():", "for node in net.graph.nodes:",
+     [NETFILE + "test_an_acyclic_pre_net_is_emitted_in_chronological_order"]),
+    ("a spaced meta key emitted as is", "netfile.py",
+     'named = [("meta key", key) for key in net.meta] + ', "named = [] + ",
+     [NETFILE + "test_emission_refuses_text_that_would_not_read_back"]),
 ]
 
 

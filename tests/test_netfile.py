@@ -152,6 +152,64 @@ def test_file_io_helpers(tmp_path):
     assert path.read_bytes() == emit_net(net).encode()
 
 
+def coin_and_copy(order, pre_net=False, meta=None, name="coin", component="coin"):
+    """A coin and a copy of it, as blocks declared in ``order``."""
+    blocks = {
+        "coin": NodeBlock(name, [0, 1], [0.25, 0.75], components=(component,)),
+        "copy": NodeBlock("copy", [0, 1], np.eye(2), parents=(name,)),
+    }
+    return CBNet.from_blocks([blocks[n] for n in order], meta=meta, pre_net=pre_net)
+
+
+def test_an_acyclic_pre_net_is_emitted_in_chronological_order():
+    first = coin_and_copy(("copy", "coin"), pre_net=True)
+    second = coin_and_copy(("coin", "copy"), pre_net=True)
+    assert first.graph.nodes != second.graph.nodes
+    text = emit_net(first)
+    assert text == emit_net(second)
+    assert text.index("node coin") < text.index("node copy")
+    for net in (first, second):
+        assert_same_net(net, parse_net(text))
+
+
+UNWRITABLE = {
+    "spaced node": ({"name": "my coin"}, "node 'my coin' is empty or holds whitespace"),
+    "spaced component": ({"component": "x y"}, "component 'x y' is empty or holds whitespace"),
+    "spaced meta key": ({"meta": {"my key": "v"}}, "meta key 'my key' is empty or holds whitespace"),
+    "empty meta key": ({"meta": {"": "v"}}, "meta key '' is empty or holds whitespace"),
+    "two-line meta value": (
+        {"meta": {"k": "v\nw"}},
+        "meta 'k': value 'v\\nw' is not one line without outer spaces",
+    ),
+    "meta value split by a line separator": (
+        {"meta": {"k": "v\u2028w"}},
+        "meta 'k': value 'v\\u2028w' is not one line without outer spaces",
+    ),
+    "meta value with outer spaces": (
+        {"meta": {"k": " v"}},
+        "meta 'k': value ' v' is not one line without outer spaces",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_emission_refuses_text_that_would_not_read_back(case, tmp_path):
+    kwargs, message = UNWRITABLE[case]
+    net = coin_and_copy(("coin", "copy"), **kwargs)
+    with pytest.raises(ValueError) as err:
+        emit_net(net)
+    assert str(err.value) == message
+    path = tmp_path / "net.qbn"
+    with pytest.raises(ValueError):
+        write_net(net, path)
+    assert not path.exists()
+
+
+def test_a_meta_value_with_inner_spaces_reads_back_verbatim():
+    net = coin_and_copy(("coin", "copy"), meta={"title": "a  coin\tand its copy", "empty": ""})
+    assert parse_net(emit_net(net)).meta == net.meta
+
+
 HAND_WRITTEN = """\
 # a coin and a copy of it
 qbnet 1
@@ -308,82 +366,99 @@ def test_quantum_values_parse_as_pairs():
     assert net2.table("a")[0, 0] == 0.6 + 0j
 
 
+HEAD = "qbnet 1\nkind classical\n"
 BAD_INPUTS = [
-    ("kind classical\nnode a\n", 1, "expected"),
-    ("qbnet 1\nnode a\nstates (0)\nparents\nentry (0) 1\n", 5, "kind"),
-    ("qbnet 1\nkind sideways\n", 2, "kind"),
-    ("qbnet 1\nkind classical\nstates (0)\n", 3, "before any node"),
-    ("qbnet 1\nkind classical\nnode a\nnode a\n", 4, "duplicate node"),
-    ("qbnet 1\nkind classical\nnode a\nstates zero\n", 4, "state must look like"),
-    ("qbnet 1\nkind classical\nnode a\nstates (0) (1,1)\nparents\n", 3, "widths"),
+    ("kind classical\nnode a\n", 1, "expected 'qbnet 1' first"),
+    ("qbnet 1\nnode a\nstates (0)\nparents\nentry (0) 1\n", 5, "missing kind line"),
+    ("qbnet 1\nkind sideways\n", 2, "kind must be classical or quantum"),
+    (HEAD + "kind quantum\n", 3, "duplicate kind line"),
+    (HEAD + "meta\n", 3, "meta needs a key"),
+    (HEAD + "states (0)\n", 3, "states before any node line"),
+    (HEAD + "node a b\n", 3, "node needs exactly one name"),
+    (HEAD + "node a\nnode a\n", 4, "duplicate node 'a'"),
+    # a repeated section is refused before its list is read
+    (HEAD + "node a\ncomponents a\ncomponents\n", 5, "duplicate components line"),
+    (HEAD + "node a\nstates (0)\nstates zero\n", 5, "duplicate states line"),
+    (HEAD + "node a\nparents\nparents\n", 5, "duplicate parents line"),
+    (HEAD + "node a\ncomponents\n", 4, "components line needs at least one name"),
+    (HEAD + "node a\nstates\n", 4, "states line needs at least one state"),
+    (HEAD + "node a\nstates zero\n", 4, "state must look like (0,1), got 'zero'"),
+    (HEAD + "node a\nstates ()\n", 4, "empty state tuple"),
+    (HEAD + "node a\nstates (0,x)\n", 4, "non-integer occupation in '(0,x)'"),
+    (HEAD + "node a\nentry (0)\n", 4, "entry needs a state and a value"),
+    (HEAD + "node a\nstates (0) (1,1)\nparents\n", 3, "node 'a' mixes state widths"),
     (
-        "qbnet 1\nkind classical\nnode a\ncomponents x y\nstates (0)\nparents\n",
+        HEAD + "node a\ncomponents x y\nstates (0)\nparents\n",
         3,
-        "component count",
+        "node 'a': component count does not match state width",
     ),
-    ("qbnet 1\nkind classical\nnode a\nstates (0)\nparents ghost\n", 3, "unknown parent"),
+    (HEAD + "node a\nstates (0)\nparents ghost\n", 3, "node 'a' lists unknown parent 'ghost'"),
+    (HEAD + "node a\nstates (0)\nparents\nentry (0) 1\nentry (0) 1\n", 7, "duplicate entry"),
     (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\n"
-        "entry (0) 1\nentry (0) 1\n",
-        7,
-        "duplicate entry",
-    ),
-    (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (1) 1\n",
+        HEAD + "node a\nstates (0)\nparents\nentry (1) 1\n",
         6,
-        "not in the states line",
+        "entry state (1) not in the states line",
     ),
     (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (0) (0) 1\n",
+        HEAD + "node a\nstates (0)\nparents\nentry (0) (0) 1\n",
         6,
-        "parent states",
+        "entry needs 0 parent states, got 1",
     ),
-    ("qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (0) huh\n", 6, "number"),
-    ("qbnet 1\nkind classical\nwhatever now\n", 3, "unknown directive"),
-    ("qbnet 1\nkind quantum\nnode a\nstates (0)\nparents\nentry (0) [1,2,3]\n", 6, "two"),
-    ("qbnet 1\nkind classical\nnode a\nstates (0) (1) (0)\nparents\n", 3, "duplicate states"),
+    (HEAD + "node a\nstates (0)\nparents\nentry (0) huh\n", 6, "not a number: 'huh'"),
+    (HEAD + "node a\nstates (0)\nparents\nentry (0) pi/0\n", 6, "zero denominator in 'pi/0'"),
+    (HEAD + "whatever now\n", 3, "unknown directive 'whatever'"),
     (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\n"
-        "node b\ncomponents a\nstates (0)\nparents\n",
+        "qbnet 1\nkind quantum\nnode a\nstates (0)\nparents\nentry (0) [1,2,3]\n",
         6,
-        "globally unique",
+        "value pair needs two numbers, got '[1,2,3]'",
     ),
     (
-        "qbnet 1\nkind classical\nnode a\ncomponents x x\nstates (0,0)\nparents\n",
+        "qbnet 1\nkind quantum\nnode a\nstates (0)\nparents\nentry (0) [1,0\n",
+        6,
+        "unterminated value pair '[1,0'",
+    ),
+    (HEAD + "node a\nstates (0) (1) (0)\nparents\n", 3, "node 'a' has duplicate states"),
+    (
+        HEAD + "node a\nstates (0)\nparents\nnode b\ncomponents a\nstates (0)\nparents\n",
+        6,
+        "node 'b': component name 'a' is not globally unique",
+    ),
+    (
+        HEAD + "node a\ncomponents x x\nstates (0,0)\nparents\n",
         3,
-        "globally unique",
+        "node 'a': component name 'x' is not globally unique",
     ),
-    ("qbnet 1\nkind classical\nnode a\nstates (0,1)\nparents\n", 3, "no components line"),
-    ("qbnet 1\nkind classical\nnode a\nstates (0)\nparents a\n", 3, "itself"),
+    (HEAD + "node a\nstates (0,1)\nparents\n", 3, "node 'a' has 2 components but no components line"),
+    (HEAD + "node a\nstates (0)\nparents a\n", 3, "node 'a' lists itself as a parent"),
     (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\n"
-        "node b\nstates (0)\nparents a a\n",
+        HEAD + "node a\nstates (0)\nparents\nnode b\nstates (0)\nparents a a\n",
         6,
-        "parent twice",
+        "node 'b' lists a parent twice",
     ),
     (
-        "qbnet 1\nkind classical\nnode a\nstates (0)\nparents\nentry (0) [1,0]\n",
+        HEAD + "node a\nstates (0)\nparents\nentry (0) [1,0]\n",
         6,
-        "kind quantum",
+        "a [re,im] value needs kind quantum",
     ),
 ]
 
 
-@pytest.mark.parametrize("text,line,needle", BAD_INPUTS)
-def test_parse_errors_carry_line_numbers(text, line, needle):
+@pytest.mark.parametrize("text,line,message", BAD_INPUTS)
+def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_net(text)
     assert err.value.line == line
-    assert needle in str(err.value)
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_missing_sections_are_reported():
-    with pytest.raises(ParseError, match="no states"):
-        parse_net("qbnet 1\nkind classical\nnode a\nparents\n")
-    with pytest.raises(ParseError, match="no parents"):
-        parse_net("qbnet 1\nkind classical\nnode a\nstates (0)\n")
+    for section, body in (("states", "parents\n"), ("parents", "states (0)\n")):
+        with pytest.raises(ParseError) as err:
+            parse_net(HEAD + "node a\n" + body)
+        assert str(err.value) == f"line 3: node 'a' has no {section} line"
+        assert err.value.line == 3
     with pytest.raises(ParseError, match="no nodes"):
-        parse_net("qbnet 1\nkind classical\n")
+        parse_net(HEAD)
 
 
 CATALOG_TEXTS = {e.id: emit_net(catalog.build(e.id)) for e in catalog.list_entries()}
@@ -421,8 +496,8 @@ def mutated_catalog_texts(draw):
 def test_mutated_catalog_text_parses_or_raises_a_parse_error(text):
     try:
         parse_net(text)
-    except ParseError:
-        pass
+    except ParseError as err:
+        assert err.line is not None
     except CyclicGraph:
         assert "kind quantum" in text  # a cyclic classical file parses as a pre-net
 
