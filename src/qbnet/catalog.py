@@ -43,7 +43,6 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -51,7 +50,7 @@ import numpy as np
 from .classical import CBNet
 from .core import NodeBlock, Weights, expect_kind, max_states
 from .errors import InvalidParams, UnknownEntry
-from .netfile import EvidenceCase
+from .netfile import EvidenceCase, angle_string
 from .quantum import QBNet, chi, parent_cb_net  # noqa: F401  (perfbench traces catalog.chi)
 from .spin import (
     MAGNET_STATES,
@@ -61,26 +60,6 @@ from .spin import (
     marginalizer_table,
     stern_gerlach_table,
 )
-
-
-def angle_string(x: float) -> str:
-    """Render an angle, using exact pi fractions when they apply.
-
-    Small rational multiples of pi come out as "pi/5", "-3*pi/4", "2*pi"
-    and so on; anything else is the decimal value.
-    """
-    if x == 0:
-        return "0"
-    for den in range(1, 13):
-        num = x * den / math.pi
-        rounded = round(num)
-        if rounded != 0 and abs(num - rounded) < 1e-12:
-            frac = Fraction(rounded, den)
-            n, d = frac.numerator, frac.denominator
-            head = "pi" if abs(n) == 1 else f"{abs(n)}*pi"
-            sign = "-" if n < 0 else ""
-            return f"{sign}{head}" if d == 1 else f"{sign}{head}/{d}"
-    return repr(float(x))
 
 
 def _complex_string(z: complex) -> str:

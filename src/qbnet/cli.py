@@ -188,15 +188,14 @@ def cmd_cases(args) -> int:
 
 def cmd_paths(args) -> int:
     net = read_net(args.net)
-    classification = classify_paths(net)
-    order = classification.order
+    classes = classify_paths(net)
     ext = net.external_components
     quantum = net.kind == "quantum"
-    print(f"node order: {' '.join(order)}")
-    print(f"{len(classification.classes)} final configurations")
-    for final in sorted(classification.classes, key=lambda f: f.values):
-        paths = classification.classes[final]
-        label = describe_constraints(zip(ext, final.values))
+    print(f"node order: {' '.join(net.node_order())}")
+    print(f"{len(classes)} final configurations")
+    for final in sorted(classes):
+        paths = classes[final]
+        label = describe_constraints(zip(ext, final))
         total = sum(p.value for p in paths)
         if quantum:
             print(f"final {label}  amplitude {_num(total)}  weight {_num(abs(total) ** 2)}")

@@ -19,9 +19,9 @@ States are always written as parenthesized occupation tuples. Each entry
 line names the node state, then one state per declared parent, then the
 value: a plain number for classical nets or a [re,im] pair for quantum
 ones. Zero entries are omitted. Numbers use 17 significant digits so a
-double round-trips exactly; simple pi fractions like pi/5 or -3*pi/4 are
-accepted wherever a number is, and meta values are kept verbatim, so
-symbolic angles survive emission unchanged.
+double round-trips exactly; pi fractions like pi/5 or -3*pi/4, which
+``angle_string`` writes, are accepted wherever a number is, and meta values
+are kept verbatim, so symbolic angles survive emission unchanged.
 
 Evidence-case files are CSV: a header row of "case" plus component names,
 then one row per case, an ``EvidenceCase``. A blank cell means
@@ -91,6 +91,26 @@ def parse_number(token: str, line=None) -> float:
     if not math.isfinite(value):
         raise ParseError(f"not a finite number: {token!r}", line)
     return value
+
+
+def angle_string(x: float) -> str:
+    """Render an angle, using exact pi fractions when they apply.
+
+    Small rational multiples of pi come out as "pi/5", "-3*pi/4", "2*pi"
+    and so on; anything else is the decimal value.
+    """
+    if x == 0:
+        return "0"
+    for den in range(1, 13):
+        num = x * den / math.pi
+        rounded = round(num)
+        if rounded != 0 and abs(num - rounded) < 1e-12:
+            g = math.gcd(rounded, den)
+            n, d = rounded // g, den // g
+            head = "pi" if abs(n) == 1 else f"{abs(n)}*pi"
+            sign = "-" if n < 0 else ""
+            return f"{sign}{head}" if d == 1 else f"{sign}{head}/{d}"
+    return repr(float(x))
 
 
 def _parse_value(token: str, quantum: bool, line):
@@ -171,7 +191,7 @@ def parse_net(text: str):
     """Build a net from file text; structural mistakes raise ParseError."""
     nodes: dict[str, dict] = {}  # name -> {"line", "entries", and each section read}
     kind = None
-    pre_net = False
+    pre_net, pre_net_line = False, None
     meta: dict[str, str] = {}
     current: dict | None = None
     saw_header = False
@@ -194,10 +214,16 @@ def parse_net(text: str):
                 raise ParseError("duplicate kind line", lineno)
             kind = tokens[1]
         elif word == "pre-net":
-            pre_net = len(tokens) > 1 and tokens[1] == "true"
+            if len(tokens) != 2 or tokens[1] not in ("true", "false"):
+                raise ParseError("pre-net must be true or false", lineno)
+            if pre_net_line is not None:
+                raise ParseError("duplicate pre-net line", lineno)
+            pre_net, pre_net_line = tokens[1] == "true", lineno
         elif word == "meta":
             if len(tokens) < 2:
                 raise ParseError("meta needs a key", lineno)
+            if tokens[1] in meta:
+                raise ParseError(f"duplicate meta key {tokens[1]!r}", lineno)
             meta[tokens[1]] = line.split(None, 2)[2] if len(tokens) > 2 else ""
         elif word == "node":
             if len(tokens) != 2:
@@ -227,6 +253,8 @@ def parse_net(text: str):
 
     if kind is None:
         raise ParseError("missing kind line", len(text.splitlines()) or 1)
+    if pre_net and kind == "quantum":
+        raise ParseError("pre-net true needs kind classical", pre_net_line)
     if not nodes:
         raise ParseError("no nodes declared", len(text.splitlines()) or 1)
 

@@ -34,19 +34,6 @@ class Path:
     value: complex
 
 
-@dataclass(frozen=True)
-class FinalState:
-    """External component values in canonical order."""
-
-    values: tuple[int, ...]
-
-
-@dataclass
-class PathClassification:
-    order: tuple[str, ...]
-    classes: dict[FinalState, list[Path]]
-
-
 def enumerate_paths(net: BaseNet) -> list[Path]:
     """All nonzero-support paths, in lexicographic state-index order."""
     joint_states(net)
@@ -74,24 +61,24 @@ def enumerate_paths(net: BaseNet) -> list[Path]:
     return paths
 
 
-def _classes(net: BaseNet, fixed: Mapping[str, object]) -> dict[FinalState, list[Path]]:
+def _classes(net: BaseNet, fixed: Mapping[str, object]) -> dict[tuple, list[Path]]:
     """The paths matching ``fixed`` (component -> value or value set), grouped
     by final external configuration: the one walk every result here reads."""
     pos = {n: j for j, n in enumerate(net.node_order())}
     owners = [(net.space.owner(alpha), value_set(v)) for alpha, v in fixed.items()]
     matchers = [(pos[node], k, vs) for (node, k), vs in owners]
     external = [pos[n] for n in net.external_order]
-    classes: dict[FinalState, list[Path]] = {}
+    classes: dict[tuple, list[Path]] = {}
     for path in enumerate_paths(net):
         if all(path.states[j][k] in vs for j, k, vs in matchers):
-            final = FinalState(tuple(v for j in external for v in path.states[j]))
+            final = tuple(v for j in external for v in path.states[j])
             classes.setdefault(final, []).append(path)
     return classes
 
 
-def classify_paths(net: BaseNet) -> PathClassification:
-    """Group the nonzero-support paths by final external configuration."""
-    return PathClassification(order=net.node_order(), classes=_classes(net, {}))
+def classify_paths(net: BaseNet) -> dict[tuple, list[Path]]:
+    """The nonzero-support paths per final configuration, keyed as ``core.external_map``."""
+    return _classes(net, {})
 
 
 def _class_sums(net: BaseNet, fixed: Mapping[str, object]) -> dict:
@@ -100,7 +87,8 @@ def _class_sums(net: BaseNet, fixed: Mapping[str, object]) -> dict:
 
 
 def feynman_integral(net: BaseNet):
-    """Per-class path sums: {FinalState: summed value}.
+    """Per-class path sums: {external component values: summed value}, each
+    key the tuple that ``core.external_map`` gives the same configuration.
 
     For quantum nets the values are complex amplitudes whose squared moduli
     are the external configuration weights; for classical nets they are the

@@ -67,6 +67,7 @@ class QBNet(BaseNet):
 
 def joint_amplitude(net: QBNet, assignment: Mapping[str, object]) -> complex:
     """Amplitude of one full assignment {node: state}."""
+    expect_kind(net, "quantum", "joint_amplitude")
     return complex(net.joint_value(assignment))
 
 

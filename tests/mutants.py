@@ -10,8 +10,8 @@ where they must pass. The run prints one line per mutant and exits 1
 unless every mutant is killed.
 
 Run it by hand from the root of a checkout; pytest does not collect it.
-A change to ``core``, ``lattice``, ``catalog`` or ``netfile`` runs it and
-reports the count.
+A change to ``core``, ``lattice``, ``catalog``, ``netfile`` or ``pathsum``
+runs it and reports the count.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ STEP_MEMO = "@functools.lru_cache(maxsize=128)\ndef _step_matrix("
 STEP_KEY = "key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)"
 NETFILE = "tests/test_netfile.py::"
 BAD_INPUT = NETFILE + "test_parse_errors_carry_line_numbers"
+PATHSUM = "tests/test_pathsum.py::"
+FINAL_KEY = "final = tuple(v for j in external for v in path.states[j])"
 
 # (name, file under src/qbnet, old text, new text, tests that must fail)
 MUTANTS = [
@@ -217,6 +219,19 @@ MUTANTS = [
     ("a spaced meta key emitted as is", "netfile.py",
      'named = [("meta key", key) for key in net.meta] + ', "named = [] + ",
      [NETFILE + "test_emission_refuses_text_that_would_not_read_back"]),
+    ("a repeated meta key kept", "netfile.py",
+     "            if tokens[1] in meta:\n", "            if False:\n",
+     [BAD_INPUT]),
+    # the path-sum route and the kind checks
+    ("a final key built from every node", "pathsum.py",
+     FINAL_KEY, FINAL_KEY.replace("for j in external", "for j in pos.values()"),
+     [PATHSUM + "test_the_two_routes_key_each_random_nets_configurations_alike"]),
+    ("the path filter ignored", "pathsum.py",
+     "if all(path.states[j][k] in vs for j, k, vs in matchers):", "if True:",
+     [PATHSUM + "test_quantum_dual_route_amplitudes"]),
+    ("joint_amplitude answers a classical net", "quantum.py",
+     '    expect_kind(net, "quantum", "joint_amplitude")\n', "",
+     ["tests/test_quantum.py::test_a_net_of_the_wrong_kind_is_refused"]),
 ]
 
 

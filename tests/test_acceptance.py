@@ -39,7 +39,7 @@ from qbnet.lattice import (
     step_amplitudes_exact,
     step_amplitudes_gaussian,
 )
-from qbnet.pathsum import FinalState, feynman_integral, pathsum_conditional
+from qbnet.pathsum import feynman_integral, pathsum_conditional
 from qbnet.quantum import (
     QBNet,
     f_qna,
@@ -266,7 +266,7 @@ def test_criterion_11_lattice():
         fi = feynman_integral(net)
         assert abs(sum(abs(a) ** 2 for a in fi.values()) - 1.0) <= 1e-9
         for s in range(spec.n_x):
-            key = FinalState(tuple(1 if i == s else 0 for i in range(spec.n_x)))
+            key = tuple(1 if i == s else 0 for i in range(spec.n_x))
             assert abs(fi.get(key, 0.0) - psi[s]) <= 1e-12
         # fixed-angle halvings in the strong-potential regime
         m = hbar = 1.0

@@ -29,7 +29,7 @@ from qbnet.classical import (
     validate,
 )
 from qbnet.errors import InvalidParams, UnknownEntry
-from qbnet.pathsum import FinalState, feynman_integral, path_chi, pathsum_conditional
+from qbnet.pathsum import feynman_integral, path_chi, pathsum_conditional
 from qbnet.quantum import QBNet, chi, parent_cb_net, quantum_conditional, validate_quantum
 from qbnet.spin import SpinDirection, overlap
 
@@ -147,7 +147,7 @@ def test_walk_positions_are_binomial():
 
 
 def _fs(net, **vals):
-    return FinalState(tuple(vals.get(c, 0) for c in net.external_components))
+    return tuple(vals.get(c, 0) for c in net.external_components)
 
 
 def _hand_amplitudes(fid, psi01, psi10, tz, tu, tv, g=1.0):

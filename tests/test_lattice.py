@@ -119,7 +119,7 @@ def _fi_vector(net, n_x):
     fi = feynman_integral(net)
     out = np.zeros(n_x, dtype=complex)
     for state, value in fi.items():
-        (site,) = [i for i, occ in enumerate(state.values) if occ == 1]
+        (site,) = [i for i, occ in enumerate(state) if occ == 1]
         out[site] = value
     return out
 

@@ -1,5 +1,10 @@
 import ast
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from qbnet.core import NodeBlock
 from qbnet.errors import CyclicGraph, InvalidState, ParseError
 from qbnet.netfile import (
     EvidenceCase,
+    angle_string,
     emit_cases,
     emit_net,
     format_value_cell,
@@ -341,6 +347,39 @@ def test_overflowing_pi_fraction_is_a_parse_error():
         parse_number("9" * 400 + "*pi")
 
 
+def _pi_text(f: Fraction) -> str:
+    head = "pi" if abs(f.numerator) == 1 else f"{abs(f.numerator)}*pi"
+    text = ("-" if f < 0 else "") + head
+    return text if f.denominator == 1 else f"{text}/{f.denominator}"
+
+
+def test_an_angle_is_written_as_its_reduced_pi_fraction():
+    for n in range(-48, 49):
+        for d in range(1, 13):
+            want = _pi_text(Fraction(n, d)) if n else "0"
+            assert angle_string(n * math.pi / d) == want, (n, d)
+    for x in (0.123, 1.0, -2.5, 1e-3, math.e):
+        assert angle_string(x) == repr(x)
+    assert catalog.angle_string is angle_string
+
+
+def test_every_written_pi_fraction_reads_back_exactly():
+    reduced = {Fraction(n, d) for n in range(-48, 49) for d in range(1, 13)} - {0}
+    assert len(reduced) == 720
+    for f in reduced:
+        x = f.numerator * math.pi / f.denominator
+        assert parse_number(angle_string(x)) == x, f
+
+
+def test_the_cli_imports_neither_fractions_nor_decimal():
+    env = dict(os.environ, PYTHONPATH=str(Path(netfile.__file__).parents[1]))
+    code = "import sys, qbnet.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 def quantum_lines(*extra):
     return "\n".join(
         [
@@ -373,6 +412,18 @@ BAD_INPUTS = [
     ("qbnet 1\nkind sideways\n", 2, "kind must be classical or quantum"),
     (HEAD + "kind quantum\n", 3, "duplicate kind line"),
     (HEAD + "meta\n", 3, "meta needs a key"),
+    # each header directive is read once
+    (HEAD + "meta k 1\nmeta k 2\n", 4, "duplicate meta key 'k'"),
+    (HEAD + "pre-net false\npre-net true\n", 4, "duplicate pre-net line"),
+    (HEAD + "pre-net\n", 3, "pre-net must be true or false"),
+    (HEAD + "pre-net yes\n", 3, "pre-net must be true or false"),
+    (HEAD + "pre-net true false\n", 3, "pre-net must be true or false"),
+    # checked once the kind is known, which may come after it
+    (
+        "qbnet 1\npre-net true\nkind quantum\nnode a\nstates (0)\nparents\n",
+        2,
+        "pre-net true needs kind classical",
+    ),
     (HEAD + "states (0)\n", 3, "states before any node line"),
     (HEAD + "node a b\n", 3, "node needs exactly one name"),
     (HEAD + "node a\nnode a\n", 4, "duplicate node 'a'"),

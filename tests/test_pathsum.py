@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbnet import catalog
 from qbnet.classical import chi_classical, classical_conditional, external_mass_map
-from qbnet.core import NodeBlock, Weights
+from qbnet.core import NodeBlock, Weights, external_map
 from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
 from qbnet.pathsum import (
-    FinalState,
     classify_paths,
     enumerate_paths,
     feynman_integral,
@@ -39,9 +40,9 @@ def test_paths_and_integral_by_hand():
     assert len(paths) == 4
     fi = feynman_integral(net)
     s = 1 / math.sqrt(2)
-    assert fi[FinalState((0,))] == pytest.approx((0.6 + 0.8j) * s, abs=1e-15)
-    assert fi[FinalState((1,))] == pytest.approx((0.6 - 0.8j) * s, abs=1e-15)
-    classes = classify_paths(net).classes
+    assert fi[(0,)] == pytest.approx((0.6 + 0.8j) * s, abs=1e-15)
+    assert fi[(1,)] == pytest.approx((0.6 - 0.8j) * s, abs=1e-15)
+    classes = classify_paths(net)
     assert sorted(len(v) for v in classes.values()) == [2, 2]
 
 
@@ -56,7 +57,29 @@ def test_zero_support_paths_are_excluded():
     assert len(paths) == 1
     assert paths[0].value == 1.0
     fi = feynman_integral(net)
-    assert set(fi) == {FinalState((0,))}
+    assert set(fi) == {(0,)}
+
+
+def _assert_routes_key_the_same_configurations(net):
+    sums, engine = feynman_integral(net), external_map(net)
+    assert set(sums) <= set(engine)
+    for key, value in engine.items():
+        if key in sums:
+            assert abs(sums[key] - value) <= 1e-12, key
+        else:
+            assert value == 0.0, key  # no nonzero-support path ends here
+    assert set(classify_paths(net)) == set(sums)
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.list_entries()])
+def test_the_two_routes_key_each_catalog_nets_configurations_alike(entry_id):
+    _assert_routes_key_the_same_configurations(catalog.build(entry_id))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([random_cbnet, random_qbnet]), st.integers(0, 10**6))
+def test_the_two_routes_key_each_random_nets_configurations_alike(make, seed):
+    _assert_routes_key_the_same_configurations(make(seed, zero_frac=0.4))
 
 
 def test_classical_dual_route_masses():
@@ -64,7 +87,7 @@ def test_classical_dual_route_masses():
         net = random_cbnet(seed + 600, zero_frac=0.3)
         fi = feynman_integral(net)
         for key, mass in external_mass_map(net).items():
-            assert fi.get(FinalState(key), 0.0) == pytest.approx(mass, abs=1e-12)
+            assert fi.get(key, 0.0) == pytest.approx(mass, abs=1e-12)
         assert path_chi(net) == pytest.approx(chi_classical(net), abs=1e-12)
 
 
@@ -73,7 +96,7 @@ def test_quantum_dual_route_amplitudes():
         net = random_qbnet(seed + 700, zero_frac=0.3)
         fi = feynman_integral(net)
         for key, amp in external_amplitude_map(net).items():
-            assert fi.get(FinalState(key), 0j) == pytest.approx(amp, abs=1e-12)
+            assert fi.get(key, 0j) == pytest.approx(amp, abs=1e-12)
         assert path_chi(net) == pytest.approx(chi(net), abs=1e-12)
         alpha = net.all_components[0]
         v = net.space.component_values(alpha)[0]

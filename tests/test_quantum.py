@@ -196,13 +196,18 @@ def test_one_conditional_serves_both_net_kinds():
         (validate_quantum, "quantum"),
         (total_squared_amplitude, "quantum"),
         (parent_cb_net, "quantum"),
+        (joint_amplitude, "quantum"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_a_net_of_the_wrong_kind_is_refused(fn, kind):
     net = catalog.build("fig9-and" if kind == "quantum" else "fig19-loop")
     first_states = {n: net.space.states(n)[0] for n in net.graph.nodes}
-    extra = {coarsen: (net.graph.nodes[:1],), joint_probability: (first_states,)}
+    extra = {
+        coarsen: (net.graph.nodes[:1],),
+        joint_probability: (first_states,),
+        joint_amplitude: (first_states,),
+    }
     with pytest.raises(InvalidParams) as err:
         fn(net, *extra.get(fn, ()))
     assert str(err.value) == f"{fn.__name__} expects a {kind} net"
