@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, Weights, as_table, conditional, contract, expect_kind
+from .core import BaseNet, NodeBlock, as_table, conditional, contract, expect_kind
 # one chi and one external map serve both net kinds, under their classical names too
 from .core import chi as chi_classical, external_map as external_mass_map  # noqa: F401
 from .graph import classify_nodes, is_acyclic
@@ -85,7 +85,7 @@ def classical_conditional(
     net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
 ) -> float:
     """P(hypothesis | evidence), both given as {component: value}, on either net kind."""
-    return conditional(Weights, net, hypothesis, evidence)
+    return conditional(net, hypothesis, evidence)
 
 
 def validate(net: CBNet) -> ValidationReport:

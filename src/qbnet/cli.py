@@ -34,7 +34,7 @@ from .errors import (
 from .lattice import LatticeSpec, potential_preset, propagate
 from .netfile import (describe_constraints, emit_net, format_state, parse_constraints,
                       parse_number, read_cases, read_net)
-from .pathsum import PathWeights, classify_paths
+from .pathsum import classify_paths, path_row
 from .quantum import QBNet, parent_cb_net, validate_quantum
 
 CONTRADICTION_MARK = "** contradictory evidence: no output **"
@@ -88,7 +88,6 @@ def cmd_query(args) -> int:
         raise InvalidParams("quantum mode needs a quantum net file")
     if args.mode == "classical" and isinstance(net, QBNet):
         net = parent_cb_net(net)
-    engine = PathWeights if args.mode == "pathsum" else Weights
     # unlike the library, the CLI lets evidence constrain hypothesis
     # components too: combos outside the evidence just get zero weight
     rest = {a: v for a, v in evidence.items() if a not in hypothesis}
@@ -98,7 +97,8 @@ def cmd_query(args) -> int:
         raise ParseError(str(err)) from None
     comps = tuple(hypothesis)
     # zero-weight evidence raises here, before anything is printed
-    probs, f_qna = engine(net, comps, evidence).row(comps)
+    probs, f_qna = (path_row(net, comps, evidence) if args.mode == "pathsum"
+                    else Weights(net, comps, evidence).row(comps))
     for block, p in zip(value_blocks(net, comps), probs):
         if all(hypothesis[a] in (None, v) for a, v in block.items()):
             print(f"{describe_constraints(block.items())}  {_num(p)}")

@@ -44,8 +44,9 @@ only when a read misses the net's last read, so a repeated query is its
 checks and one lookup. One reader takes every read off it (chi(E), combos,
 many sets' combos, value-set blocks), summing each row on its own, so a row
 has the same bits in any read. Past the cap a read goes set by set, then
-one ``chi`` call per block, as the path-sum route, the independent check,
-always does. ``chi`` and ``external_map`` each serve both net kinds.
+one ``chi`` call per block. ``chi`` and ``external_map`` each serve both net
+kinds; the path-sum route, the independent check, shares only the input
+checks below.
 ``Weights.table`` is the one hypothesis-row recipe: each combo over its
 set's total, and f_qna, that total over chi(E). ``Weights.row`` is its
 one-set case (the CLI query and ``quantum.f_qna``); ``conditional``, the
@@ -63,7 +64,7 @@ layer is not interned, so what a build calls does not depend on what the
 process built before: each net keeps its own ``LabelledGraph`` and external
 order, its factors, two read-only query memos -- the last tensor a
 ``Weights`` opened (by open nodes and the evidence on summed-away nodes) and
-its last read's rows (by reader, nodes, spec, evidence and cap) -- and, on a
+its last read's rows (by nodes, spec, evidence and cap) -- and, on a
 quantum net, its parent classical net. README's Memos table lists every memo.
 """
 
@@ -72,6 +73,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -617,10 +619,6 @@ def chi(net: BaseNet, fixed: Mapping[str, object] | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # Query layer
-#
-# An engine is a callable engine(net, components, evidence) whose result reads
-# chi(E), the weight of each value combo and the weight of each value-set
-# block: Weights, or the path-sum route's reader, one chi call per block.
 
 
 def value_set(v) -> frozenset[int]:
@@ -678,6 +676,25 @@ def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mappin
     return tuple(combo)
 
 
+def check_conditional(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> tuple:
+    """``check_query``'s values, all pinned: InvalidState names one left None."""
+    combo = check_query(net, hypothesis, evidence)
+    for unpinned in (alpha for alpha, v in zip(hypothesis, combo) if v is None):
+        raise InvalidState(f"hypothesis component {unpinned} is not pinned")
+    return combo
+
+
+def check_block_index(index, n_blocks: int) -> int:
+    """``index`` as the int of one of ``n_blocks`` blocks, or InvalidParams."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise InvalidParams(f"block index must be an integer, got {index!r}") from None
+    if not 0 <= index < n_blocks:
+        raise InvalidParams(f"block index {index} out of range for {n_blocks} blocks")
+    return index
+
+
 def distribution(chi_fn, net: BaseNet, blocks, evidence: Mapping) -> list[float]:
     """chi(B and E) for each block B, one ``chi_fn(net, sets)`` call each.
 
@@ -705,10 +722,8 @@ class Weights:
     on a quantum net, one einsum of each row's squares; both sum a row on its
     own, so a row has the same bits in any read. Past the cap (the opened
     plan's peak, or rows x tensor entries) a spec is read item by item, and an
-    item still past it, or one naming a node not kept open, is one ``_chi`` call per block.
+    item still past it, or one naming a node not kept open, is one ``chi`` call per block.
     """
-
-    _chi = staticmethod(chi)
 
     def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping,
                  _cap: int | None = None):  # read once by a caller, whose evidence is value sets
@@ -785,8 +800,8 @@ class Weights:
 
     def _weigh(self, spec, item=None) -> list:
         """The rows of each item of ``spec``, or of item ``item`` alone; the net
-        keeps the last read, keyed by reader so path sums never read it."""
-        key = (self._nodes, spec, self._given, self.cap, type(self))
+        keeps the last read."""
+        key = (self._nodes, spec, self._given, self.cap)
         if self.net._last_read[0] != key:
             if self._wide is False:
                 self._wide = self._opened()
@@ -797,7 +812,7 @@ class Weights:
                 one = (spec[0],) if isinstance(spec[0], str) else spec[0]
                 block = one and isinstance(one[0], tuple)
                 blocks = [dict(one)] if block else value_blocks(self.net, one)
-                rows = distribution(self._chi, self.net, blocks, self.evidence)
+                rows = distribution(chi, self.net, blocks, self.evidence)
                 return rows if item is not None else [rows]
             if not layout:  # item by item
                 if item is not None:
@@ -864,20 +879,15 @@ def normalize(weights, total: float, evidence: Mapping) -> list[float]:
     return [w / total for w in weights]
 
 
-def conditional(engine, net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
+def conditional(net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:
     """P(hypothesis | evidence), the hypothesis given as {component: value}.
 
     The weight of the hypothesis combo over the total of every value combo
-    of the hypothesis components, both read from ``engine(net, components,
-    evidence)``. On classical nets the combos partition the evidence, so the
-    total is chi(E); on quantum nets it need not be (see quantum.f_qna).
-    A component left unpinned (None) is InvalidState.
+    of the hypothesis components, both read from one ``Weights``. On
+    classical nets the combos partition the evidence, so the total is chi(E);
+    on quantum nets it need not be (see quantum.f_qna). A component left
+    unpinned (None) is InvalidState.
     """
-    comps, combo = tuple(hypothesis), check_query(net, hypothesis, evidence)
-    if None in combo:
-        raise InvalidState(f"hypothesis component {comps[combo.index(None)]} is not pinned")
-    weights = engine(net, comps, evidence).combos(comps)
-    total = sum(weights)
-    if total == 0.0:
-        raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(evidence)))
-    return weights[net.space.combos(comps).index(combo)] / total
+    comps, combo = tuple(hypothesis), check_conditional(net, hypothesis, evidence)
+    weights = Weights(net, comps, evidence).combos(comps)
+    return normalize(weights, sum(weights), evidence)[net.space.combos(comps).index(combo)]

@@ -17,13 +17,11 @@ normalized across the partition's blocks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .classical import CBNet
-from .core import Weights, normalize, value_blocks, value_set
-from .errors import InvalidParams
+from .core import Weights, check_block_index, normalize, value_blocks, value_set
 from .quantum import QBNet, chi  # noqa: F401  (perfbench traces fuzzy.chi)
 
 
@@ -113,38 +111,29 @@ def singleton_partition(net, components: Iterable[str]) -> Partition:
 
 
 def classical_fuzzy_conditional(
-    net: CBNet, hypothesis: DirectProductSet, evidence: DirectProductSet, engine=Weights
+    net: CBNet, hypothesis: DirectProductSet, evidence: DirectProductSet
 ) -> float:
-    """Mass of hypothesis-and-evidence over mass of evidence; ``engine`` as
-    in ``core.conditional``."""
-    weights = engine(net, hypothesis.components, evidence.sets)
+    """Mass of hypothesis-and-evidence over mass of evidence."""
+    weights = Weights(net, hypothesis.components, evidence.sets)
     return normalize(weights.blocks([hypothesis.sets]), weights.total(), evidence.sets)[0]
 
 
 def quantum_fuzzy_distribution(
-    net: QBNet, partition: Partition, evidence: DirectProductSet, engine=Weights
+    net: QBNet, partition: Partition, evidence: DirectProductSet
 ) -> list[float]:
-    """Probability of each partition block given the evidence set;
-    ``engine`` as in ``core.conditional``.
+    """Probability of each partition block given the evidence set.
 
     The partition is taken at face value here; run validate_partition first
     when it comes from outside.
     """
     blocks = [b.sets for b in partition.blocks]
-    weights = engine(net, partition.components, evidence.sets).blocks(blocks)
+    weights = Weights(net, partition.components, evidence.sets).blocks(blocks)
     return normalize(weights, sum(weights), evidence.sets)
 
 
 def quantum_fuzzy_conditional(
-    net: QBNet, partition: Partition, index: int, evidence: DirectProductSet, engine=Weights
+    net: QBNet, partition: Partition, index: int, evidence: DirectProductSet
 ) -> float:
     """Probability of partition block ``index`` given the evidence set."""
-    try:
-        index = operator.index(index)
-    except TypeError:
-        raise InvalidParams(f"block index must be an integer, got {index!r}") from None
-    if not 0 <= index < len(partition.blocks):
-        raise InvalidParams(
-            f"block index {index} out of range for {len(partition.blocks)} blocks"
-        )
-    return quantum_fuzzy_distribution(net, partition, evidence, engine)[index]
+    index = check_block_index(index, len(partition.blocks))
+    return quantum_fuzzy_distribution(net, partition, evidence)[index]

@@ -336,6 +336,8 @@ def parse_net(text: str):
     try:
         return CBNet.from_blocks(blocks, meta=meta, pre_net=pre_net)
     except CyclicGraph:
+        if pre_net_line is not None:  # the file said pre-net false
+            raise ParseError("pre-net false on a graph with a directed cycle", pre_net_line)
         # keep the net constructible so the validator can report the cycle
         return CBNet.from_blocks(blocks, meta=meta, pre_net=True)
 

@@ -15,9 +15,9 @@ conditional probability of a hypothesis H given evidence E is
     P(H | E) = chi[H and E] / (sum over all value combos m of H's
                components of chi[m and E])
 
-which is ``core.conditional``, the recipe every route shares (on classical
-nets the denominator equals chi[E]); ``core.Weights`` reads every chi in it
-off one contraction that keeps the hypothesis and external nodes open.
+which is ``core.conditional`` (on classical nets the denominator equals
+chi[E]); ``core.Weights`` reads every chi in it off one contraction keeping
+the hypothesis and external nodes open, and ``pathsum`` sums it from paths.
 ``chi`` and ``external_amplitude_map`` are ``core.chi`` and
 ``core.external_map``, and ``quantum_conditional`` is
 ``classical.classical_conditional``; all three serve both net kinds. The

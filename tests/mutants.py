@@ -5,9 +5,9 @@ the tests that must catch it. For each, ``src/`` is copied to a temporary
 directory, the edit is made there, and the mutant's tests run with
 ``pytest -x`` against that copy. A mutant whose tests fail is killed, one
 whose tests pass survived, and one whose old text is not in its file
-exactly once is stale. The tests first run once against an unedited copy,
-where they must pass. The run prints one line per mutant and exits 1
-unless every mutant is killed.
+exactly once, or whose edit changes nothing, is stale. The tests first run
+once against an unedited copy, where they must pass. The run prints one
+line per mutant and exits 1 unless every mutant is killed.
 
 Run it by hand from the root of a checkout; pytest does not collect it.
 A change to ``core``, ``lattice``, ``catalog``, ``netfile`` or ``pathsum``
@@ -35,7 +35,7 @@ INDICATORS = ENGINE + "test_the_evidence_indicators_a_shape_keeps_serve_every_ne
 OPEN_EVIDENCE = ENGINE + "test_evidence_on_open_nodes_masks_one_cached_contraction"
 WARM_SITES = ENGINE + "test_warm_per_site_conditionals_are_read_memo_hits"
 TWICE = ENGINE + "test_a_set_naming_a_component_twice_is_refused"
-READ_KEY = "key = (self._nodes, spec, self._given, self.cap, type(self))"
+READ_KEY = "key = (self._nodes, spec, self._given, self.cap)"
 LATTICE = "tests/test_lattice.py::"
 KEYED = LATTICE + "test_each_part_of_the_hamiltonian_keys_its_step_matrix"
 ONCE = LATTICE + "test_a_built_in_kernel_runs_once_per_hamiltonian"
@@ -57,7 +57,7 @@ MUTANTS = [
      READ_KEY, READ_KEY.replace(" spec,", ""),
      [ENGINE + "test_weights_agree_with_per_block_chi_and_path_sums"]),
     ("the last read ignores the cap", "core.py",
-     READ_KEY, READ_KEY.replace(" self.cap,", ""),
+     READ_KEY, READ_KEY.replace(", self.cap)", ")"),
      [ENGINE + "test_a_memo_hit_then_a_lower_cap_gives_the_fallback_answers"]),
     ("the last read ignores the open nodes", "core.py",
      READ_KEY, READ_KEY.replace("self._nodes, ", "(), "),
@@ -92,9 +92,18 @@ MUTANTS = [
      "_ENVIRON = dict(os.environ._data)",
      [ENGINE + "test_a_lower_cap_between_two_runner_calls_takes_effect"]),
     ("a conditional returns another combo's share", "core.py",
-     "return weights[net.space.combos(comps).index(combo)] / total",
-     "return weights[net.space.combos(comps).index(combo) - 1] / total",
+     "[net.space.combos(comps).index(combo)]",
+     "[net.space.combos(comps).index(combo) - 1]",
      [ENGINE + "test_a_conditional_is_its_combo_over_its_rows_total_bit_for_bit"]),
+    # query-layer arithmetic the path-sum route no longer runs, so its
+    # agreement tests see it
+    ("a conditional normalizes by a partial total", "core.py",
+     "normalize(weights, sum(weights), evidence)",
+     "normalize(weights, sum(weights[1:]), evidence)",
+     [PATHSUM + "test_conditionals_agree_including_contradictions"]),
+    ("f_qna read as chi(E) over the combos' total", "core.py",
+     "([x / total for x in w], total / chi_e)", "([x / total for x in w], chi_e / total)",
+     [ENGINE + "test_a_row_is_the_conditionals_and_f_qna"]),
     # one state space per structure
     ("a space reused whatever the graph's parents", "core.py",
      "if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:",
@@ -222,6 +231,9 @@ MUTANTS = [
     ("a repeated meta key kept", "netfile.py",
      "            if tokens[1] in meta:\n", "            if False:\n",
      [BAD_INPUT]),
+    ("a cyclic file that says pre-net false read as a pre-net", "netfile.py",
+     "if pre_net_line is not None:  # the file said pre-net false", "if False:",
+     [BAD_INPUT]),
     # the path-sum route and the kind checks
     ("a final key built from every node", "pathsum.py",
      FINAL_KEY, FINAL_KEY.replace("for j in external", "for j in pos.values()"),
@@ -244,7 +256,7 @@ def run(path: str, old: str, new: str, tests: list[str]) -> str:
         if old:
             target = src / "qbnet" / path
             text = target.read_text()
-            if text.count(old) != 1:
+            if text.count(old) != 1 or new == old:
                 return "stale"
             target.write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")

@@ -108,11 +108,27 @@ def test_query_pathsum_mode_matches_digit_for_digit(capsys, tmp_path, entry_id):
     path = tmp_path / f"{entry_id}.qbn"
     path.write_text(emit_net(net))
     for alpha in catalog.query_components(net):
-        query = ("query", str(path), "--hypothesis", alpha, "--fqna")
-        _, reference, _ = run(capsys, *query)
-        code, out, _ = run(capsys, *query, "--mode", "pathsum")
-        assert code == 0
-        assert out == reference
+        # evidence on an exit moves f_qna off 1 wherever the hypothesis is
+        # internal and interferes there (fig19-loop's z.plus: 1.71)
+        for evidence in ((), ("--evidence", "u.plus=0")):
+            query = ("query", str(path), "--hypothesis", alpha, *evidence, "--fqna")
+            _, reference, _ = run(capsys, *query)
+            code, out, _ = run(capsys, *query, "--mode", "pathsum")
+            assert code == 0
+            assert out == reference
+
+
+def test_query_on_a_classical_net_file(capsys, tmp_path):
+    path = tmp_path / "fig9.qbn"
+    path.write_text(emit_net(catalog.build("fig9-and")))
+    query = ("query", str(path), "--hypothesis", "x", "--evidence", "z=0", "--fqna")
+    code, out, err = run(capsys, *query)  # quantum is the default mode
+    assert (code, out, err) == (2, "", "error: quantum mode needs a quantum net file\n")
+    assert run(capsys, *query, "--mode", "quantum") == (code, out, err)
+    code, out, _ = run(capsys, *query, "--mode", "classical")
+    assert code == 0
+    assert out == "x=0  0.666666666667\nx=1  0.333333333333\nf_qna  1\n"  # P(z=0) = 3/4
+    assert run(capsys, *query, "--mode", "pathsum") == (0, out, "")
 
 
 def test_query_classical_mode_uses_the_parent_net(capsys, fig19_file):

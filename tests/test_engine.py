@@ -51,7 +51,7 @@ from qbnet.lattice import (
     propagate,
     step_amplitudes_exact,
 )
-from qbnet.pathsum import PathWeights, path_chi, pathsum_conditional
+from qbnet.pathsum import path_chi, path_row, pathsum_conditional
 from qbnet.quantum import (
     QBNet,
     chi,
@@ -293,20 +293,24 @@ def _opened_plan_peak(net, comps):
     return net.space.view(nodes)[0].peak
 
 
-def _row(engine, net, comps, evidence):
+def _row(read, net, comps, evidence):
     try:
-        return engine(net, comps, evidence).row(comps)
+        return read(net, comps, evidence)
     except ContradictoryEvidence:
         return None
+
+
+def _weights_row(net, comps, evidence):
+    return Weights(net, comps, evidence).row(comps)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(row_queries())
 def test_a_row_is_the_conditionals_and_f_qna(query):
     net, comps, evidence, cap = query
-    path_row = _row(PathWeights, net, comps, evidence)
+    by_paths = _row(path_row, net, comps, evidence)
     try:
-        probs = [conditional(Weights, net, b, evidence) for b in value_blocks(net, comps)]
+        probs = [conditional(net, b, evidence) for b in value_blocks(net, comps)]
         pieces = (probs, f_qna(net, comps, evidence))
     except ContradictoryEvidence:
         pieces = None
@@ -317,8 +321,8 @@ def test_a_row_is_the_conditionals_and_f_qna(query):
             assert weights._wide is False  # nothing is opened before a read misses
             fallback = weights._opened() is None
             assert fallback == (cap < _opened_plan_peak(net, comps))
-        got = _row(Weights, net, comps, evidence)
-    for want in (path_row, pieces):
+        got = _row(_weights_row, net, comps, evidence)
+    for want in (by_paths, pieces):
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0] == pytest.approx(want[0], abs=1e-12)
@@ -596,17 +600,17 @@ def test_an_unknown_open_node_is_named():
         assert err.value.args == ("unknown node 'nope'",)
 
 
-@pytest.mark.parametrize("engine", [Weights, PathWeights])
 @pytest.mark.parametrize("past_cap", [False, True], ids=["opened", "block-by-block"])
-def test_a_set_naming_a_component_twice_is_refused(monkeypatch, engine, past_cap):
+def test_a_set_naming_a_component_twice_is_refused(monkeypatch, past_cap):
     net = catalog.build("fig19-loop")
     if past_cap:  # past the opened plan (24), not one chi call's (12)
         monkeypatch.setenv("QBNET_MAX_STATES", str(_chi_floor(net)))
-    weights, twice = engine(net, ["z.plus"], {}), r"^component 'u\.plus' named twice$"
-    assert (weights._opened() is None) == (past_cap or engine is PathWeights)
+    weights, twice = Weights(net, ["z.plus"], {}), r"^component 'u\.plus' named twice$"
+    assert (weights._opened() is None) == past_cap
     reads = [lambda: weights.combos(["u.plus", "u.plus"]),
              lambda: weights.rows([("u.plus", "z.plus", "u.plus")]),
              lambda: f_qna(net, ["u.plus", "u.plus"], {}),
+             lambda: path_row(net, ["u.plus", "u.plus"], {}),
              lambda: value_blocks(net, ["z.plus", "u.plus", "u.plus"])]
     for read in reads:
         with pytest.raises(ValueError, match=twice):

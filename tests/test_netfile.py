@@ -418,6 +418,12 @@ BAD_INPUTS = [
     (HEAD + "pre-net\n", 3, "pre-net must be true or false"),
     (HEAD + "pre-net yes\n", 3, "pre-net must be true or false"),
     (HEAD + "pre-net true false\n", 3, "pre-net must be true or false"),
+    # only a file without a pre-net line falls back to one on a cycle
+    (
+        HEAD + "pre-net false\nnode u\nstates (0)\nparents w\nnode w\nstates (0)\nparents u\n",
+        3,
+        "pre-net false on a graph with a directed cycle",
+    ),
     # checked once the kind is known, which may come after it
     (
         "qbnet 1\npre-net true\nkind quantum\nnode a\nstates (0)\nparents\n",
