@@ -62,10 +62,12 @@ space keeps the space if the graph's parents match it, as a quantum net's
 parent does, and else takes its graph's interned space. The graph
 layer is not interned, so what a build calls does not depend on what the
 process built before: each net keeps its own ``LabelledGraph`` and external
-order, its factors, two read-only query memos -- the last tensor a
-``Weights`` opened (by open nodes and the evidence on summed-away nodes) and
-its last read's rows (by nodes, spec, evidence and cap) -- and, on a
-quantum net, its parent classical net. README's Memos table lists every memo.
+order, its factors (one per distinct table object and dims, so nodes given
+one table, as a chain's slices are, share one), two read-only query memos --
+the last tensor a ``Weights`` opened (by open nodes and the evidence on
+summed-away nodes) and its last read's rows (by nodes, spec, evidence and
+cap) -- and, on a quantum net, its parent classical net. README's Memos
+table lists every memo.
 """
 
 from __future__ import annotations
@@ -339,20 +341,25 @@ class BaseNet:
         self.pre_net = bool(pre_net)
         self.meta: dict[str, str] = dict(meta or {})
         self._factors: dict[str, np.ndarray] = {}
+        made = {}  # (id(table), dims) -> (table, factor); holding the table keeps its id unique
         for node, dims in space.dims.items():
             if node not in tables:
                 raise ValueError(f"missing table for node {node!r}")
-            arr = np.asarray(tables[node], dtype=self.dtype)
-            n_cols = math.prod(dims[:-1])
-            if arr.ndim == 1 and n_cols == 1:
-                arr = arr.reshape(dims[-1], 1)
-            if arr.shape != (dims[-1], n_cols):
-                raise ValueError(f"node {node!r}: table shape {arr.shape}, "
-                                 f"expected ({dims[-1]}, {n_cols})")
-            # column c holds the parent states whose C-order flat index is c
-            factor = arr.T.reshape(dims).copy()
-            factor.flags.writeable = False
-            self._factors[node] = factor
+            table = tables[node]
+            key = id(table), dims  # a chain's slices share one step matrix
+            if key not in made:
+                arr = np.asarray(table, dtype=self.dtype)
+                n_cols = math.prod(dims[:-1])
+                if arr.ndim == 1 and n_cols == 1:
+                    arr = arr.reshape(dims[-1], 1)
+                if arr.shape != (dims[-1], n_cols):
+                    raise ValueError(f"node {node!r}: table shape {arr.shape}, "
+                                     f"expected ({dims[-1]}, {n_cols})")
+                # column c holds the parent states whose C-order flat index is c
+                factor = arr.T.reshape(dims).copy()
+                factor.flags.writeable = False
+                made[key] = table, factor
+            self._factors[node] = made[key][1]
         if space.chron is None and not self.pre_net:
             raise CyclicGraph("net graph has a directed cycle (use a pre-net for diagnostics)")
         ext = set(classify_nodes(graph).external)
@@ -658,29 +665,38 @@ def check_query(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mappin
     """
     if not hypothesis:
         raise ValueError("empty hypothesis")
-    overlap = hypothesis.keys() & evidence
-    if overlap:
-        raise ValueError(f"hypothesis and evidence overlap on {sorted(overlap)}")
-    space, combo = net.space, []
-    for alpha in itertools.chain(hypothesis, evidence):  # every unknown component first
-        space.owner(alpha)
+    if not hypothesis.keys().isdisjoint(evidence):
+        overlap = sorted(hypothesis.keys() & evidence)
+        raise ValueError(f"hypothesis and evidence overlap on {overlap}")
+    space, owner, combo = net.space, net.space._owner, []
+    for alpha in hypothesis:  # every unknown component first
+        if alpha not in owner:
+            space.owner(alpha)
+    for alpha in evidence:
+        if alpha not in owner:
+            space.owner(alpha)
     for alpha, v in hypothesis.items():
-        node, k = space._owner[alpha]
-        allowed = space._lists[node].values[k]
-        try:
-            combo.append(v if v is None or type(v) is int else _whole(v))
-        except InvalidState:
-            combo.append(None)  # in no component's values
-        if v is not None and combo[-1] not in allowed:
-            raise InvalidState(f"{alpha}={v!r} is outside the component's values {list(allowed)}")
+        if v is not None:
+            node, k = owner[alpha]
+            allowed = space._lists[node].values[k]
+            try:
+                w = v if type(v) is int else _whole(v)
+            except InvalidState:
+                w = None  # in no component's values
+            if w not in allowed:
+                raise InvalidState(
+                    f"{alpha}={v!r} is outside the component's values {list(allowed)}")
+            v = w
+        combo.append(v)
     return tuple(combo)
 
 
 def check_conditional(net: BaseNet, hypothesis: Mapping[str, object], evidence: Mapping) -> tuple:
     """``check_query``'s values, all pinned: InvalidState names one left None."""
     combo = check_query(net, hypothesis, evidence)
-    for unpinned in (alpha for alpha, v in zip(hypothesis, combo) if v is None):
-        raise InvalidState(f"hypothesis component {unpinned} is not pinned")
+    if None in combo:
+        for unpinned in (alpha for alpha, v in zip(hypothesis, combo) if v is None):
+            raise InvalidState(f"hypothesis component {unpinned} is not pinned")
     return combo
 
 
@@ -725,10 +741,16 @@ class Weights:
     item still past it, or one naming a node not kept open, is one ``chi`` call per block.
     """
 
+    __slots__ = ("net", "square", "cap", "asked", "evidence", "_given", "_ext", "_nodes", "_wide")
+
     def __init__(self, net: BaseNet, components: Iterable[str], evidence: Mapping,
                  _cap: int | None = None):  # read once by a caller, whose evidence is value sets
         self.net, self.square, self.cap = net, net.kind == "quantum", _cap or max_states()
-        self.evidence = evidence if _cap else {alpha: value_set(v) for alpha, v in evidence.items()}
+        self.asked = self.evidence = evidence  # asked: as given, for the refusal text
+        if not _cap:  # a loop, as a comprehension's frame costs a warm read ~0.1 us
+            self.evidence = {}
+            for alpha, v in evidence.items():
+                self.evidence[alpha] = value_set(v)
         self._given = frozenset(self.evidence.items())  # keys the last read and the last tensor
         self._ext = net.external_order if self.square else ()
         self._nodes = net.space.query(self._ext, tuple(components))  # the nodes kept open
@@ -765,7 +787,7 @@ class Weights:
         ``table``'s one-set case; ValueError for a component named twice."""
         (row,) = self.table([_named_once(tuple(comps))]) or [None]
         if row is None:
-            raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.evidence)))
+            raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(self.asked)))
         return row
 
     def table(self, sets) -> list | None:
@@ -783,10 +805,10 @@ class Weights:
         """chi(m and E) for every value combo m of ``comps``, in ``value_blocks``
         order. One component is read with all of its node's, one set each, so
         the node's others are the net's last read."""
-        comps = tuple(comps)
+        comps, space = tuple(comps), self.net.space
         if len(comps) == 1:
-            node, k = self.net.space.owner(comps[0])
-            return self._weigh(self.net.space.components(node), k)
+            node, k = space._owner.get(comps[0]) or space.owner(comps[0])
+            return self._weigh(space._components[node], k)
         return self._weigh((comps,), 0)
 
     def rows(self, sets) -> list[list[float]]:
@@ -890,4 +912,7 @@ def conditional(net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) 
     """
     comps, combo = tuple(hypothesis), check_conditional(net, hypothesis, evidence)
     weights = Weights(net, comps, evidence).combos(comps)
-    return normalize(weights, sum(weights), evidence)[net.space.combos(comps).index(combo)]
+    total = sum(weights)
+    if total == 0.0:
+        raise ContradictoryEvidence(_ZERO_WEIGHT.format(dict(evidence)))
+    return weights[net.space._combos(comps).index(combo)] / total

@@ -19,6 +19,9 @@ time-independent, so on at most 32 sites a built-in kernel runs once per
 distinct Hamiltonian per process: ``_step_matrix`` keeps its matrix across
 builds, read-only and keyed by value (kernel, n_x, dx, dt, mass, hbar and
 the preset itself), the 128 most recently used of them (2 MiB at 32 sites).
+``_final_amplitudes`` keeps what that matrix carries site 0 to in n_t steps,
+checked finite, per matrix key and n_t (128 of them, 64 KiB at 32 sites), and
+a chain's slices after the first share the matrix's one factor.
 Any other spec, a function wrapping a preset too, is sampled at every step,
 and a built-in kernel runs once per distinct potential vector in each build
 or propagation. A user-supplied kernel runs once per time step.
@@ -262,31 +265,46 @@ def _step_matrices(spec: LatticeSpec, kernel) -> tuple[list[np.ndarray], np.ndar
     0 to; InvalidParams when those give non-finite site probabilities.
 
     With a preset potential on at most 32 sites a built-in kernel runs once
-    per distinct Hamiltonian per process, through ``_step_matrix``. Otherwise
-    it runs once per distinct potential vector in the call, keyed by its
-    bytes; a user-supplied kernel runs once per step. The final amplitudes
-    and their check depend on n_t, so every call makes them."""
+    per distinct Hamiltonian per process, through ``_step_matrix``, and the
+    final amplitudes and their check once per matrix and n_t, through
+    ``_final_amplitudes`` (read-only). Otherwise the kernel runs once per
+    distinct potential vector in the call, keyed by its bytes, and a
+    user-supplied kernel once per step."""
     step, user = _kernel_fn(kernel), callable(kernel)
     if not user and isinstance(spec.potential, _Preset) and spec.n_x <= 32:  # <= 16 KiB a matrix
         key = (kernel, spec.n_x, spec.dx, spec.dt, spec.mass, spec.hbar, spec.potential)
-        matrices = [_step_matrix(*key)] * spec.n_t
-    else:
-        matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
-        built = {0 if user else _potential_values(spec, 0.0).tobytes(): matrices[0]}
-        for i in range(1, spec.n_t):
-            t = i * spec.dt
-            key = i if user else _potential_values(spec, t).tobytes()
-            if key not in built:
-                built[key] = step(spec, t).matrix
-            matrices.append(built[key])
-    psi = np.eye(spec.n_x, dtype=complex)[0]
+        return [_step_matrix(*key)] * spec.n_t, _final_amplitudes(key, spec.n_t)
+    matrices = [step(spec, 0.0).matrix]  # before any potential: the kernel's checks come first
+    built = {0 if user else _potential_values(spec, 0.0).tobytes(): matrices[0]}
+    for i in range(1, spec.n_t):
+        t = i * spec.dt
+        key = i if user else _potential_values(spec, t).tobytes()
+        if key not in built:
+            built[key] = step(spec, t).matrix
+        matrices.append(built[key])
+    return matrices, _carried(matrices)
+
+
+def _carried(matrices: list[np.ndarray]) -> np.ndarray:
+    """Site 0 carried through the matrices in turn; InvalidParams when the
+    result gives non-finite site probabilities."""
+    psi = np.eye(len(matrices[0]), dtype=complex)[0]
     with np.errstate(all="ignore"):  # an overflow fails the check below
         for alpha in matrices:
             psi = alpha @ psi
         total = (np.abs(psi) ** 2).sum()
     if not np.isfinite(total):
         raise InvalidParams("site probabilities must be finite; the step amplitudes overflow them")
-    return matrices, psi
+    return psi
+
+
+@functools.lru_cache(maxsize=128)
+def _final_amplitudes(key: tuple, n_t: int) -> np.ndarray:
+    """``_carried`` over n_t copies of ``_step_matrix(*key)``, read-only;
+    128 kept, of at most 32 entries."""
+    psi = _carried([_step_matrix(*key)] * n_t)
+    psi.flags.writeable = False
+    return psi
 
 
 @functools.lru_cache(maxsize=16)
@@ -324,5 +342,6 @@ def build_lattice_net(spec: LatticeSpec, kernel="exact") -> QBNet:
 
 
 def propagate(spec: LatticeSpec, kernel="exact") -> np.ndarray:
-    """Final-slice amplitudes by sequential matrix-vector products."""
-    return _step_matrices(spec, kernel)[1]
+    """Final-slice amplitudes by sequential matrix-vector products, a fresh
+    writable array."""
+    return _step_matrices(spec, kernel)[1].copy()

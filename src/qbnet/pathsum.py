@@ -141,7 +141,7 @@ def path_row(net: BaseNet, comps, evidence: Mapping) -> tuple[list[float], float
     sets = {alpha: value_set(v) for alpha, v in evidence.items()}
     chi_e, *weights = _weights(net, sets, [{}, *value_blocks(net, comps)])
     total = sum(weights)
-    return _over(weights, total, sets), _over([total], chi_e, sets)[0]
+    return _over(weights, total, evidence), _over([total], chi_e, evidence)[0]
 
 
 def pathsum_conditional(net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping) -> float:

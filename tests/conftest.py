@@ -9,10 +9,13 @@ from qbnet.core import NodeBlock
 
 @pytest.fixture(autouse=True)
 def cold_step_memo():
-    """Each test starts and ends with no lattice step matrix kept across builds."""
+    """Each test starts and ends with no lattice step matrix or final amplitudes
+    kept across builds."""
     lattice._step_matrix.cache_clear()
+    lattice._final_amplitudes.cache_clear()
     yield
     lattice._step_matrix.cache_clear()
+    lattice._final_amplitudes.cache_clear()
 
 
 def random_structure(rng, max_nodes=5, max_values=3, edge_prob=0.5):

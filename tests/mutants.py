@@ -71,8 +71,8 @@ MUTANTS = [
      "        pass\n",
      [TWICE]),
     ("a hypothesis value kept uncoerced", "core.py",
-     "combo.append(v if v is None or type(v) is int else _whole(v))",
-     "combo.append(v)",
+     "w = v if type(v) is int else _whole(v)",
+     "w = v",
      ["tests/test_pathsum.py::test_every_route_rejects_an_unrealizable_hypothesis_value"]),
     ("a batch-dependent matmul kernel", "core.py",
      'amps = np.einsum("ri,ri->r", *[amps.reshape(ends[-1], -1)] * 2)',
@@ -92,18 +92,28 @@ MUTANTS = [
      "_ENVIRON = dict(os.environ._data)",
      [ENGINE + "test_a_lower_cap_between_two_runner_calls_takes_effect"]),
     ("a conditional returns another combo's share", "core.py",
-     "[net.space.combos(comps).index(combo)]",
-     "[net.space.combos(comps).index(combo) - 1]",
+     "[net.space._combos(comps).index(combo)]",
+     "[net.space._combos(comps).index(combo) - 1]",
      [ENGINE + "test_a_conditional_is_its_combo_over_its_rows_total_bit_for_bit"]),
     # query-layer arithmetic the path-sum route no longer runs, so its
     # agreement tests see it
     ("a conditional normalizes by a partial total", "core.py",
-     "normalize(weights, sum(weights), evidence)",
-     "normalize(weights, sum(weights[1:]), evidence)",
+     "    total = sum(weights)\n    if total == 0.0:\n",
+     "    total = sum(weights[1:])\n    if total == 0.0:\n",
      [PATHSUM + "test_conditionals_agree_including_contradictions"]),
+    ("an unpinned component reaches the weights", "core.py",
+     "    if None in combo:\n", "    if False:\n",
+     [PATHSUM + "test_every_route_rejects_an_unrealizable_hypothesis_value"]),
     ("f_qna read as chi(E) over the combos' total", "core.py",
      "([x / total for x in w], total / chi_e)", "([x / total for x in w], chi_e / total)",
      [ENGINE + "test_a_row_is_the_conditionals_and_f_qna"]),
+    # one factor per distinct table and dims, a copy of the caller's table
+    ("a factor shared by table alone, without dims", "core.py",
+     "key = id(table), dims", "key = id(table)",
+     [ENGINE + "test_one_table_given_for_nodes_of_other_parent_shapes_gets_a_factor_each"]),
+    ("a shared table kept without its copy", "core.py",
+     "factor = arr.T.reshape(dims).copy()", "factor = arr.T.reshape(dims)",
+     [ENGINE + "test_a_writable_table_given_for_two_nodes_is_copied_at_build"]),
     # one state space per structure
     ("a space reused whatever the graph's parents", "core.py",
      "if tuple(space.parents) != graph.nodes or list(space.parents.values()) != parents:",
@@ -172,6 +182,9 @@ MUTANTS = [
      STEP_KEY, STEP_KEY.replace("(kernel, ", '("exact", '), [KEYED]),
     ("the preset is not in the step key", "lattice.py",
      STEP_KEY, STEP_KEY.replace(", spec.potential)", ", zero_potential)"), [KEYED]),
+    ("the amplitude memo keyed without n_t", "lattice.py",
+     "_final_amplitudes(key, spec.n_t)", "_final_amplitudes(key, 4)",
+     [LATTICE + "test_the_final_amplitudes_are_kept_per_step_matrix_and_n_t"]),
     ("any callable treated as a preset", "lattice.py",
      "if not user and isinstance(spec.potential, _Preset) and",
      "if not user and callable(spec.potential) and",

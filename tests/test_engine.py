@@ -1231,6 +1231,41 @@ def test_a_refused_build_is_refused_the_same_way_again(blocks, error, message):
         assert core._space_of.cache_info().currsize == kept
 
 
+def test_a_table_of_the_wrong_shape_is_refused_naming_both_shapes():
+    blocks = [NodeBlock("a", [0, 1], [0.5, 0.5]),
+              NodeBlock("b", [0, 1, 2], np.full((3, 3), 1 / 3), parents=("a",))]
+    with pytest.raises(ValueError) as err:
+        CBNet.from_blocks(blocks)
+    assert str(err.value) == "node 'b': table shape (3, 3), expected (3, 2)"
+
+
+def test_a_writable_table_given_for_two_nodes_is_copied_at_build():
+    def net_of(table):
+        return CBNet.from_blocks([NodeBlock("a", [0, 1], [0.3, 0.7]),
+                                  NodeBlock("b", [0, 1], table, parents=("a",)),
+                                  NodeBlock("c", [0, 1], table, parents=("b",))])
+
+    table = np.array([[0.9, 0.2], [0.1, 0.8]])
+    net, twin = net_of(table), net_of(table.copy())
+    assert net.factor("b") is net.factor("c") and not net.factor("b").flags.writeable
+    table[:] = 0.5  # the caller's array, after the build and before any read
+    np.testing.assert_array_equal(net.table("c"), twin.table("c"))
+    for h, e in [({"c": 1}, {}), ({"b": 0}, {"c": 1}), ({"a": 1}, {"c": 0})]:
+        assert classical_conditional(net, h, e) == classical_conditional(twin, h, e)
+
+
+def test_one_table_given_for_nodes_of_other_parent_shapes_gets_a_factor_each():
+    table = np.arange(12.0).reshape(2, 6)  # (2, 6): two parents of 2 and 3 states, or one of 6
+    net = CBNet.from_blocks([NodeBlock("a", [0, 1], [0.5, 0.5]),
+                             NodeBlock("b", [0, 1, 2], np.full(3, 1 / 3)),
+                             NodeBlock("c", [0, 1], table, parents=("a", "b")),
+                             NodeBlock("e", range(6), np.full(6, 1 / 6)),
+                             NodeBlock("d", [0, 1], table, parents=("e",))])
+    assert net.factor("c").shape == (2, 3, 2) and net.factor("d").shape == (6, 2)
+    for node in ("c", "d"):
+        np.testing.assert_array_equal(net.table(node), table)
+
+
 def test_a_fresh_chain_of_a_seen_shape_compiles_and_views_nothing_new(monkeypatch, contract_calls):
     seen = build_lattice_net(_harmonic_chain())
     for h, e in CHAIN_QUERIES:

@@ -27,7 +27,7 @@ def test_spec_checks_its_products():
     assert spec.length == 2.0
     assert spec.total_time == pytest.approx(0.3)
     assert list(spec.sites()) == [0.0, 0.5, 1.0, 1.5]
-    assert len(spec.times()) == 4
+    assert list(spec.times()) == [0.0, 0.1, 0.2, 0.30000000000000004]  # arange times dt
     with pytest.raises(InvalidParams):
         LatticeSpec(length=3.0, dx=0.5, n_x=4, total_time=0.3, dt=0.1, n_t=3)
     with pytest.raises(InvalidParams):
@@ -212,10 +212,20 @@ def test_potential_presets():
     assert v(0.0, 0.0) == pytest.approx(2.0)
     v = potential_preset("well", length=3.0, strength=9.0)
     assert v(1.5, 0.0) == 0.0
+    assert v(1.0, 0.0) == 0.0 and v(2.0, 0.0) == 9.0  # the left edge is inside, the right not
     assert v(0.2, 0.0) == 9.0
     assert v(2.9, 0.0) == 9.0
     with pytest.raises(InvalidParams):
         potential_preset("cubic", length=1.0)
+
+
+@pytest.mark.parametrize("name", ["dx", "dt", "mass", "hbar"])
+def test_spec_refuses_a_zero_step_mass_or_hbar(name):
+    args = dict(n_x=3, dx=1.0, n_t=1, dt=1.0, mass=1.0, hbar=1.0)
+    args[name] = 0.0
+    with pytest.raises(InvalidParams) as err:
+        LatticeSpec.make(**args)
+    assert str(err.value) == f"{name} must be positive"
 
 
 @pytest.mark.parametrize("name", ["dx", "dt", "mass", "hbar"])
@@ -549,6 +559,44 @@ def test_a_built_in_kernel_runs_once_per_hamiltonian(kernel_calls, kernel):
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 0.0
     assert kernel_calls == [0.0] * 3 and lattice._step_matrix.cache_info().currsize == 12
+
+
+def test_a_chains_later_slices_share_one_read_only_factor():
+    net = build_lattice_net(LatticeSpec.make(4, 1.0, 10, 0.2,
+                                             potential=potential_preset("well", 4.0, 1.0)))
+    assert len({id(net.factor(f"t{i}")) for i in range(2, 11)}) == 1
+    assert net.factor("t1") is not net.factor("t2")  # the root offers one parent state
+    for node in net.graph.nodes:
+        with pytest.raises(ValueError, match="read-only"):
+            net.factor(node)[...] = 0.0
+
+
+def test_the_final_amplitudes_are_kept_per_step_matrix_and_n_t(kernel_calls):
+    preset = potential_preset("harmonic", 5.0, 1.5)
+
+    def make(n_t):
+        return LatticeSpec.make(5, 1.0, n_t, 0.2, potential=preset)
+
+    def user(spec, t):  # a user-supplied kernel: nothing is kept
+        return step_amplitudes_exact(spec, t)
+
+    for n_t in (1, 2, 3, 2, 1):
+        assert propagate(make(n_t)).tobytes() == propagate(make(n_t), user).tobytes()
+    info = lattice._final_amplitudes.cache_info()
+    assert (info.currsize, info.hits) == (3, 2) and kernel_calls == [0.0]
+
+
+def test_a_mutated_propagation_changes_no_later_propagation_or_build():
+    spec = LatticeSpec.make(6, 1.0, 3, 0.2, potential=potential_preset("well", 6.0, 2.0))
+    first = propagate(spec)
+    want = first.copy()
+    first[:] = np.nan  # the caller's array is its own
+    again = propagate(spec)
+    assert again.tobytes() == want.tobytes() and again.flags.writeable
+    net = build_lattice_net(spec)
+    amps = external_amplitude_map(net)
+    got = [abs(amps[tuple(int(s == r) for r in range(6))]) ** 2 for s in range(6)]
+    np.testing.assert_allclose(got, np.abs(want) ** 2, atol=1e-12)
 
 
 def test_each_part_of_the_hamiltonian_keys_its_step_matrix():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbnet import catalog
-from qbnet.classical import chi_classical, classical_conditional, external_mass_map
+from qbnet.classical import CBNet, chi_classical, classical_conditional, external_mass_map
 from qbnet.core import NodeBlock, Weights, external_map
 from qbnet.errors import ContradictoryEvidence, InvalidState, StateSpaceTooLarge
 from qbnet.pathsum import (
@@ -14,6 +14,7 @@ from qbnet.pathsum import (
     enumerate_paths,
     feynman_integral,
     path_chi,
+    path_row,
     pathsum_conditional,
     pathsum_fuzzy_classical,
     pathsum_fuzzy_quantum,
@@ -139,6 +140,20 @@ def test_conditionals_agree_including_contradictions():
                 agreements += 1
                 assert got == pytest.approx(want, abs=1e-12)
     assert agreements > 0 and contradictions > 0
+
+
+@pytest.mark.parametrize("cls", [CBNet, QBNet])
+def test_a_row_and_a_conditional_refuse_contradictory_evidence_with_one_text(cls):
+    net = cls.from_blocks([NodeBlock("a", [0, 1, 2], [0.6, 0.8, 0.0]),
+                           NodeBlock("b", [0, 1], np.ones((2, 3)) * 0.5, parents=("a",))])
+    evidence = {"a": 2}  # as given, not as the value set {2}
+    texts = {
+        _answer(lambda: Weights(net, ("b",), evidence).row(("b",))),
+        _answer(lambda: path_row(net, ("b",), evidence)),
+        _answer(lambda: classical_conditional(net, {"b": 0}, evidence)),
+        _answer(lambda: pathsum_conditional(net, {"b": 0}, evidence)),
+    }
+    assert texts == {"evidence {'a': 2} has zero weight"}
 
 
 @pytest.mark.parametrize("route", ["classical", "quantum", "pathsum-quantum", "pathsum-parent"])
