@@ -19,9 +19,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import BaseNet, NodeBlock, as_table, conditional, contract, expect_kind
-# one chi and one external map serve both net kinds, under their classical names too
-from .core import chi as chi_classical, external_map as external_mass_map  # noqa: F401
+from .core import BaseNet, NodeBlock, as_table, contract, expect_kind
+# one chi, external map and conditional serve both net kinds, under classical names too
+from .core import chi as chi_classical, conditional as classical_conditional  # noqa: F401
+from .core import external_map as external_mass_map  # noqa: F401
 from .graph import classify_nodes, is_acyclic
 
 EPS_NORM = 1e-9
@@ -79,13 +80,6 @@ def total_mass(net: CBNet) -> float:
     """
     expect_kind(net, "classical", "total_mass")
     return float(contract(net))
-
-
-def classical_conditional(
-    net: BaseNet, hypothesis: Mapping[str, int], evidence: Mapping[str, int]
-) -> float:
-    """P(hypothesis | evidence), both given as {component: value}, on either net kind."""
-    return conditional(net, hypothesis, evidence)
 
 
 def validate(net: CBNet) -> ValidationReport:

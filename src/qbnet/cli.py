@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lattice import LatticeSpec, potential_preset, propagate
 from .netfile import (describe_constraints, emit_net, format_state, parse_constraints,
-                      parse_number, read_cases, read_net)
+                      parse_number, read_cases, read_net, write_net)
 from .pathsum import classify_paths, path_row
 from .quantum import QBNet, parent_cb_net, validate_quantum
 
@@ -239,16 +239,16 @@ def cmd_catalog(args) -> int:
     for item in args.param or []:
         if "=" not in item:
             raise ParseError(f"parameter {item!r} needs name=value")
-        key, value = item.split("=", 1)
-        params[key.strip()] = _coerce_param(value.strip())
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise ParseError(f"duplicate parameter {key!r}")
+        params[key] = _coerce_param(value)
     net = catalog.build(args.id, **params)
-    text = emit_net(net)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_net(net, args.output)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(emit_net(net))
     return EXIT_OK
 
 
@@ -347,13 +347,10 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
     except KeyError as err:
         print(f"error: {err.args[0] if err.args else err}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnknownEntry, InvalidParams, ValueError) as err:
+    except (UnknownEntry, InvalidParams, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except QBNetError as err:

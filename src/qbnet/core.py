@@ -53,21 +53,21 @@ one-set case (the CLI query and ``quantum.f_qna``); ``conditional``, the
 probabilities-only half, skips chi(E), which can vanish on a quantum net.
 
 Nets never change after construction, so what does not depend on their tables
-is interned by value (Filliatre & Conchon's hash-consing). Equal state lists
-share one checked ``_StateList`` (256 kept) and its int array. Blocks of
-equal names, parents, components and state lists share one ``StateSpace``
-(256 kept), the one object that holds what nets of that structure share,
-its plans and evidence indicators included. A net built on a graph and a
-space keeps the space if the graph's parents match it, as a quantum net's
-parent does, and else takes its graph's interned space. The graph
-layer is not interned, so what a build calls does not depend on what the
-process built before: each net keeps its own ``LabelledGraph`` and external
-order, its factors (one per distinct table object and dims, so nodes given
-one table, as a chain's slices are, share one), two read-only query memos --
-the last tensor a ``Weights`` opened (by open nodes and the evidence on
-summed-away nodes) and its last read's rows (by nodes, spec, evidence and
-cap) -- and, on a quantum net, its parent classical net. README's Memos
-table lists every memo.
+is interned by value (Filliatre & Conchon's hash-consing). A state list is
+interned by normalized value: every spelling of one list (ints, tuples, lists,
+numpy rows, bools) shares one checked ``_StateList`` (256 kept) and its int
+array. Blocks of equal names, parents, components and state lists share one
+``StateSpace`` (256 kept), the one object that holds what nets of that
+structure share, its plans and evidence indicators included. A net built on a
+graph and a space keeps the space if the graph's parents match it, as a quantum
+net's parent does, and else takes its graph's interned space. The graph layer
+is not interned, so what a build calls does not depend on what the process
+built before: each net keeps its own ``LabelledGraph`` and external order, its
+factors (one per distinct table object and dims, so nodes given one table, as a
+chain's slices are, share one), two read-only query memos -- the last tensor a
+``Weights`` opened (by open nodes and the evidence on summed-away nodes) and
+its last read's rows (by nodes, spec, evidence and cap) -- and, on a quantum
+net, its parent classical net. README's Memos table lists every memo.
 """
 
 from __future__ import annotations
@@ -129,12 +129,12 @@ def _as_state(state) -> tuple[int, ...]:
 
 
 class _StateList:
-    """One state list as int tuples: each state's index, each position's sorted
-    values and, if the widths agree, the read-only int array (states x
-    positions)."""
+    """One normalized state list (a tuple of int tuples): each state's index,
+    each position's sorted values and, if the widths agree, the read-only int
+    array (states x positions)."""
 
     def __init__(self, states: tuple):
-        self.states = tuple(map(_as_state, states))
+        self.states = states
         self.index = {s: i for i, s in enumerate(self.states)}
         self.widths = frozenset(map(len, self.states))
         self.values = tuple(tuple(sorted(set(column))) for column in zip(*self.states))
@@ -143,18 +143,16 @@ class _StateList:
             self.array.flags.writeable = False
 
 
-_shared = functools.lru_cache(maxsize=256)(_StateList)  # one per equal list, by value
+_shared = functools.lru_cache(maxsize=256)(_StateList)  # one per normalized list
 
 
 def _state_list(node: str, states) -> _StateList:
-    """``states`` as its shared ``_StateList`` (as is, if one); InvalidState names the node."""
+    """``states`` as its shared ``_StateList`` (as is, if one), keyed by its int
+    tuples, so every spelling of one list shares it; InvalidState names the node."""
     if isinstance(states, _StateList):
         return states
     try:
-        try:
-            return _shared(tuple(states))
-        except TypeError:  # states given as lists or arrays: key by their tuples
-            return _shared(tuple(map(_as_state, states)))
+        return _shared(tuple(map(_as_state, states)))
     except InvalidState as exc:
         raise InvalidState(f"node {node!r}: {exc}") from None
 

@@ -115,7 +115,8 @@ def classical_fuzzy_conditional(
 ) -> float:
     """Mass of hypothesis-and-evidence over mass of evidence."""
     weights = Weights(net, hypothesis.components, evidence.sets)
-    return normalize(weights.blocks([hypothesis.sets]), weights.total(), evidence.sets)[0]
+    total, weight = weights.blocks([{}, hypothesis.sets])  # chi(E) and chi(H and E), one read
+    return normalize([weight], total, evidence.sets)[0]
 
 
 def quantum_fuzzy_distribution(

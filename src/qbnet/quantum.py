@@ -19,12 +19,13 @@ which is ``core.conditional`` (on classical nets the denominator equals
 chi[E]); ``core.Weights`` reads every chi in it off one contraction keeping
 the hypothesis and external nodes open, and ``pathsum`` sums it from paths.
 ``chi`` and ``external_amplitude_map`` are ``core.chi`` and
-``core.external_map``, and ``quantum_conditional`` is
-``classical.classical_conditional``; all three serve both net kinds. The
-quantum-noise factor ``f_qna`` measures how far that denominator sits from
-chi[E] itself, as ``core.Weights.row`` computes it next to the
-conditionals; it equals one whenever the hypothesis components are all
-external, and drifts from one when conditioning cuts into coherent sums.
+``core.external_map``, and both conditionals, ``quantum_conditional`` and
+``classical.classical_conditional``, are ``core.conditional``; all three
+serve both net kinds. The quantum-noise factor ``f_qna`` measures how far
+that denominator sits from chi[E] itself, as ``core.Weights.row`` computes
+it next to the conditionals; it equals one whenever the hypothesis
+components are all external, and drifts from one when conditioning cuts
+into coherent sums.
 
 Every quantum net has a parent classical net with tables |A|^2. The two give
 the same answers exactly when each external configuration pins down the
@@ -39,12 +40,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .classical import CBNet, ValidationReport, total_mass
-from .classical import classical_conditional as quantum_conditional  # noqa: F401
 from .core import (
     BaseNet,
     Weights,
     check_query,
     chi,
+    conditional as quantum_conditional,  # noqa: F401  (one conditional for both kinds)
     expect_kind,
     external_map as external_amplitude_map,  # noqa: F401  (one map for both kinds)
     filter_mask,  # noqa: F401  (the dense reference, kept importable here)

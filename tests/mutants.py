@@ -1,13 +1,14 @@
 """A kill list for the test suite: python3 tests/mutants.py [name ...]
 
-Each mutant is one exact-text edit to a file of the ``qbnet`` package and
-the tests that must catch it. For each, ``src/`` is copied to a temporary
-directory, the edit is made there, and the mutant's tests run with
-``pytest -x`` against that copy. A mutant whose tests fail is killed, one
-whose tests pass survived, and one whose old text is not in its file
-exactly once, or whose edit changes nothing, is stale. The tests first run
-once against an unedited copy, where they must pass. The run prints one
-line per mutant and exits 1 unless every mutant is killed.
+Each mutant is one exact-text edit to a file of the ``qbnet`` package, or
+a tuple of them made in turn, and the tests that must catch it. For each,
+``src/`` is copied to a temporary directory, the edit is made there, and
+the mutant's tests run with ``pytest -x`` against that copy. A mutant
+whose tests fail is killed, one whose tests pass survived, and one with an
+old text that is not in its file exactly once, or an edit that changes
+nothing, is stale. The tests first run once against an unedited copy,
+where they must pass. The run prints one line per mutant and exits 1
+unless every mutant is killed.
 
 Run it by hand from the root of a checkout; pytest does not collect it.
 A change to ``core``, ``lattice``, ``catalog``, ``netfile`` or ``pathsum``
@@ -47,8 +48,11 @@ NETFILE = "tests/test_netfile.py::"
 BAD_INPUT = NETFILE + "test_parse_errors_carry_line_numbers"
 PATHSUM = "tests/test_pathsum.py::"
 FINAL_KEY = "final = tuple(v for j in external for v in path.states[j])"
+CLI = "tests/test_cli.py::"
+PARAMS = CLI + "test_catalog_build_refuses_a_malformed_or_repeated_param"
 
-# (name, file under src/qbnet, old text, new text, tests that must fail)
+# (name, file under src/qbnet, old text, new text, tests that must fail); old
+# and new may be equal-length tuples of texts, edited in turn
 MUTANTS = [
     # the one reader and its read memo
     ("the last read ignores the evidence", "core.py",
@@ -120,6 +124,25 @@ MUTANTS = [
      "if False:",
      [ENGINE + "test_a_graph_with_other_parents_gets_the_space_of_its_own_structure",
       ENGINE + "test_a_cyclic_pre_net_built_directly_keeps_its_graphs_declared_order"]),
+    ("a state list keyed by its raw tuple", "core.py",  # as it was, normalized inside
+     ("self.states = states", "return _shared(tuple(map(_as_state, states)))"),
+     ("self.states = tuple(map(_as_state, states))",
+      "try:\n            return _shared(tuple(states))\n        except TypeError:\n"
+      "            return _shared(tuple(map(_as_state, states)))"),
+     [ENGINE + "test_equal_state_lists_give_equal_state_spaces"]),
+    # the refusals pinned by their whole text
+    ("unknown evidence checked after the pinned values", "core.py",
+     "    for alpha in evidence:\n        if alpha not in owner:\n            space.owner(alpha)\n",
+     "",
+     [ENGINE + "test_an_unknown_evidence_component_is_refused_first_on_every_route"]),
+    ("a step past einsum's labels reaches einsum", "core.py",
+     "if len(union) > len(_LABELS):", "if len(union) > len(_LABELS) + 1:",
+     [ENGINE + "test_the_build_entry_and_plan_refusals_keep_their_texts"]),
+    # one read per query
+    ("the classical fuzzy reader reads chi(E) apart", "fuzzy.py",
+     "total, weight = weights.blocks([{}, hypothesis.sets])",
+     "total, weight = weights.total(), weights.blocks([hypothesis.sets])[0]",
+     [ENGINE + "test_each_public_query_builds_at_most_one_layout_per_net_kind"]),
     # the case runner and the step kernels
     ("a case constraining a component twice is answered", "netfile.py",
      "if len(sets) != len(self.constraints):",
@@ -225,6 +248,23 @@ MUTANTS = [
      "if not isinstance(value, (float, int, numbers.Real)):",
      "if False:",
      [LATTICE + "test_a_number_that_is_not_real_is_refused_naming_its_field"]),
+    # catalog builds, the spin phase and the command's parameters
+    ("a one-step walk refused", "catalog.py",
+     "if n < 1:", "if n < 2:",
+     ["tests/test_catalog.py::test_a_one_step_walk_builds"]),
+    ("a two-cycle state relabelled", "catalog.py",
+     'NodeBlock("u", [0, 1], delta, parents=("w",))',
+     'NodeBlock("u", [0, 2], delta, parents=("w",))',
+     ["tests/test_catalog.py::test_the_two_cycle_nodes_take_the_states_zero_and_one"]),
+    ("the consistency phase from a ratio", "spin.py",
+     "prod = psi.psi01 * psi.psi10.conjugate()", "prod = psi.psi01 / psi.psi10.conjugate()",
+     ["tests/test_spin.py::test_consistency_phase_at_a_complex_psi10"]),
+    ("a --param item without = reaches the split", "cli.py",
+     'if "=" not in item:', "if False:", [PARAMS]),
+    ("a --param value split at every =", "cli.py",
+     'item.split("=", 1)', 'item.split("=")', [PARAMS]),
+    ("a repeated --param kept", "cli.py",
+     "        if key in params:\n", "        if False:\n", [PARAMS]),
     # the net-file reader and writer
     ("a section may repeat", "netfile.py",
      "            elif word in current:\n", "            elif False:\n",
@@ -269,9 +309,11 @@ def run(path: str, old: str, new: str, tests: list[str]) -> str:
         if old:
             target = src / "qbnet" / path
             text = target.read_text()
-            if text.count(old) != 1 or new == old:
-                return "stale"
-            target.write_text(text.replace(old, new))
+            for old, new in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
+                if text.count(old) != 1 or new == old:
+                    return "stale"
+                text = text.replace(old, new)
+            target.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         env.pop("QBNET_MAX_STATES", None)
         done = subprocess.run(

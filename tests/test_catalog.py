@@ -56,6 +56,19 @@ def test_two_cycle_pre_net_mass():
     assert any("cycle" in p for p in report.problems)
 
 
+def test_the_two_cycle_nodes_take_the_states_zero_and_one():
+    net = build("fig4-cycle")
+    assert {n: net.space.states(n) for n in net.graph.nodes} == {"u": ((0,), (1,)),
+                                                                "w": ((0,), (1,))}
+
+
+def test_a_one_step_walk_builds():
+    net = build("fig14-walk", n=1, p_plus=0.3)
+    assert net.graph.nodes == ("x0", "dx1", "x1")
+    assert chi_classical(net, {"x1": 1}) == pytest.approx(0.3, abs=1e-15)
+    assert chi_classical(net, {"x1": -1}) == pytest.approx(0.7, abs=1e-15)
+
+
 def test_gate_nets_hand_probabilities():
     net = build("fig9-and", p_x=0.3, p_y=0.8)
     assert abs(chi_classical(net, {"z": 1}) - 0.3 * 0.8) < 1e-12

@@ -91,6 +91,7 @@ def test_parse_failures_exit_2(capsys, tmp_path):
     assert "line 1" in err
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.qbn"))
     assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {str(tmp_path / 'missing.qbn')!r}\n"
 
 
 def test_query_prints_twelve_digit_distribution(capsys, fig19_file):
@@ -449,6 +450,29 @@ def test_catalog_build_takes_typed_params(capsys):
         assert code == 2, (entry_id, param)
         assert out == ""
         assert err.startswith(("parse error: ", "error: ")), err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["p_x=0.1", "p_x=0.9"], "duplicate parameter 'p_x'"),
+        (["p_x =0.1", "p_y=0.5", " p_x=0.9"], "duplicate parameter 'p_x'"),
+        (["p_x=0.1=2"], "cannot read parameter value '0.1=2'"),
+        (["p_x"], "parameter 'p_x' needs name=value"),
+    ],
+    ids=["repeated", "repeated-spaced", "value-holding-equals", "no-equals"],
+)
+def test_catalog_build_refuses_a_malformed_or_repeated_param(capsys, params, message):
+    argv = [arg for param in params for arg in ("--param", param)]
+    code, out, err = run(capsys, "catalog", "build", "fig9-and", *argv)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical", "pathsum"])
+def test_query_refuses_an_unknown_evidence_component_before_a_bad_pin(capsys, fig19_file, mode):
+    code, out, err = run(capsys, "query", fig19_file, "--hypothesis", "u.plus=7",
+                         "--evidence", "z.plus=0,nope=0", "--mode", mode)
+    assert (code, out, err) == (2, "", "error: unknown component 'nope'\n")
 
 
 def test_lattice_probability_table(capsys):

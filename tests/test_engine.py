@@ -474,6 +474,44 @@ def test_every_default_case_of_a_net_shares_two_contractions(contract_calls, per
     assert len(contract_calls) == 2
 
 
+@pytest.fixture
+def layouts_built(monkeypatch):
+    """The width of every read layout a state space builds: 2 (real and
+    imaginary parts) for a quantum net's read, 1 for a classical net's."""
+    built, layout = [], core._layout
+
+    def counted(space, nodes, n_ext, width, spec, cap):
+        built.append(width)
+        return layout(space, nodes, n_ext, width, spec, cap)
+
+    monkeypatch.setattr(core, "_layout", counted)
+    return built
+
+
+_GIVEN = {"z.plus": 0}
+_ONE_READ = {
+    "conditional": lambda t: conditional(t, {"u.plus": 1}, _GIVEN),
+    "f_qna": lambda t: f_qna(t, ["u.plus"], _GIVEN),
+    "Weights.row": lambda t: Weights(t, ["u.plus", "u.minus"], _GIVEN).row(["u.plus", "u.minus"]),
+    "classical_fuzzy_conditional": lambda t: classical_fuzzy_conditional(
+        t, DirectProductSet.over(t, {"u.plus": 1, "u.minus": {0, 1}}),
+        DirectProductSet.over(t, {"z.plus": {0}})),
+    "quantum_fuzzy_distribution": lambda t: quantum_fuzzy_distribution(
+        t, singleton_partition(t, ["u.plus"]), DirectProductSet.over(t, {"z.plus": {0}})),
+    "run_evidence_cases": catalog.run_evidence_cases,  # reads the quantum net and its parent
+}
+
+
+@pytest.mark.parametrize("query, kind", [(q, k) for q in _ONE_READ for k in ("quantum", "classical")
+                                         if (q, k) != ("run_evidence_cases", "classical")])
+def test_each_public_query_builds_at_most_one_layout_per_net_kind(layouts_built, query, kind):
+    net = catalog.build("fig19-loop")
+    target = net if kind == "quantum" else parent_cb_net(net)
+    net.space.read.cache_clear()  # the quantum net's and its parent's: a cold space
+    _ONE_READ[query](target)
+    assert layouts_built and max(collections.Counter(layouts_built).values()) == 1
+
+
 def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch):
     net = catalog.build("fig23")
     case = catalog.default_cases(net)[5]
@@ -1433,12 +1471,17 @@ def _state_forms(states):
     return forms
 
 
+def _one_node_net(states, width):
+    comps = tuple(f"c{k}" for k in range(width))
+    return CBNet.from_blocks([NodeBlock("a", states, np.ones(len(states)), components=comps)])
+
+
 def _space_facts(states, width):
     """What a one-node net makes of ``states``: its states, values and
     index, or the refusal's type and message."""
     comps = tuple(f"c{k}" for k in range(width))
     try:
-        net = CBNet.from_blocks([NodeBlock("a", states, np.ones(len(states)), components=comps)])
+        net = _one_node_net(states, width)
     except (ValueError, InvalidState) as exc:
         return type(exc), str(exc)
     space = net.space
@@ -1463,3 +1506,63 @@ def test_equal_state_lists_give_equal_state_spaces(case):
         assert _space_facts(form, width) == want
         core._shared.cache_clear()
         assert _space_facts(form, width) == want
+    if want[0] in (ValueError, InvalidState):
+        return
+    # every spelling of an accepted list interns as one list and one space
+    core._shared.cache_clear()
+    spaces = [_one_node_net(form, width).space for form in [copies[0], *_state_forms(states)]]
+    assert all(s is spaces[0] for s in spaces)
+    assert all(s._lists["a"] is spaces[0]._lists["a"] for s in spaces)
+
+
+def _two_nodes():
+    return CBNet.from_blocks([NodeBlock("a", [0, 1], [0.5, 0.5]),
+                              NodeBlock("b", [0, 1], np.eye(2), parents=("a",))])
+
+
+def _a_child_of_52_one_state_roots():
+    roots = [NodeBlock(f"r{i}", [0], [1.0]) for i in range(52)]
+    parents = tuple(b.name for b in roots)
+    return CBNet.from_blocks([*roots, NodeBlock("c", [0, 1], [[0.5], [0.5]], parents=parents)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NodeBlock("a", [(0, 1), (1, 0)], None),
+         ValueError, "node 'a' has 2 components; explicit names required"),
+        (lambda: CBNet(_two_nodes().graph, _two_nodes().space, {"a": [0.5, 0.5]}),
+         ValueError, "missing table for node 'b'"),
+        (lambda: _two_nodes().entry("b", 1, ()),
+         ValueError, "node 'b' has 1 parents, got 0 states"),
+        (lambda: _two_nodes().joint_value({"a": 0}),
+         ValueError, "assignment missing nodes ['b']"),
+        (lambda: chi_classical(_a_child_of_52_one_state_roots()),
+         StateSpaceTooLarge, "contraction step over 53 nodes exceeds einsum's 52 axis labels"),
+    ],
+    ids=["unnamed-components", "missing-table", "entry-parent-count", "joint-missing-node",
+         "past-einsum-labels"],
+)
+def test_the_build_entry_and_plan_refusals_keep_their_texts(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical"])
+@pytest.mark.parametrize(
+    "route", ["conditional", "f_qna", "Weights.row", "path_row", "pathsum_conditional"])
+def test_an_unknown_evidence_component_is_refused_first_on_every_route(route, kind):
+    net = catalog.build("fig19-loop")
+    target = net if kind == "quantum" else parent_cb_net(net)
+    evidence = {"z.plus": 0, "nope": 0}
+    ask = {  # a pinned value out of range too, where the route takes one
+        "conditional": lambda: conditional(target, {"u.plus": 7}, evidence),
+        "f_qna": lambda: f_qna(target, ["u.plus"], evidence),
+        "Weights.row": lambda: Weights(target, ["u.plus"], evidence).row(["u.plus"]),
+        "path_row": lambda: path_row(target, ["u.plus"], evidence),
+        "pathsum_conditional": lambda: pathsum_conditional(target, {"u.plus": 7}, evidence),
+    }[route]
+    with pytest.raises(KeyError) as err:
+        ask()
+    assert err.value.args == ("unknown component 'nope'",)

@@ -57,6 +57,16 @@ def test_catalog_nets_round_trip_exactly():
         assert_same_net(net, parse_net(emit_net(net)))
 
 
+def test_a_catalog_net_declared_in_node_order_shares_its_space_with_its_file():
+    shared = []
+    for entry in catalog.list_entries():
+        net = catalog.build(entry.id)
+        if net.graph.nodes == net.node_order():  # its file declares the nodes in its order
+            assert parse_net(emit_net(net)).space is net.space, entry.id
+            shared.append(entry.id)
+    assert len(shared) == 7
+
+
 def test_random_nets_round_trip_exactly():
     for seed in range(30):
         assert_same_net(random_cbnet(seed), parse_net(emit_net(random_cbnet(seed))))

@@ -163,6 +163,13 @@ def test_consistency_phase():
         consistency_phase(InitialWavefunction(0.0, 1.0))
 
 
+def test_consistency_phase_at_a_complex_psi10():
+    # i psi01 conj(psi10) / |psi01 psi10|: psi01 / psi10 would turn psi10's phase the other way
+    for theta in (math.pi / 2, math.pi / 3, -2.0):
+        psi = InitialWavefunction(0.6, 0.8 * cmath.exp(1j * theta))
+        assert consistency_phase(psi) == pytest.approx(1j * cmath.exp(-1j * theta), abs=1e-15)
+
+
 def test_wavefunction_validation_and_amplitudes():
     psi = InitialWavefunction((1 + 1j) / 2, 2**-0.5)
     assert psi.amplitude((0, 1)) == (1 + 1j) / 2
