@@ -775,10 +775,6 @@ class Weights:
                 tensor = tensor * indicator(alpha, allowed, axis[alpha], len(nodes))
         return nodes, tensor
 
-    def total(self) -> float:
-        """chi(E), the empty set's one row."""
-        return self._weigh(((),), 0)[0]
-
     def row(self, comps: Iterable[str]) -> tuple[list[float], float]:
         """(P(m | E) for every value combo m of ``comps``, f_qna): the combos over their
         total, and that total over chi(E); ContradictoryEvidence if either is zero.

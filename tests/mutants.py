@@ -141,7 +141,7 @@ MUTANTS = [
     # one read per query
     ("the classical fuzzy reader reads chi(E) apart", "fuzzy.py",
      "total, weight = weights.blocks([{}, hypothesis.sets])",
-     "total, weight = weights.total(), weights.blocks([hypothesis.sets])[0]",
+     "total, weight = weights.blocks([{}])[0], weights.blocks([hypothesis.sets])[0]",
      [ENGINE + "test_each_public_query_builds_at_most_one_layout_per_net_kind"]),
     # the case runner and the step kernels
     ("a case constraining a component twice is answered", "netfile.py",

@@ -253,7 +253,7 @@ def test_weights_agree_with_per_block_chi_and_path_sums(query):
     engine = chi if net.kind == "quantum" else chi_classical
     combos = value_blocks(net, comps)
     for chi_fn in (engine, path_chi):
-        assert weights.total() == pytest.approx(chi_fn(net, evidence), abs=1e-12)
+        assert weights.blocks([{}])[0] == pytest.approx(chi_fn(net, evidence), abs=1e-12)
         want = distribution(chi_fn, net, combos, evidence)
         assert weights.combos(comps) == pytest.approx(want, abs=1e-12)
         want = distribution(chi_fn, net, blocks, evidence)
@@ -538,7 +538,7 @@ def test_an_evidence_case_reads_chi_e_once_and_each_row_once_per_net(monkeypatch
     for target in (net, parent_cb_net(net)):
         (_, spec, *_), rows, ends = target._last_read
         assert len(spec) == 22 and spec[0] == () and ends[:2] == (0, 1)
-        assert rows[0] == Weights(target, spec[1], case.as_sets()).total()
+        assert rows[0] == Weights(target, spec[1], case.as_sets()).blocks([{}])[0]
 
 
 @pytest.mark.parametrize("evidence", [{}, {"t1.x2": 1}], ids=["no-evidence", "pinned"])
@@ -623,11 +623,11 @@ def test_a_read_has_a_fresh_nets_bits_whatever_the_net_read_before():
         return parent_cb_net(catalog.build("fig19-loop"))
 
     net, comps = build(), build().all_components
-    want = {a: Weights(build(), (a,), {}).total().hex() for a in comps}
+    want = {a: Weights(build(), (a,), {}).blocks([{}])[0].hex() for a in comps}
     assert len(set(want.values())) > 1  # the open nodes move chi(E)'s last bits
     for a, b in itertools.product(comps, repeat=2):
-        Weights(net, (a,), {}).total()
-        assert Weights(net, (b,), {}).total().hex() == want[b]
+        Weights(net, (a,), {}).blocks([{}])[0]
+        assert Weights(net, (b,), {}).blocks([{}])[0].hex() == want[b]
 
 
 def test_an_unknown_open_node_is_named():
@@ -706,7 +706,7 @@ def test_the_runner_normalizes_each_row_as_weights_row_does(query):
             "both": [(a,) for a in comps] + pairs}[hypotheses]
     for case, result in zip(cases, catalog.run_evidence_cases(net, cases, hypotheses)):
         weights = [Weights(target, comps, case.as_sets()) for target in (net, parent_cb_net(net))]
-        assert result.no_output == any(w.total() == 0.0 for w in weights)
+        assert result.no_output == any(w.blocks([{}])[0] == 0.0 for w in weights)
         if result.no_output:
             assert not result.rows and not result.errors
             continue
@@ -738,7 +738,7 @@ def test_every_read_form_gives_a_row_the_same_bits(query):
     for case, target in itertools.product(cases, (net, parent_cb_net(net))):
         evidence = case.as_sets()
         (chi_e,), *rows = Weights(target, comps, evidence).rows(((), *sets))  # the runner's read
-        assert Weights(target, comps, evidence).total() == chi_e
+        assert Weights(target, comps, evidence).blocks([{}])[0] == chi_e
         for s, row in zip(sets, rows):
             weights = Weights(target, comps, evidence)
             assert weights.blocks(value_blocks(target, s)) == weights.combos(s) == row
@@ -968,7 +968,7 @@ def test_evidence_on_open_nodes_masks_one_cached_contraction(query):
     cached = net._last_opened[1]
 
     def reads():
-        yield weights.total(), [{}]
+        yield weights.blocks([{}])[0], [{}]
         yield weights.combos(comps), value_blocks(net, comps)
         for s, row in zip(sets, weights.rows(sets)):
             yield row, value_blocks(net, s)
